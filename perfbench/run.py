@@ -11,6 +11,10 @@ must equal the recorded one and every returned solution must pass
 ``check_solution``.  A solve that raises or fails a check counts as failed.
 
 ``--trace 0`` reports the end-to-end metrics named in ``BENCHMARK.json``.
+Their times are in reference-speed seconds: each timed stretch is scaled by
+the speed the host showed on a fixed calibration slice next to it (see
+``Yardstick``), so that a host that runs everything slower for a minute does
+not move them.
 ``--trace 1`` alternates untraced and traced solves and reports the
 per-layer metrics (see ``tracer.py``); the traced solves' spans are written
 to ``perfbench/out/``.
@@ -28,19 +32,35 @@ import gc
 import json
 import random
 import resource
+import signal
 import statistics
 import sys
 import time
 import traceback
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-#: Set-up-only solves per untraced run, so ``setup_s`` is a median even on a
-#: workload that fits a single full solve in a run.
-SETUP_PROBES = 8
+#: Set-up-only solves per untraced run; ``setup_s`` is their median.
+SETUP_PROBES = 21
+#: Size of one calibration slice: steps of its compute part, and copies of
+#: CAL_MASKS in its copy part.  The copy part takes about a quarter of the
+#: slice: with the compute part alone, golfers-copy's snapshot-heavy solves
+#: slowed more than the slice did when the host's caches were contended.
+CAL_STEPS = 20000
+CAL_WORDS = 2048
+CAL_COPIES = 48
+#: Distinct large ints, as a domain store's masks are, so a copy touches
+#: every one of them (about 1 MB, part of ``baseline_mem_mb``).
+CAL_MASKS = [(i * 2654435761) << 40 for i in range(20000)]
+#: Seconds a slice takes on the reference host.  On 2 cores of a shared host
+#: it takes from about 9 ms, when the host is quiet, to twice that.
+CAL_REF_S = 0.010
+#: Wall seconds between calibration slices taken inside a solve.
+TICK_S = 0.1
 #: Largest allowed gap between the sum of the layers' self times and the
 #: traced solve's wall time, as a share of the latter.
 SELF_TIME_TOLERANCE = 0.03
@@ -57,6 +77,84 @@ def load_fdlab(root=ROOT):
     import fdlab
 
     return fdlab
+
+
+def calibration_slice():
+    """Run one fixed piece of pure-Python work and return its wall seconds.
+
+    It mixes what the solver spends its time on: list indexing, integer and
+    bit operations and dict updates, then copies of a list of large ints, as
+    a snapshot does.
+    """
+    t0 = clock()
+    words = list(range(CAL_WORDS))
+    counts = {}
+    acc = 0
+    for i in range(CAL_STEPS):
+        j = (i * 7919) & (CAL_WORDS - 1)
+        w = words[j]
+        acc = (acc + (w >> 3) ^ (w & 255)) & 0xFFFF
+        words[j] = acc
+        counts[acc & 255] = counts.get(j & 255, 0) + 1
+        if not i & 1023:
+            words = words[:]
+    for _ in range(CAL_COPIES):
+        copy = list(CAL_MASKS)
+    del copy
+    return clock() - t0
+
+
+class Yardstick:
+    """Host speed next to one timed region, from calibration slices.
+
+    The shared host runs the same code up to twice as slowly at some moments
+    as at others, and whole minutes are slower than others.  A slice is
+    taken before and after the region and, while ``ticking()``, every
+    ``TICK_S`` seconds inside it, from a ``SIGALRM`` handler, so the program
+    itself is not touched.  ``reference_seconds`` removes the slices from an
+    interval and scales each stretch between two slices by ``CAL_REF_S``
+    over the mean of those two slices.
+    """
+
+    def __init__(self):
+        self.samples = []  # (start, end, slice seconds), in time order
+        self._sampling = False
+
+    def sample(self, *_signal_args):
+        # A slice stalled past TICK_S must not start another inside itself.
+        if self._sampling:
+            return
+        self._sampling = True
+        try:
+            t0 = clock()
+            cal_s = calibration_slice()
+            self.samples.append((t0, clock(), cal_s))
+        finally:
+            self._sampling = False
+
+    @contextmanager
+    def ticking(self):
+        previous = signal.signal(signal.SIGALRM, self.sample)
+        signal.setitimer(signal.ITIMER_REAL, TICK_S, TICK_S)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def reference_seconds(self, start, end):
+        """Seconds at reference speed of the wall interval [start, end], less
+        the slices taken inside it.  Needs a slice before and after it."""
+        inside = [s for s in self.samples if start <= s[0] < end]
+        before = [s for s in self.samples if s[0] < start][-1]
+        after = next(s for s in self.samples if s[0] >= end)
+        marks = [before, *inside, after]
+        edges = [start, *(t for s in inside for t in s[:2]), end]
+        total = 0.0
+        for i in range(len(marks) - 1):
+            stretch = edges[2 * i + 1] - edges[2 * i]
+            total += stretch * 2 * CAL_REF_S / (marks[i][2] + marks[i + 1][2])
+        return total
 
 
 def peak_rss_mb():
@@ -110,16 +208,19 @@ class SolveResult:
     wall_s: float  # the solve()/minimize() call
     setup_s: float  # SearchStats.setup_ms: build plus root propagation
     search_s: float  # SearchStats.solve_ms: after root propagation to search end
+    search_end: float  # clock() when the solve call returned
     check_s: float
     nodes: int
     trajectory: dict
     restore: object
     problems: list = field(default_factory=list)
     layers: dict | None = None  # per-layer metrics of a traced solve
+    search_ref_s: float = 0.0  # search_s at reference speed, slices removed
 
 
-def solve_once(wl, tracer=None):
-    """Build, solve and check the workload once."""
+def solve_once(wl, tracer=None, yardstick=None):
+    """Build, solve and check the workload once.  With a yardstick, its
+    calibration slices tick inside the solve call."""
     fd = wl.fd
     t0 = clock()
     model = fd.build(wl.instance)
@@ -129,12 +230,14 @@ def solve_once(wl, tracer=None):
         tracer.begin()
     try:
         t1 = clock()
-        if wl.search == "minimize":
-            best, stats = fd.minimize(model, bnb=wl.bnb, **wl.options(build_s))
-            solutions = [] if best is None else [best]
-        else:
-            solutions, stats = fd.solve(model, mode=wl.search, **wl.options(build_s))
-        wall_s = clock() - t1
+        with yardstick.ticking() if yardstick is not None else nullcontext():
+            if wl.search == "minimize":
+                best, stats = fd.minimize(model, bnb=wl.bnb, **wl.options(build_s))
+                solutions = [] if best is None else [best]
+            else:
+                solutions, stats = fd.solve(model, mode=wl.search, **wl.options(build_s))
+            search_end = clock()
+        wall_s = search_end - t1
     finally:
         if tracer is not None:
             tracer.end()
@@ -158,12 +261,34 @@ def solve_once(wl, tracer=None):
         wall_s=wall_s,
         setup_s=stats.setup_ms / 1e3,
         search_s=stats.solve_ms / 1e3,
+        search_end=search_end,
         check_s=check_s,
         nodes=stats.nodes,
         trajectory=trajectory,
         restore=stats.restore,
         problems=problems,
     )
+
+
+def measured_solve(wl):
+    """One untraced solve, with its search time at reference speed."""
+    yardstick = Yardstick()
+    yardstick.sample()
+    r = solve_once(wl, yardstick=yardstick)
+    yardstick.sample()
+    r.search_ref_s = yardstick.reference_seconds(r.search_end - r.search_s, r.search_end)
+    return r
+
+
+def measured_probe(wl):
+    """One set-up probe between two calibration slices; returns its set-up
+    time at reference speed."""
+    yardstick = Yardstick()
+    yardstick.sample()
+    start = clock()
+    setup_s = probe_setup(wl)
+    yardstick.sample()
+    return yardstick.reference_seconds(start, start + setup_s)
 
 
 def probe_setup(wl):
@@ -221,30 +346,33 @@ def measure_untraced(wl, seed, seconds):
     setups, solves = [], []
     for op in ops:
         if op == "probe":
-            s = tally.run(probe_setup, wl)
+            s = tally.run(measured_probe, wl)
             if s is not None:
                 setups.append(s)
         else:
-            r = tally.run(solve_once, wl)
+            r = tally.run(measured_solve, wl)
             if r is not None:
                 solves.append(r)
     while solves:
         per_solve = statistics.median(r.build_s + r.wall_s + r.check_s for r in solves)
         if clock() + per_solve > deadline:
             break
-        r = tally.run(solve_once, wl)
+        r = tally.run(measured_solve, wl)
         if r is not None:
             solves.append(r)
-    if not solves:
-        raise SystemExit("perfbench: no solve completed\n" + "\n".join(tally.notes))
-    setups.extend(r.setup_s for r in solves)
+    if not solves or not setups:
+        raise SystemExit("perfbench: no solve or set-up probe completed\n" + "\n".join(tally.notes))
     values = {
-        "nodes_per_s": statistics.median(r.nodes / r.search_s for r in solves),
-        "solve_s_p50": statistics.median(r.search_s for r in solves),
+        "nodes_per_s": statistics.median(r.nodes / r.search_ref_s for r in solves),
+        "solve_s_p50": statistics.median(r.search_ref_s for r in solves),
         "setup_s": statistics.median(setups),
         "peak_mem_mb": peak_rss_mb(),
     }
-    log = [f"samples: {len(solves)} solves, {len(setups)} set-up samples"]
+    log = [
+        f"samples: {len(solves)} solves, {len(setups)} set-up probes",
+        f"plain wall clock, calibration slices included: search {statistics.median(r.search_s for r in solves):.4f} s,"
+        f" set-up {statistics.median(r.setup_s for r in solves):.4f} s (medians over the solves)",
+    ]
     return tally, values, log
 
 

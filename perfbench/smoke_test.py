@@ -91,6 +91,28 @@ class SmokeTest(unittest.TestCase):
                 result, log = run.measure(self.fd, wl, seed, SECONDS, False)
                 self.assertTrue(result["correct"], log)
 
+    def test_yardstick_scales_stretches_and_drops_slices(self):
+        ref = run.CAL_REF_S
+        ys = run.Yardstick()
+        # (start, end, slice seconds): one slice before, one inside, one after.
+        ys.samples = [(0.0, 0.5, ref), (2.0, 2.5, 2 * ref), (5.0, 5.5, 2 * ref)]
+        # [1, 2] at the mean of ref and 2 ref, [2.5, 4] at 2 ref.
+        self.assertAlmostEqual(ys.reference_seconds(1.0, 4.0), 1.0 / 1.5 + 1.5 / 2)
+        ys.samples = [(0.0, 0.1, ref), (1.0, 1.1, ref)]
+        self.assertAlmostEqual(ys.reference_seconds(0.2, 0.7), 0.5)
+
+    def test_yardstick_ticks_inside_a_long_region(self):
+        ys = run.Yardstick()
+        ys.sample()
+        start = run.clock()
+        with ys.ticking():
+            while run.clock() < start + 2.5 * run.TICK_S:
+                pass
+        end = run.clock()
+        ys.sample()
+        self.assertGreaterEqual(len(ys.samples), 4)
+        self.assertGreater(ys.reference_seconds(start, end), 0)
+
     def test_wrong_trajectory_counts_as_failed(self):
         for name in TINY:
             nodes = TINY[name]["expect"]["nodes"] + 1
