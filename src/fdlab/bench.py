@@ -161,8 +161,9 @@ def run_once(config):
 def run_matrix(configs):
     """Execute each configuration ``runs`` times and aggregate.
 
-    A configuration that fails to build (or whose solution fails the
-    checker) yields a record with ``error`` set; the matrix continues.
+    A configuration that fails to build, whose solution fails the checker
+    or whose trajectory differs between runs yields a record with
+    ``error`` set; the matrix continues.
     Infeasible instances are reported in the record, not as errors.
     """
     records = []
@@ -187,8 +188,8 @@ def run_matrix(configs):
                 )
                 if reference is None:
                     reference = fields
-                else:
-                    assert fields == reference, (
+                elif fields != reference:
+                    raise ModelError(
                         "non-deterministic trajectory for "
                         f"{config.instance}: {fields} != {reference}"
                     )

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 infeasible, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -97,54 +98,61 @@ def cmd_run(args):
     return EXIT_OK if record.solutions > 0 else EXIT_INFEASIBLE
 
 
+def _output(args, newline=None):
+    if args.out:
+        return open(args.out, "w", newline=newline)
+    return contextlib.nullcontext(sys.stdout)
+
+
 def cmd_table2(args):
-    writer = csv.writer(args.out and open(args.out, "w", newline="") or sys.stdout)
-    writer.writerow(
-        ["model", "instance", "variables", "constraints", "constraints_decomposed"]
-    )
-    for row in table_rows("table2"):
-        instance = parse_instance(f"{row['model']}:{row['instance']}")
-        got = counts(instance)
+    with _output(args, newline="") as out:
+        writer = csv.writer(out)
         writer.writerow(
-            [
-                row["model"],
-                row["instance"],
-                got.variables,
-                got.constraints_native,
-                got.constraints_decomposed,
-            ]
+            ["model", "instance", "variables", "constraints", "constraints_decomposed"]
         )
-    writer.writerow(["model", "instance", "variables", "variables_extended"])
-    for row in table_rows("table4"):
-        normal = parse_instance(f"{row['model']}:{row['instance']}")
-        extended = Instance(normal.problem, normal.params, extended=True)
-        writer.writerow(
-            [
-                row["model"],
-                row["instance"],
-                counts(normal).variables,
-                counts(extended).variables,
-            ]
-        )
+        for row in table_rows("table2"):
+            instance = parse_instance(f"{row['model']}:{row['instance']}")
+            got = counts(instance)
+            writer.writerow(
+                [
+                    row["model"],
+                    row["instance"],
+                    got.variables,
+                    got.constraints_native,
+                    got.constraints_decomposed,
+                ]
+            )
+        writer.writerow(["model", "instance", "variables", "variables_extended"])
+        for row in table_rows("table4"):
+            normal = parse_instance(f"{row['model']}:{row['instance']}")
+            extended = Instance(normal.problem, normal.params, extended=True)
+            writer.writerow(
+                [
+                    row["model"],
+                    row["instance"],
+                    counts(normal).variables,
+                    counts(extended).variables,
+                ]
+            )
     return EXIT_OK
 
 
 def cmd_table3(args):
     table = table_rows("table3")
-    out = open(args.out, "w") if args.out else sys.stdout
-    if args.format == "json":
-        json.dump(
-            {"note": "reference data from another solver; not asserted", "rows": table},
-            out,
-            indent=2,
-        )
-        out.write("\n")
-    else:
-        print("# reference backtrack counts from another solver; not asserted", file=out)
-        writer = csv.writer(out)
-        writer.writerow(["model", "instance", "backtracks"])
-        for row in table:
-            writer.writerow([row["model"], row["instance"], row["backtracks"]])
+    with _output(args) as out:
+        if args.format == "json":
+            json.dump(
+                {"note": "reference data from another solver; not asserted", "rows": table},
+                out,
+                indent=2,
+            )
+            out.write("\n")
+        else:
+            print("# reference backtrack counts from another solver; not asserted", file=out)
+            writer = csv.writer(out)
+            writer.writerow(["model", "instance", "backtracks"])
+            for row in table:
+                writer.writerow([row["model"], row["instance"], row["backtracks"]])
     return EXIT_OK
 
 

@@ -14,14 +14,11 @@ from __future__ import annotations
 from .domain import FAILED, UNKNOWN, EventClass, Op, VarKind
 from .model import BOOL_INT, SUM_DECOMPOSED, ModelError
 from .propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Propagator
+from .propagate import PRIORITY_CHEAP, PRIORITY_GLOBAL, PRIORITY_LINEAR
 
 EQ = "eq"
 LEQ = "leq"
 GEQ = "geq"
-
-PRIORITY_CHEAP = 2  # arity <= 3: disequalities, orderings, conjunction
-PRIORITY_LINEAR = 4  # linear and Boolean sums
-PRIORITY_GLOBAL = 6  # alldifferent, lex
 
 INT64_MAX = 2**63 - 1
 
@@ -38,13 +35,13 @@ class LinearProp(Propagator):
     first run so the hot loop reads the store's bound arrays directly.
     """
 
-    __slots__ = ("terms", "rel", "c", "priority", "_slots")
+    __slots__ = ("terms", "rel", "c", "_slots")
+    priority = PRIORITY_LINEAR
 
-    def __init__(self, terms, rel, c, priority=PRIORITY_LINEAR):
+    def __init__(self, terms, rel, c):
         self.terms = terms
         self.rel = rel
         self.c = c
-        self.priority = priority
         self._slots = None
 
     def subscriptions(self):
@@ -120,13 +117,13 @@ class BoolSumProp(Propagator):
     """Counter-based sum over Boolean variables, read straight off the
     three-state cells."""
 
-    __slots__ = ("vars", "rel", "c", "priority", "_slots")
+    __slots__ = ("vars", "rel", "c", "_slots")
+    priority = PRIORITY_LINEAR
 
-    def __init__(self, vars, rel, c, priority=PRIORITY_LINEAR):
+    def __init__(self, vars, rel, c):
         self.vars = list(vars)
         self.rel = rel
         self.c = c
-        self.priority = priority
         self._slots = None
 
     def subscriptions(self):
@@ -182,11 +179,11 @@ class AllDiffValueProp(Propagator):
     """Value-consistent alldifferent: an instantiated value is removed
     from every other domain."""
 
-    __slots__ = ("vars", "priority", "_slots")
+    __slots__ = ("vars", "_slots")
+    priority = PRIORITY_GLOBAL
 
-    def __init__(self, vars, priority=PRIORITY_GLOBAL):
+    def __init__(self, vars):
         self.vars = list(vars)
-        self.priority = priority
         self._slots = None
 
     def subscriptions(self):
@@ -463,7 +460,7 @@ def _post_sum(model, rel, c, make, pair_counted):
     return 1
 
 
-def post_linear(model, terms, rel, c, *, pair_counted=False, priority=PRIORITY_LINEAR):
+def post_linear(model, terms, rel, c, *, pair_counted=False):
     """Post sum(coeff*var) rel c; returns the number of propagators posted."""
     _check_rel(rel)
     terms = [(int(a), v) for a, v in terms]
@@ -478,12 +475,12 @@ def post_linear(model, terms, rel, c, *, pair_counted=False, priority=PRIORITY_L
     def make(r, bound):
         if bound is None:
             bound = lo0 if r == GEQ else hi0
-        return LinearProp(terms, r, bound, priority)
+        return LinearProp(terms, r, bound)
 
     return _post_sum(model, rel, c, make, pair_counted)
 
 
-def post_bool_sum(model, vars, rel, c, *, pair_counted=False, priority=PRIORITY_LINEAR):
+def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
     """Sum of Boolean variables rel c; counter-based under the native
     Boolean mode, routed to the linear propagator under the integer mode.
     Returns the number of propagators posted."""
@@ -498,26 +495,26 @@ def post_bool_sum(model, vars, rel, c, *, pair_counted=False, priority=PRIORITY_
         def make(r, bound):
             if bound is None:
                 bound = 0 if r == GEQ else len(vars)
-            return LinearProp(terms, r, bound, priority)
+            return LinearProp(terms, r, bound)
 
     else:
 
         def make(r, bound):
             if bound is None:
                 bound = 0 if r == GEQ else len(vars)
-            return BoolSumProp(vars, r, bound, priority)
+            return BoolSumProp(vars, r, bound)
 
     return _post_sum(model, rel, c, make, pair_counted)
 
 
-def post_alldifferent(model, vars, *, priority=PRIORITY_GLOBAL):
+def post_alldifferent(model, vars):
     vars = list(vars)
     if len(vars) < 2:
         raise PostError("alldifferent needs at least two variables")
     if any(v[1] is not VarKind.INT for v in vars):
         raise PostError("alldifferent takes integer variables only")
     model.count_constraint(1, 1)
-    model.engine.add(AllDiffValueProp(vars, priority))
+    model.engine.add(AllDiffValueProp(vars))
 
 
 def post_ne_const(model, var, c):

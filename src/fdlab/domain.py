@@ -117,6 +117,20 @@ class VariableStore:
         self._region_words += 1
         return VarId(index, VarKind.BOOL)
 
+    def fork(self):
+        """A store for one solve: it shares this store's variable layout
+        (so variables are added to the original only) and owns a copy of
+        the domains plus its own depth and backend."""
+        # Built through __init__, not copy.copy: an instance whose __dict__
+        # was filled by update loses the attribute layout that makes the
+        # hot-path reads of self._slot, self._mask, ... fast.
+        twin = VariableStore()
+        for name in ("depth", "_kind", "_slot", "_base", "_span", "_region_words"):
+            setattr(twin, name, getattr(self, name))
+        for name in ("_mask", "_lo", "_hi", "_size", "_bstate"):
+            setattr(twin, name, list(getattr(self, name)))
+        return twin
+
     @property
     def num_vars(self):
         return len(self._kind)
@@ -268,18 +282,6 @@ class VariableStore:
         else:
             klass = EventClass.DOMAIN_CHANGED
         return DomainEvent(var, klass)
-
-    def remove_value(self, var, v):
-        return self.narrow(var, Op.REMOVE, v)
-
-    def tighten_min(self, var, m):
-        return self.narrow(var, Op.MIN, m)
-
-    def tighten_max(self, var, m):
-        return self.narrow(var, Op.MAX, m)
-
-    def assign(self, var, v):
-        return self.narrow(var, Op.ASSIGN, v)
 
     # -- restoration support -------------------------------------------
 

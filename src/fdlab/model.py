@@ -1,4 +1,6 @@
 """Model container: variables, posted constraints, branch order, objective.
+A model only describes the problem; each solve works on forks of its store
+and engine and leaves it unchanged.
 
 The model also keeps the declared constraint counts for both sum-constraint
 accounting conventions (native sum-equals vs. the decomposed less-equal /

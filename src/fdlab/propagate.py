@@ -18,13 +18,17 @@ RESCHEDULE = 1
 PROP_FAILED = 2
 SUBSUMED = 3
 
-NUM_PRIORITIES = 8
+# Queue buckets, popped in this order under the ``priority`` policy.
+PRIORITY_CHEAP = 0  # arity <= 3: disequalities, orderings, conjunction
+PRIORITY_LINEAR = 1  # linear and Boolean sums
+PRIORITY_GLOBAL = 2  # alldifferent, lex
+NUM_PRIORITIES = 3
 
 
 class Propagator:
     """Monotone, contracting filtering function for one constraint."""
 
-    priority = 4
+    priority = PRIORITY_LINEAR
 
     def subscriptions(self):
         """Yield (VarId, EventClass) wake-up conditions."""
@@ -92,6 +96,15 @@ class Engine:
         self.subs = {}  # var index -> list of (pid, min event class)
         self.subsumed = {}  # pid -> search depth at which it became entailed
         self.running = None
+
+    def fork(self, store, queue):
+        """An engine for one solve over a fork of this engine's store.  It
+        owns its queue, entailment record and propagator list but shares
+        the subscriptions, so what is added to it must subscribe to none."""
+        eng = Engine(store, queue)
+        eng.props = list(self.props)
+        eng.subs = self.subs
+        return eng
 
     def add(self, prop):
         pid = len(self.props)

@@ -2,10 +2,11 @@
 
 All backends maintain the stack of node frames and restore the variable
 store to the exact state it had when a frame was opened.  Trailing records
-every domain change and undoes them in reverse; copying snapshots the whole
-contiguous domain region at every node; copy-with-recomputation snapshots
-every ``distance`` nodes and otherwise replays the recorded per-node
-actions with full propagation from the nearest snapshot.
+every domain change and undoes them in reverse; copy-with-recomputation
+snapshots the whole contiguous domain region every ``distance`` nodes and
+otherwise replays the recorded per-node actions with full propagation from
+the nearest snapshot.  Copying is recomputation at distance 1: a snapshot
+at every node and nothing to replay.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ class RestoreStats:
 
 @dataclass(frozen=True)
 class RestoreMode:
-    """Backend selector.  ``copy-recompute`` with distance 1 behaves
-    observably identically to ``copy``."""
+    """Backend selector.  ``copy`` is ``copy-recompute`` at distance 1."""
 
     variant: str = "trail"
     distance: int = 1
@@ -64,10 +64,6 @@ class Backend:
         self.stats = RestoreStats()
         self._unsubsume = unsubsume
 
-    @property
-    def depth(self):
-        return len(self.frames)
-
     def record(self, var, old):
         """Called by the store before a domain mutation becomes visible."""
 
@@ -103,17 +99,6 @@ class TrailBackend(Backend):
             var, old = trail[i]
             restore(var, old)
         del trail[mark:]
-        self._settle(target)
-
-
-class CopyBackend(Backend):
-    def open_node(self, actions):
-        self.frames.append(_Frame(actions, snapshot=self.store.snapshot_blob()))
-        self.stats.snapshots_taken += 1
-        self.stats.bytes_copied += self.store.region_bytes
-
-    def backtrack_to(self, target):
-        self.store.load_blob(self.frames[target].snapshot)
         self._settle(target)
 
 
@@ -166,38 +151,29 @@ class RecomputeBackend(Backend):
 
 
 class ShadowBackend(Backend):
-    """Testing aid: runs a primary backend alongside a copy reference and
-    verifies bit-identical restoration after every backtrack."""
+    """Testing aid: runs a primary backend, snapshots the domains at every
+    node it opens and verifies bit-identical restoration after every
+    backtrack."""
 
-    def __init__(self, primary, reference):
+    def __init__(self, primary):
         self.primary = primary
-        self.reference = reference
+        self.expected = []  # one snapshot per open frame
         self.mismatches = 0
-
-    @property
-    def store(self):
-        return self.primary.store
 
     @property
     def stats(self):
         return self.primary.stats
 
-    @property
-    def frames(self):
-        return self.primary.frames
-
     def record(self, var, old):
         self.primary.record(var, old)
 
     def open_node(self, actions):
-        self.reference.frames.append(
-            _Frame(actions, snapshot=self.primary.store.snapshot_blob())
-        )
+        self.expected.append(self.primary.store.snapshot_blob())
         self.primary.open_node(actions)
 
     def backtrack_to(self, target):
-        expected = self.reference.frames[target].snapshot
-        del self.reference.frames[target:]
+        expected = self.expected[target]
+        del self.expected[target:]
         self.primary.backtrack_to(target)
         if not self.primary.store.domains_equal(expected):
             self.mismatches += 1
@@ -207,7 +183,7 @@ def make_backend(mode, store, unsubsume, replay):
     if mode.variant == "trail":
         return TrailBackend(store, unsubsume)
     if mode.variant == "copy":
-        return CopyBackend(store, unsubsume)
+        return RecomputeBackend(store, unsubsume, replay, 1)
     if mode.variant == "copy-recompute":
         return RecomputeBackend(store, unsubsume, replay, mode.distance, mode.adaptive)
     raise ValueError(f"unknown restore mode {mode.variant!r}")

@@ -10,6 +10,7 @@ branch-and-bound.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -62,25 +63,25 @@ def _apply_actions(eng, actions):
 
 
 class _Search:
+    """The state of one solve.  It narrows forks of the model's store and
+    engine, so the model itself is never changed."""
+
     def __init__(self, model, restore, queue, backend=None):
+        self.started = time.perf_counter()
         self.model = model
-        self.store = model.store
-        self.eng = model.engine
-        self.eng.queue = PropQueue(queue)
-        if backend is None:
-            backend = make_backend(
-                restore, self.store, self.eng.unsubsume_above, self._replay
-            )
-        self.backend = backend
-        self.store.backend = backend
+        self.store = model.store.fork()
+        self.eng = model.engine.fork(self.store, PropQueue(queue))
+        make = backend or functools.partial(make_backend, restore)
+        self.backend = make(self.store, self.eng.unsubsume_above, self._replay)
+        self.store.backend = self.backend
         self.stats = SearchStats()
         self.alts = []
 
     def _replay(self, actions):
-        ok = _apply_actions(self.eng, actions) and self.eng.fixpoint()
         # Replaying a previously consistent path with monotone propagators
-        # cannot fail.
-        assert ok, "recomputation replay failed"
+        # cannot fail; if it does, a backend restored the wrong state.
+        if not (_apply_actions(self.eng, actions) and self.eng.fixpoint()):
+            raise RuntimeError("recomputation replay failed")
 
     def root(self):
         self.eng.schedule_all()
@@ -138,9 +139,8 @@ class _Search:
         return tuple(value(v) for v in self.model.decision_vars)
 
     def run(self, build_ms=0.0):
-        t0 = time.perf_counter()
         ok = self.root()
-        self.stats.setup_ms = build_ms + (time.perf_counter() - t0) * 1e3
+        self.stats.setup_ms = build_ms + (time.perf_counter() - self.started) * 1e3
         t1 = time.perf_counter()
         if ok:
             while self.branch():
@@ -204,7 +204,11 @@ def solve(
     build_ms=0.0,
     backend=None,
 ):
-    """Run DFS; returns (solutions, stats).  ``mode`` is 'first' or 'all'."""
+    """Run DFS; returns (solutions, stats).  ``mode`` is 'first' or 'all'.
+
+    The model is left as it was.  ``backend``, a test seam, replaces the
+    backend ``restore`` selects with ``backend(store, unsubsume, replay)``.
+    """
     if mode not in ("first", "all"):
         raise ValueError(f"unknown search mode {mode!r}")
     search = _EnumerateSearch(model, restore, queue, mode, backend)
@@ -225,7 +229,8 @@ def minimize(
 
     ``bnb='tighten'`` narrows the objective's upper bound below each
     incumbent; ``bnb='post'`` posts a new bounding constraint instead.
-    Both prove the same optimum.
+    Both prove the same optimum.  The model is left as it was; ``backend``
+    is as in :func:`solve`.
     """
     if bnb not in ("tighten", "post"):
         raise ValueError(f"unknown branch-and-bound mode {bnb!r}")

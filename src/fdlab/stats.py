@@ -1,6 +1,5 @@
 """Small numeric helpers for the benchmark harness."""
 
-import math
 import statistics
 
 
@@ -27,9 +26,3 @@ def nodes_per_second(nodes, solve_ms):
     """Search throughput; guards against a zero-duration measurement."""
     return nodes / max(solve_ms / 1e3, 1e-9)
 
-
-def geometric_mean(values):
-    vals = list(values)
-    if not vals:
-        raise ValueError("geometric mean of empty sequence")
-    return math.exp(statistics.fmean(math.log(v) for v in vals))

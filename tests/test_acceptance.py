@@ -10,8 +10,8 @@ import pytest
 from fdlab.cli import main
 from fdlab.data import table_rows
 from fdlab.problems import build, check_solution, counts, parse_instance
-from fdlab.restore import CopyBackend, RecomputeBackend, RestoreMode, ShadowBackend
-from fdlab.search import _apply_actions, minimize, solve
+from fdlab.restore import RestoreMode, ShadowBackend, make_backend
+from fdlab.search import minimize, solve
 from fdlab.stats import cov, median, nodes_per_second
 
 from test_search import golomb_oracle, magic_oracle, queens_oracle
@@ -146,28 +146,17 @@ def test_criterion_3_trajectory_invariance(report):
 
 
 def _shadow_run(name, primary_mode):
-    inst = parse_instance(name)
-    model = build(inst)
-    eng = model.engine
-    store = model.store
+    shadows = []
 
-    def replay(actions):
-        ok = _apply_actions(eng, actions) and eng.fixpoint()
-        assert ok, "replay of a consistent path failed"
-
-    if primary_mode.variant == "trail":
-        from fdlab.restore import TrailBackend
-
-        primary = TrailBackend(store, eng.unsubsume_above)
-    else:
-        primary = RecomputeBackend(
-            store, eng.unsubsume_above, replay, primary_mode.distance,
-            primary_mode.adaptive,
+    def shadowed(store, unsubsume, replay):
+        shadows.append(
+            ShadowBackend(make_backend(primary_mode, store, unsubsume, replay))
         )
-    shadow = ShadowBackend(primary, CopyBackend(store, eng.unsubsume_above))
+        return shadows[-1]
+
     mode = "all" if name == "queens:6" else "first"
-    _, stats = solve(model, mode=mode, backend=shadow)
-    return shadow.mismatches, stats.backtracks
+    _, stats = solve(build(parse_instance(name)), mode=mode, backend=shadowed)
+    return shadows[0].mismatches, stats.backtracks
 
 
 def test_criterion_4_restoration_oracle(report):

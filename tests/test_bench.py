@@ -2,10 +2,17 @@ import csv
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import fdlab.bench
 from fdlab.bench import (
     CSV_COLUMNS,
     RunConfig,
@@ -80,6 +87,64 @@ def test_matrix_continues_past_build_failure():
     )
     assert records[0].error is not None
     assert records[1].error is None and records[1].solutions == 1
+
+
+def drifting_matrix(configs):
+    """``run_matrix`` with a ``run_once`` whose trajectory differs on every
+    run, as a non-deterministic solver's would."""
+    real_run_once = fdlab.bench.run_once
+    runs = []
+
+    def drifting(config):
+        stats, failure = real_run_once(config)
+        runs.append(config)
+        stats.nodes += len(runs)
+        return stats, failure
+
+    with mock.patch.object(fdlab.bench, "run_once", drifting):
+        return run_matrix(configs)
+
+
+def test_matrix_records_nondeterminism_and_continues():
+    records = drifting_matrix(
+        [
+            RunConfig(parse_instance("queens:4"), runs=2),
+            RunConfig(parse_instance("queens:5"), runs=1),
+        ]
+    )
+    assert "non-deterministic trajectory" in records[0].error
+    assert records[1].error is None and records[1].solutions == 1
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports fdlab and the test modules from
+    this checkout."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    path = [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_guards_hold_under_python_O():
+    script = textwrap.dedent(
+        """
+        from fdlab.bench import RunConfig
+        from fdlab.problems import parse_instance
+        from test_bench import drifting_matrix
+        from test_search import replay_error
+
+        (record,) = drifting_matrix([RunConfig(parse_instance("queens:4"), runs=2)])
+        print(__debug__, type(replay_error()).__name__, record.error)
+        """
+    )
+    result = _python("-O", "-c", script)
+    assert result.returncode == 0, result.stderr
+    debug, raised, error = result.stdout.strip().split(" ", 2)
+    assert (debug, raised) == ("False", "RuntimeError")
+    assert error.startswith("non-deterministic trajectory")
 
 
 def test_matrix_reports_infeasible_without_error():
@@ -242,6 +307,17 @@ def test_cli_table2_matches_bundled_counts(capsys):
             str(row["variables"]),
             str(row["variables_extended"]),
         ]
+
+
+@pytest.mark.parametrize("table", ["table2", "table3"])
+def test_cli_table_out_closes_its_file(table, tmp_path, capsys):
+    out = tmp_path / f"{table}.csv"
+    script = f"from fdlab.cli import main; raise SystemExit(main([{table!r}, '--out', {str(out)!r}]))"
+    result = _python("-W", "error::ResourceWarning", "-c", script)
+    assert result.returncode == 0, result.stderr
+    assert "ResourceWarning" not in result.stderr
+    assert main([table]) == 0
+    assert out.read_bytes().decode() == capsys.readouterr().out
 
 
 def test_cli_table3_marked_informational(capsys):

@@ -15,6 +15,7 @@ from fdlab.constraints import (
     post_linear,
     post_ne_const,
 )
+from fdlab.domain import Op
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, Model
 
 
@@ -129,8 +130,8 @@ def test_bool_and_truth_table(bool_mode):
         x = model.new_01_var()
         y = model.new_01_var()
         post_bool_and(model, z, x, y)
-        model.store.assign(x, vx)
-        model.store.assign(y, vy)
+        model.store.narrow(x, Op.ASSIGN, vx)
+        model.store.narrow(y, Op.ASSIGN, vy)
         assert _fix(model)
         assert model.store.value(z) == (vx and vy)
 
@@ -141,7 +142,7 @@ def test_bool_and_backward_direction():
     x = model.new_01_var()
     y = model.new_01_var()
     post_bool_and(model, z, x, y)
-    model.store.assign(z, 1)
+    model.store.narrow(z, Op.ASSIGN, 1)
     assert _fix(model)
     assert model.store.value(x) == 1 and model.store.value(y) == 1
 
@@ -150,8 +151,8 @@ def test_bool_and_backward_direction():
     x = model.new_01_var()
     y = model.new_01_var()
     post_bool_and(model, z, x, y)
-    model.store.assign(z, 0)
-    model.store.assign(x, 1)
+    model.store.narrow(z, Op.ASSIGN, 0)
+    model.store.narrow(x, Op.ASSIGN, 1)
     assert _fix(model)
     assert model.store.value(y) == 0
 
@@ -162,9 +163,9 @@ def test_bool_and_contradiction():
     x = model.new_01_var()
     y = model.new_01_var()
     post_bool_and(model, z, x, y)
-    model.store.assign(z, 0)
-    model.store.assign(x, 1)
-    model.store.assign(y, 1)
+    model.store.narrow(z, Op.ASSIGN, 0)
+    model.store.narrow(x, Op.ASSIGN, 1)
+    model.store.narrow(y, Op.ASSIGN, 1)
     assert not _fix(model)
 
 
@@ -173,7 +174,7 @@ def test_bool_sum_forcing(bool_mode):
     model = Model(bool_mode=bool_mode)
     vs = [model.new_01_var() for _ in range(4)]
     post_bool_sum(model, vs, EQ, 1)
-    model.store.assign(vs[0], 1)
+    model.store.narrow(vs[0], Op.ASSIGN, 1)
     assert _fix(model)
     assert [model.store.value(v) for v in vs[1:]] == [0, 0, 0]
 
@@ -188,8 +189,8 @@ def test_bool_sum_failure():
     model = Model()
     vs = [model.new_01_var() for _ in range(2)]
     post_bool_sum(model, vs, LEQ, 1)
-    model.store.assign(vs[0], 1)
-    model.store.assign(vs[1], 1)
+    model.store.narrow(vs[0], Op.ASSIGN, 1)
+    model.store.narrow(vs[1], Op.ASSIGN, 1)
     assert not _fix(model)
 
 
@@ -207,7 +208,7 @@ def test_bool_sum_native_matches_int_model(states, rel, c):
         post_bool_sum(model, vs, rel, c)
         for v, state in zip(vs, states):
             if state is not None:
-                model.store.assign(v, state)
+                model.store.narrow(v, Op.ASSIGN, state)
         ok = _fix(model)
         return ok, [model.store.domain_values(v) for v in vs] if ok else None
 
@@ -219,7 +220,7 @@ def test_lex_leq_basic():
     xs = [model.new_int_var(0, 1) for _ in range(3)]
     ys = [model.new_int_var(0, 1) for _ in range(3)]
     post_lex_leq(model, xs, ys)
-    model.store.assign(xs[0], 1)
+    model.store.narrow(xs[0], Op.ASSIGN, 1)
     assert _fix(model)
     # [1,..] <=lex [y0,..] forces y0 = 1
     assert model.store.value(ys[0]) == 1

@@ -4,7 +4,14 @@ from fdlab.constraints import LEQ, GEQ, LeProp, post_le, post_linear
 from fdlab.domain import VariableStore
 from fdlab.model import Model
 from fdlab.problems import build, parse_instance
-from fdlab.propagate import Engine, PropQueue
+from fdlab.propagate import (
+    NUM_PRIORITIES,
+    PRIORITY_CHEAP,
+    PRIORITY_GLOBAL,
+    PRIORITY_LINEAR,
+    Engine,
+    PropQueue,
+)
 
 
 def test_queue_rejects_unknown_policy():
@@ -22,7 +29,12 @@ def test_queue_deduplicates():
 
 
 def test_queue_policies_order():
-    entries = [(1, 6), (2, 2), (3, 4), (4, 2)]
+    entries = [
+        (1, PRIORITY_GLOBAL),
+        (2, PRIORITY_CHEAP),
+        (3, PRIORITY_LINEAR),
+        (4, PRIORITY_CHEAP),
+    ]
 
     def drain(policy):
         q = PropQueue(policy)
@@ -36,6 +48,9 @@ def test_queue_policies_order():
     assert drain("fifo") == [1, 2, 3, 4]
     assert drain("priority") == [2, 4, 3, 1]  # low value first, FIFO ties
     assert drain("reversed") == [1, 3, 2, 4]
+    assert (PRIORITY_CHEAP, PRIORITY_LINEAR, PRIORITY_GLOBAL) == tuple(
+        range(NUM_PRIORITIES)
+    )
 
 
 def _model_x_between():

@@ -3,7 +3,6 @@ import pytest
 from fdlab.domain import Op, VariableStore
 from fdlab.problems import build, parse_instance
 from fdlab.restore import (
-    CopyBackend,
     RecomputeBackend,
     RestoreMode,
     ShadowBackend,
@@ -70,12 +69,18 @@ def test_trail_restores_multiple_levels():
 
 def test_copy_bytes_accounting():
     store, xs, _ = _store_with_vars()
-    backend = CopyBackend(store, _noop_unsubsume)
+    backend = make_backend(RestoreMode.copy(), store, _noop_unsubsume, replay=None)
+    assert isinstance(backend, RecomputeBackend) and backend.distance == 1
     store.backend = backend
+    blobs = []
     for _ in range(5):
+        blobs.append(store.snapshot_blob())
         backend.open_node([])
         store.depth += 1
         store.narrow(xs[0], Op.REMOVE, store.max(xs[0]))
+    backend.backtrack_to(2)
+    assert store.domains_equal(blobs[2])
+    assert backend.stats.recomputations == 0
     assert backend.stats.snapshots_taken == 5
     assert backend.stats.bytes_copied == 5 * store.region_bytes
     assert backend.stats.trail_entries == 0
@@ -137,9 +142,7 @@ def test_shadow_backend_detects_mismatch():
                 self.trail.pop(0)
             super().backtrack_to(target)
 
-    primary = Broken(store, _noop_unsubsume)
-    reference = CopyBackend(store, _noop_unsubsume)
-    shadow = ShadowBackend(primary, reference)
+    shadow = ShadowBackend(Broken(store, _noop_unsubsume))
     store.backend = shadow
     shadow.open_node([])
     store.depth += 1

@@ -4,7 +4,7 @@ import pytest
 
 from fdlab.problems import build, check_solution, parse_instance
 from fdlab.restore import RestoreMode
-from fdlab.search import minimize, solve
+from fdlab.search import A_ASSIGN, _EnumerateSearch, minimize, solve
 
 # -- independent oracles ------------------------------------------------
 
@@ -152,6 +152,57 @@ def test_bnb_modes_agree(m):
 def test_minimize_under_all_backends(restore):
     best, _ = minimize(build(parse_instance("golomb:6")), restore=restore)
     assert best.objective == 17
+
+
+# -- one model, many solves --------------------------------------------
+
+
+def _assert_model_untouched(model, blob, n_props):
+    assert model.store.snapshot_blob() == blob
+    assert len(model.engine.props) == n_props
+    assert model.store.backend is None
+    assert not model.engine.subsumed
+
+
+def test_solving_a_model_twice_finds_the_same_solutions():
+    model = build(parse_instance("queens:6"))
+    blob, n_props = model.store.snapshot_blob(), len(model.engine.props)
+    for restore in (
+        RestoreMode.trail(),
+        RestoreMode.trail(),
+        RestoreMode.copy_recompute(2),
+    ):
+        sols, _ = solve(model, mode="all", restore=restore)
+        assert len(sols) == 4
+        _assert_model_untouched(model, blob, n_props)
+
+
+@pytest.mark.parametrize("bnb", ["post", "tighten"])
+def test_minimizing_a_model_twice_finds_the_same_optimum(bnb):
+    model = build(parse_instance("golomb:5"))
+    blob, n_props = model.store.snapshot_blob(), len(model.engine.props)
+    for _ in range(2):
+        best, _ = minimize(model, bnb=bnb)
+        assert best is not None and best.objective == 11
+        _assert_model_untouched(model, blob, n_props)
+
+
+def replay_error():
+    """Replay a path that cannot be followed and return what it raised.  A
+    replay fails only when a backend restored the wrong state; that must
+    stop the search, also under ``python -O``."""
+    model = build(parse_instance("queens:4"))
+    search = _EnumerateSearch(model, RestoreMode.copy_recompute(2), "fifo", "first")
+    try:
+        search._replay([(A_ASSIGN, model.decision_vars[0], 99)])
+    except Exception as exc:
+        return exc
+    return None
+
+
+def test_failed_replay_raises():
+    exc = replay_error()
+    assert isinstance(exc, RuntimeError) and "replay failed" in str(exc)
 
 
 # -- checker sensitivity ------------------------------------------------
