@@ -6,14 +6,13 @@ modes, and two branch-and-bound modes, plus builders for the benchmark
 problem classes and a harness for running experiment matrices.
 """
 
-from .domain import DomainEvent, EventClass, VariableStore, VarId, VarKind
+from .domain import EventClass, VariableStore
 from .model import Model
 from .problems import Instance, build, check_solution, counts, parse_instance
 from .restore import RestoreMode, RestoreStats
 from .search import SearchStats, Solution, minimize, solve
 
 __all__ = [
-    "DomainEvent",
     "EventClass",
     "Instance",
     "Model",
@@ -21,8 +20,6 @@ __all__ = [
     "RestoreStats",
     "SearchStats",
     "Solution",
-    "VarId",
-    "VarKind",
     "VariableStore",
     "build",
     "check_solution",

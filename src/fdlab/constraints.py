@@ -11,7 +11,7 @@ the fixpoint is identical in all modes.
 
 from __future__ import annotations
 
-from .domain import FAILED, UNKNOWN, EventClass, Op, VarKind
+from .domain import FAILED, UNKNOWN, EventClass, Op, is_int_var
 from .model import BOOL_INT, SUM_DECOMPOSED, ModelError
 from .propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Propagator
 from .propagate import PRIORITY_CHEAP, PRIORITY_GLOBAL, PRIORITY_LINEAR
@@ -31,18 +31,17 @@ class LinearProp(Propagator):
     """Bounds-consistent propagation of sum(coeff * var) rel c.
 
     Only integer variables participate (Boolean sums route here after
-    being remodelled as {0..1} integers).  Variable slots are cached on
-    first run so the hot loop reads the store's bound arrays directly.
+    being remodelled as {0..1} integers), so the hot loop indexes the
+    store's bound arrays with the variables themselves.
     """
 
-    __slots__ = ("terms", "rel", "c", "_slots")
+    __slots__ = ("terms", "rel", "c")
     priority = PRIORITY_LINEAR
 
     def __init__(self, terms, rel, c):
         self.terms = terms
         self.rel = rel
         self.c = c
-        self._slots = None
 
     def subscriptions(self):
         for _, var in self.terms:
@@ -50,11 +49,7 @@ class LinearProp(Propagator):
 
     def propagate(self, eng):
         s = eng.store
-        slots = self._slots
-        if slots is None:
-            slots = self._slots = [
-                (a, v, s._slot[v[0]]) for a, v in self.terms
-            ]
+        terms = self.terms
         lo = s._lo
         hi = s._hi
         c = self.c
@@ -64,86 +59,82 @@ class LinearProp(Propagator):
             changed = False
             if rel != GEQ:
                 lb = 0
-                for a, _, sl in slots:
-                    lb += a * (lo[sl] if a > 0 else hi[sl])
+                for a, v in terms:
+                    lb += a * (lo[v] if a > 0 else hi[v])
                 if lb > c:
                     return PROP_FAILED
-                for a, v, sl in slots:
+                for a, v in terms:
                     if a > 0:
-                        bound = (c - lb) // a + lo[sl]
-                        if bound < hi[sl]:
+                        bound = (c - lb) // a + lo[v]
+                        if bound < hi[v]:
                             if narrow(v, Op.MAX, bound) is FAILED:
                                 return PROP_FAILED
                             changed = True
                     else:
-                        bound = -((lb - c) // a) + hi[sl]
-                        if bound > lo[sl]:
+                        bound = -((lb - c) // a) + hi[v]
+                        if bound > lo[v]:
                             if narrow(v, Op.MIN, bound) is FAILED:
                                 return PROP_FAILED
                             changed = True
             if rel != LEQ:
                 ub = 0
-                for a, _, sl in slots:
-                    ub += a * (hi[sl] if a > 0 else lo[sl])
+                for a, v in terms:
+                    ub += a * (hi[v] if a > 0 else lo[v])
                 if ub < c:
                     return PROP_FAILED
-                for a, v, sl in slots:
+                for a, v in terms:
                     if a > 0:
-                        bound = -((ub - c) // a) + hi[sl]
-                        if bound > lo[sl]:
+                        bound = -((ub - c) // a) + hi[v]
+                        if bound > lo[v]:
                             if narrow(v, Op.MIN, bound) is FAILED:
                                 return PROP_FAILED
                             changed = True
                     else:
-                        bound = (c - ub) // a + lo[sl]
-                        if bound < hi[sl]:
+                        bound = (c - ub) // a + lo[v]
+                        if bound < hi[v]:
                             if narrow(v, Op.MAX, bound) is FAILED:
                                 return PROP_FAILED
                             changed = True
             if not changed:
                 break
         if rel == LEQ:
-            ub = sum(a * (hi[sl] if a > 0 else lo[sl]) for a, _, sl in slots)
+            ub = sum(a * (hi[v] if a > 0 else lo[v]) for a, v in terms)
             return SUBSUMED if ub <= c else AT_FIXPOINT
         if rel == GEQ:
-            lb = sum(a * (lo[sl] if a > 0 else hi[sl]) for a, _, sl in slots)
+            lb = sum(a * (lo[v] if a > 0 else hi[v]) for a, v in terms)
             return SUBSUMED if lb >= c else AT_FIXPOINT
-        if all(lo[sl] == hi[sl] for _, _, sl in slots):
+        if all(lo[v] == hi[v] for _, v in terms):
             return SUBSUMED
         return AT_FIXPOINT
 
 
 class BoolSumProp(Propagator):
-    """Counter-based sum over Boolean variables, read straight off the
-    three-state cells."""
+    """Counter-based sum over Boolean variables, read straight off their
+    three-state cells (``_bstate[~var]``)."""
 
-    __slots__ = ("vars", "rel", "c", "_slots")
+    __slots__ = ("vars", "rel", "c")
     priority = PRIORITY_LINEAR
 
     def __init__(self, vars, rel, c):
         self.vars = list(vars)
         self.rel = rel
         self.c = c
-        self._slots = None
 
     def subscriptions(self):
         for var in self.vars:
             yield var, EventClass.INSTANTIATED
 
     def propagate(self, eng):
-        s = eng.store
-        slots = self._slots
-        if slots is None:
-            slots = self._slots = [(v, s._slot[v[0]]) for v in self.vars]
-        bstate = s._bstate
+        vars = self.vars
+        bstate = eng.store._bstate
         c = self.c
         rel = self.rel
         narrow = eng.narrow
         while True:
             n_true = 0
             n_unknown = 0
-            for _, sl in slots:
-                st = bstate[sl]
+            for v in vars:
+                st = bstate[~v]
                 if st == UNKNOWN:
                     n_unknown += 1
                 else:
@@ -156,14 +147,14 @@ class BoolSumProp(Propagator):
             if n_unknown == 0:
                 break
             if rel != GEQ and n_true == c:
-                for v, sl in slots:
-                    if bstate[sl] == UNKNOWN:
+                for v in vars:
+                    if bstate[~v] == UNKNOWN:
                         if narrow(v, Op.ASSIGN, 0) is FAILED:
                             return PROP_FAILED
                 continue
             if rel != LEQ and ub == c:
-                for v, sl in slots:
-                    if bstate[sl] == UNKNOWN:
+                for v in vars:
+                    if bstate[~v] == UNKNOWN:
                         if narrow(v, Op.ASSIGN, 1) is FAILED:
                             return PROP_FAILED
                 continue
@@ -179,12 +170,11 @@ class AllDiffValueProp(Propagator):
     """Value-consistent alldifferent: an instantiated value is removed
     from every other domain."""
 
-    __slots__ = ("vars", "_slots")
+    __slots__ = ("vars",)
     priority = PRIORITY_GLOBAL
 
     def __init__(self, vars):
         self.vars = list(vars)
-        self._slots = None
 
     def subscriptions(self):
         for var in self.vars:
@@ -192,9 +182,7 @@ class AllDiffValueProp(Propagator):
 
     def propagate(self, eng):
         s = eng.store
-        slots = self._slots
-        if slots is None:
-            slots = self._slots = [(v, s._slot[v[0]]) for v in self.vars]
+        vars = self.vars
         size = s._size
         lo = s._lo
         base = s._base
@@ -203,20 +191,20 @@ class AllDiffValueProp(Propagator):
         while True:
             assigned = set()
             free = []
-            for v, sl in slots:
-                if size[sl] == 1:
-                    val = lo[sl]
+            for v in vars:
+                if size[v] == 1:
+                    val = lo[v]
                     if val in assigned:
                         return PROP_FAILED
                     assigned.add(val)
                 else:
-                    free.append((v, sl))
+                    free.append(v)
             changed = False
-            for v, sl in free:
-                b = base[sl]
+            for v in free:
+                b = base[v]
                 for val in assigned:
                     off = val - b
-                    if off >= 0 and (mask[sl] >> off) & 1:
+                    if off >= 0 and (mask[v] >> off) & 1:
                         if narrow(v, Op.REMOVE, val) is FAILED:
                             return PROP_FAILED
                         changed = True
@@ -428,7 +416,7 @@ def _check_terms(model, terms):
     for coeff, var in terms:
         if coeff == 0:
             raise PostError("zero coefficient in linear term")
-        if var[1] is not VarKind.INT:
+        if not is_int_var(var):
             raise PostError("linear constraints take integer variables only")
         total += abs(coeff) * max(abs(s.min(var)), abs(s.max(var)))
     if total > INT64_MAX:
@@ -489,7 +477,7 @@ def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
     if not vars:
         raise PostError("boolean sum needs at least one variable")
     model.count_constraint(1, 2 if rel == EQ or pair_counted else 1)
-    if model.bool_mode == BOOL_INT or any(v[1] is VarKind.INT for v in vars):
+    if model.bool_mode == BOOL_INT or any(is_int_var(v) for v in vars):
         terms = [(1, v) for v in vars]
 
         def make(r, bound):
@@ -511,7 +499,7 @@ def post_alldifferent(model, vars):
     vars = list(vars)
     if len(vars) < 2:
         raise PostError("alldifferent needs at least two variables")
-    if any(v[1] is not VarKind.INT for v in vars):
+    if not all(is_int_var(v) for v in vars):
         raise PostError("alldifferent takes integer variables only")
     model.count_constraint(1, 1)
     model.engine.add(AllDiffValueProp(vars))

@@ -2,26 +2,28 @@
 
 Every domain mutation goes through :meth:`VariableStore.narrow`, which
 invokes the restoration backend's record hook before the change becomes
-visible and reports the strongest applicable domain event.  Integer domains
+visible and reports the strongest applicable event class.  Integer domains
 are bitsets over the variable's original bounds with cached lo/hi/size;
 Boolean domains are three-state cells.  Boolean variables expose the same
 observable semantics as integer variables with domain {0..1}.
+
+A variable is a plain int.  An integer variable is its slot in the integer
+arrays (``_mask``, ``_lo``, ``_hi``, ``_size``, ``_base``, ``_span``); a
+Boolean is ``~cell``, the bitwise complement of its index in ``_bstate``, so
+``var < 0`` is the kind test.  A list read at a negative index counts from
+its end instead of raising, so a Boolean id that reached an integer array
+would read the wrong cell silently: posting code keeps Booleans out of
+integer-only propagators with :func:`is_int_var`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 
-class VarKind(enum.Enum):
-    INT = "int"
-    BOOL = "bool"
-
-
-class VarId(NamedTuple):
-    index: int
-    kind: VarKind
+def is_int_var(var):
+    """True for an integer variable, False for a Boolean one."""
+    return var >= 0
 
 
 class EventClass(enum.IntEnum):
@@ -30,11 +32,6 @@ class EventClass(enum.IntEnum):
     DOMAIN_CHANGED = 0
     BOUNDS_CHANGED = 1
     INSTANTIATED = 2
-
-
-class DomainEvent(NamedTuple):
-    var: VarId
-    klass: EventClass
 
 
 class Op(enum.IntEnum):
@@ -67,7 +64,7 @@ class DomainError(ValueError):
 
 
 class VariableStore:
-    """All variable domains of one solver instance, indexable by VarId.
+    """All variable domains of one solver instance, indexed by variable.
 
     The restorable state is the integer bitset masks plus the Boolean state
     words; cached bounds and sizes are derived.  A copy backend snapshots
@@ -77,16 +74,14 @@ class VariableStore:
     def __init__(self):
         self.depth = 0
         self.backend = None  # restoration backend; record hook target
-        self._kind = []  # per var index
-        self._slot = []
-        # integer slots
+        # integer variables, indexed by id
         self._base = []
         self._span = []
         self._mask = []
         self._lo = []
         self._hi = []
         self._size = []
-        # boolean slots
+        # Boolean variables, indexed by ~id
         self._bstate = []
         self._region_words = 0
 
@@ -95,11 +90,7 @@ class VariableStore:
     def new_int_var(self, lo, hi):
         if lo > hi:
             raise DomainError(f"empty initial domain [{lo}..{hi}]")
-        index = len(self._kind)
-        slot = len(self._mask)
         span = hi - lo + 1
-        self._kind.append(VarKind.INT)
-        self._slot.append(slot)
         self._base.append(lo)
         self._span.append(span)
         self._mask.append((1 << span) - 1)
@@ -107,15 +98,12 @@ class VariableStore:
         self._hi.append(hi)
         self._size.append(span)
         self._region_words += -(-span // 64)
-        return VarId(index, VarKind.INT)
+        return len(self._mask) - 1
 
     def new_bool_var(self):
-        index = len(self._kind)
-        self._kind.append(VarKind.BOOL)
-        self._slot.append(len(self._bstate))
         self._bstate.append(UNKNOWN)
         self._region_words += 1
-        return VarId(index, VarKind.BOOL)
+        return ~(len(self._bstate) - 1)
 
     def fork(self):
         """A store for one solve: it shares this store's variable layout
@@ -123,9 +111,9 @@ class VariableStore:
         the domains plus its own depth and backend."""
         # Built through __init__, not copy.copy: an instance whose __dict__
         # was filled by update loses the attribute layout that makes the
-        # hot-path reads of self._slot, self._mask, ... fast.
+        # hot-path reads of self._mask, self._lo, ... fast.
         twin = VariableStore()
-        for name in ("depth", "_kind", "_slot", "_base", "_span", "_region_words"):
+        for name in ("depth", "_base", "_span", "_region_words"):
             setattr(twin, name, getattr(self, name))
         for name in ("_mask", "_lo", "_hi", "_size", "_bstate"):
             setattr(twin, name, list(getattr(self, name)))
@@ -133,7 +121,7 @@ class VariableStore:
 
     @property
     def num_vars(self):
-        return len(self._kind)
+        return len(self._mask) + len(self._bstate)
 
     @property
     def num_bool_vars(self):
@@ -151,24 +139,21 @@ class VariableStore:
     # -- queries ------------------------------------------------------
 
     def min(self, var):
-        slot = self._slot[var[0]]
-        if var[1] is VarKind.INT:
-            return self._lo[slot]
-        s = self._bstate[slot]
+        if var >= 0:
+            return self._lo[var]
+        s = self._bstate[~var]
         return 0 if s == UNKNOWN else s
 
     def max(self, var):
-        slot = self._slot[var[0]]
-        if var[1] is VarKind.INT:
-            return self._hi[slot]
-        s = self._bstate[slot]
+        if var >= 0:
+            return self._hi[var]
+        s = self._bstate[~var]
         return 1 if s == UNKNOWN else s
 
     def size(self, var):
-        slot = self._slot[var[0]]
-        if var[1] is VarKind.INT:
-            return self._size[slot]
-        return 2 if self._bstate[slot] == UNKNOWN else 1
+        if var >= 0:
+            return self._size[var]
+        return 2 if self._bstate[~var] == UNKNOWN else 1
 
     def is_assigned(self, var):
         return self.size(var) == 1
@@ -179,22 +164,20 @@ class VariableStore:
         return self.min(var)
 
     def contains(self, var, v):
-        slot = self._slot[var[0]]
-        if var[1] is VarKind.INT:
-            off = v - self._base[slot]
-            return 0 <= off < self._span[slot] and (self._mask[slot] >> off) & 1
-        s = self._bstate[slot]
+        if var >= 0:
+            off = v - self._base[var]
+            return 0 <= off < self._span[var] and (self._mask[var] >> off) & 1
+        s = self._bstate[~var]
         if v not in (0, 1):
             return False
         return s == UNKNOWN or s == v
 
     def domain_values(self, var):
-        slot = self._slot[var[0]]
-        if var[1] is VarKind.BOOL:
-            s = self._bstate[slot]
+        if var < 0:
+            s = self._bstate[~var]
             return [0, 1] if s == UNKNOWN else [s]
-        base = self._base[slot]
-        m = self._mask[slot]
+        base = self._base[var]
+        m = self._mask[var]
         out = []
         while m:
             lsb = m & -m
@@ -207,17 +190,18 @@ class VariableStore:
     def narrow(self, var, op, value):
         """Intersect the domain with the action's allowed set.
 
-        Returns a :class:`DomainEvent` when the domain changed, ``None``
-        when it is bit-identical, or :data:`FAILED` when the intersection
-        would be empty (the domain is left as-is).
+        Returns the change's :class:`EventClass` when the domain changed,
+        ``None`` when it is bit-identical, or :data:`FAILED` when the
+        intersection would be empty (the domain is left as-is).
+        ``EventClass.DOMAIN_CHANGED`` is 0 and therefore falsy, so callers
+        must compare the result with ``is None`` or ``is FAILED``.
         """
-        if var[1] is VarKind.BOOL:
+        if var < 0:
             return self._narrow_bool(var, op, value)
         return self._narrow_int(var, op, value)
 
     def _narrow_bool(self, var, op, value):
-        slot = self._slot[var[0]]
-        cur = self._bstate[slot]
+        cur = self._bstate[~var]
         if op is Op.ASSIGN:
             allowed = 1 << value if value in (0, 1) else 0
         elif op is Op.REMOVE:
@@ -235,14 +219,13 @@ class VariableStore:
         state = 0 if new == 1 else 1
         if self.backend is not None:
             self.backend.record(var, cur)
-        self._bstate[slot] = state
-        return DomainEvent(var, EventClass.INSTANTIATED)
+        self._bstate[~var] = state
+        return EventClass.INSTANTIATED
 
     def _narrow_int(self, var, op, value):
-        slot = self._slot[var[0]]
-        base = self._base[slot]
-        span = self._span[slot]
-        mask = self._mask[slot]
+        base = self._base[var]
+        span = self._span[var]
+        mask = self._mask[var]
         if op is Op.REMOVE:
             off = value - base
             if not (0 <= off < span):
@@ -267,21 +250,19 @@ class VariableStore:
             return FAILED
         if self.backend is not None:
             self.backend.record(var, mask)
-        self._mask[slot] = new
-        old_lo, old_hi = self._lo[slot], self._hi[slot]
+        self._mask[var] = new
+        old_lo, old_hi = self._lo[var], self._hi[var]
         lo = base + ((new & -new).bit_length() - 1)
         hi = base + new.bit_length() - 1
         size = new.bit_count()
-        self._lo[slot] = lo
-        self._hi[slot] = hi
-        self._size[slot] = size
+        self._lo[var] = lo
+        self._hi[var] = hi
+        self._size[var] = size
         if size == 1:
-            klass = EventClass.INSTANTIATED
-        elif lo != old_lo or hi != old_hi:
-            klass = EventClass.BOUNDS_CHANGED
-        else:
-            klass = EventClass.DOMAIN_CHANGED
-        return DomainEvent(var, klass)
+            return EventClass.INSTANTIATED
+        if lo != old_lo or hi != old_hi:
+            return EventClass.BOUNDS_CHANGED
+        return EventClass.DOMAIN_CHANGED
 
     # -- restoration support -------------------------------------------
 
@@ -302,15 +283,14 @@ class VariableStore:
 
     def restore_raw(self, var, old):
         """Undo hook for trailing: reinstate a recorded pre-change state."""
-        slot = self._slot[var[0]]
-        if var[1] is VarKind.BOOL:
-            self._bstate[slot] = old
+        if var < 0:
+            self._bstate[~var] = old
             return
-        base = self._base[slot]
-        self._mask[slot] = old
-        self._lo[slot] = base + ((old & -old).bit_length() - 1)
-        self._hi[slot] = base + old.bit_length() - 1
-        self._size[slot] = old.bit_count()
+        base = self._base[var]
+        self._mask[var] = old
+        self._lo[var] = base + ((old & -old).bit_length() - 1)
+        self._hi[var] = base + old.bit_length() - 1
+        self._size[var] = old.bit_count()
 
     def domains_equal(self, blob):
         masks, bstates = blob

@@ -10,7 +10,8 @@ Decision variable layout (also the order of `Solution.values`):
 * bibd v,k,l    -- incidence cells, nested (object row, block column)
 
 Auxiliary variables (pair differences, pair-meeting products) are never
-branched on.  The extended variant pads the store with unconstrained
+branched on.  Alldifferent is posted only over two or more variables, so
+the degenerate queens:1, golomb:1, golomb:2 and magic:1 build too.  The extended variant pads the store with unconstrained
 Boolean variables to grow the restorable region without changing the
 search.
 """
@@ -121,7 +122,8 @@ def _build_queens(model, n):
         post_linear(model, [(1, d), (-1, queens[i]), (1, queens[j])], EQ, 0)
         post_ne_const(model, d, j - i)
         post_ne_const(model, d, -(j - i))
-    post_alldifferent(model, queens)
+    if n > 1:
+        post_alldifferent(model, queens)
     return aux
 
 
@@ -136,7 +138,8 @@ def _build_golomb(model, m):
     post_fix(model, ticks[0], 0)
     for i in range(m - 1):
         post_le(model, ticks[i], ticks[i + 1], strict=True)
-    post_alldifferent(model, diffs)
+    if len(diffs) > 1:
+        post_alldifferent(model, diffs)
     model.objective = ticks[-1]
     return len(diffs)
 
@@ -145,7 +148,8 @@ def _build_magic(model, n):
     nn = n * n
     magic = n * (nn + 1) // 2
     cells = [[model.new_int_var(1, nn, decision=True) for _ in range(n)] for _ in range(n)]
-    post_alldifferent(model, [c for row in cells for c in row])
+    if n > 1:
+        post_alldifferent(model, [c for row in cells for c in row])
     for i in range(n):
         post_linear(model, [(1, c) for c in cells[i]], EQ, magic)
     for j in range(n):

@@ -31,7 +31,7 @@ class Propagator:
     priority = PRIORITY_LINEAR
 
     def subscriptions(self):
-        """Yield (VarId, EventClass) wake-up conditions."""
+        """Yield (variable, EventClass) wake-up conditions."""
         return ()
 
     def propagate(self, eng):
@@ -93,7 +93,7 @@ class Engine:
         self.store = store
         self.queue = queue if queue is not None else PropQueue()
         self.props = []
-        self.subs = {}  # var index -> list of (pid, min event class)
+        self.subs = {}  # variable -> list of (pid, min event class)
         self.subsumed = {}  # pid -> search depth at which it became entailed
         self.running = None
 
@@ -110,21 +110,20 @@ class Engine:
         pid = len(self.props)
         self.props.append(prop)
         for var, klass in prop.subscriptions():
-            self.subs.setdefault(var[0], []).append((pid, klass))
+            self.subs.setdefault(var, []).append((pid, klass))
         return pid
 
     def narrow(self, var, op, value):
         """Single mutation entry point for propagators: narrow + schedule."""
         r = self.store.narrow(var, op, value)
         if r is not None and r is not FAILED:
-            self.dispatch(r)
+            self.dispatch(var, r)
         return r
 
-    def dispatch(self, event):
-        subs = self.subs.get(event[0][0])
+    def dispatch(self, var, strength):
+        subs = self.subs.get(var)
         if not subs:
             return
-        strength = event[1]
         queue = self.queue
         props = self.props
         running = self.running

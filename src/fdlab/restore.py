@@ -31,6 +31,14 @@ class RestoreMode:
     distance: int = 1
     adaptive: int = 2
 
+    def __post_init__(self):
+        if self.variant not in ("trail", "copy", "copy-recompute"):
+            raise ValueError(f"unknown restore mode {self.variant!r}")
+        if self.distance < 1 or self.adaptive < 1:
+            raise ValueError("recomputation distances must be positive")
+        if self.distance != 1 and self.variant != "copy-recompute":
+            raise ValueError(f"{self.variant} takes no recomputation distance")
+
     @staticmethod
     def trail():
         return RestoreMode("trail")
@@ -41,8 +49,6 @@ class RestoreMode:
 
     @staticmethod
     def copy_recompute(distance, adaptive=2):
-        if distance < 1 or adaptive < 1:
-            raise ValueError("recomputation distances must be positive")
         return RestoreMode("copy-recompute", distance, adaptive)
 
 
@@ -182,8 +188,4 @@ class ShadowBackend(Backend):
 def make_backend(mode, store, unsubsume, replay):
     if mode.variant == "trail":
         return TrailBackend(store, unsubsume)
-    if mode.variant == "copy":
-        return RecomputeBackend(store, unsubsume, replay, 1)
-    if mode.variant == "copy-recompute":
-        return RecomputeBackend(store, unsubsume, replay, mode.distance, mode.adaptive)
-    raise ValueError(f"unknown restore mode {mode.variant!r}")
+    return RecomputeBackend(store, unsubsume, replay, mode.distance, mode.adaptive)

@@ -19,11 +19,10 @@ from .domain import FAILED, Op
 from .propagate import PropQueue
 from .restore import RestoreMode, RestoreStats, make_backend
 
-# Node actions (also the recomputation replay alphabet).
-A_ASSIGN = 0
-A_REMOVE = 1
-A_MAX = 2
-A_SCHED = 3
+# A node action is (op, var, value), narrowed with the Op; the one other
+# action, (A_SCHED, pid, None), reschedules branch and bound's bounding
+# propagator.  Actions are also the recomputation replay alphabet.
+A_SCHED = None
 
 
 @dataclass
@@ -46,18 +45,10 @@ class Solution:
 
 
 def _apply_actions(eng, actions):
-    for act in actions:
-        kind = act[0]
-        if kind == A_ASSIGN:
-            r = eng.narrow(act[1], Op.ASSIGN, act[2])
-        elif kind == A_REMOVE:
-            r = eng.narrow(act[1], Op.REMOVE, act[2])
-        elif kind == A_MAX:
-            r = eng.narrow(act[1], Op.MAX, act[2])
-        else:  # A_SCHED
-            eng.schedule_pid(act[1])
-            r = None
-        if r is FAILED:
+    for op, target, value in actions:
+        if op is A_SCHED:
+            eng.schedule_pid(target)
+        elif eng.narrow(target, op, value) is FAILED:
             return False
     return True
 
@@ -125,8 +116,8 @@ class _Search:
         if var is None:
             return self.on_solution()
         v = self.store.min(var)
-        self.alts.append((self.store.depth, [(A_REMOVE, var, v)]))
-        if self.try_node(self.prefix_actions() + [(A_ASSIGN, var, v)]):
+        self.alts.append((self.store.depth, [(Op.REMOVE, var, v)]))
+        if self.try_node(self.prefix_actions() + [(Op.ASSIGN, var, v)]):
             return True
         self.stats.backtracks += 1
         return self.unwind()
@@ -180,8 +171,8 @@ class _MinimizeSearch(_Search):
         if self.best_value is None:
             return []
         if self.bnb == "tighten":
-            return [(A_MAX, self.model.objective, self.best_value - 1)]
-        return [(A_SCHED, self.bound_pid)]
+            return [(Op.MAX, self.model.objective, self.best_value - 1)]
+        return [(A_SCHED, self.bound_pid, None)]
 
     def on_solution(self):
         value = self.store.value(self.model.objective)

@@ -7,14 +7,14 @@ from fdlab.domain import (
     EventClass,
     Op,
     VariableStore,
-    VarKind,
+    is_int_var,
 )
 
 
 def test_int_var_creation():
     store = VariableStore()
     x = store.new_int_var(0, 9)
-    assert x.kind is VarKind.INT
+    assert is_int_var(x)
     assert store.min(x) == 0
     assert store.max(x) == 9
     assert store.size(x) == 10
@@ -40,7 +40,7 @@ def test_empty_initial_domain_rejected():
 def test_bool_var_creation():
     store = VariableStore()
     b = store.new_bool_var()
-    assert b.kind is VarKind.BOOL
+    assert not is_int_var(b)
     assert store.min(b) == 0
     assert store.max(b) == 1
     assert store.size(b) == 2
@@ -60,17 +60,17 @@ def test_narrow_event_classes():
     x = store.new_int_var(0, 9)
     # interior removal keeps the bounds
     ev = store.narrow(x, Op.REMOVE, 5)
-    assert ev.klass is EventClass.DOMAIN_CHANGED
+    assert ev is EventClass.DOMAIN_CHANGED
     # moving a bound
     ev = store.narrow(x, Op.MAX, 7)
-    assert ev.klass is EventClass.BOUNDS_CHANGED
+    assert ev is EventClass.BOUNDS_CHANGED
     assert store.max(x) == 7
     ev = store.narrow(x, Op.MIN, 2)
-    assert ev.klass is EventClass.BOUNDS_CHANGED
+    assert ev is EventClass.BOUNDS_CHANGED
     assert store.min(x) == 2
     # down to a single value
     ev = store.narrow(x, Op.ASSIGN, 3)
-    assert ev.klass is EventClass.INSTANTIATED
+    assert ev is EventClass.INSTANTIATED
     assert store.size(x) == 1
     assert store.value(x) == 3
 
@@ -104,7 +104,7 @@ def test_bool_narrow():
     store = VariableStore()
     b = store.new_bool_var()
     ev = store.narrow(b, Op.REMOVE, 1)
-    assert ev.klass is EventClass.INSTANTIATED
+    assert ev is EventClass.INSTANTIATED
     assert store.value(b) == 0
     assert store.narrow(b, Op.ASSIGN, 0) is None
     assert store.narrow(b, Op.ASSIGN, 1) is FAILED
@@ -114,10 +114,10 @@ def test_bool_narrow():
 def test_bool_narrow_via_bounds():
     store = VariableStore()
     b = store.new_bool_var()
-    assert store.narrow(b, Op.MIN, 1).klass is EventClass.INSTANTIATED
+    assert store.narrow(b, Op.MIN, 1) is EventClass.INSTANTIATED
     assert store.value(b) == 1
     c = store.new_bool_var()
-    assert store.narrow(c, Op.MAX, 0).klass is EventClass.INSTANTIATED
+    assert store.narrow(c, Op.MAX, 0) is EventClass.INSTANTIATED
     assert store.value(c) == 0
 
 
@@ -184,7 +184,7 @@ def test_bool_matches_int_zero_one(ops):
         elif rb is None or rx is None:
             assert rb is None and rx is None
         else:
-            assert rb.klass is rx.klass
+            assert rb is rx
         assert store.min(b) == store.min(x)
         assert store.max(b) == store.max(x)
         assert store.size(b) == store.size(x)

@@ -34,6 +34,21 @@ def test_restore_mode_constructors():
         make_backend(RestoreMode("nope"), None, None, None)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("copy-recompute", 0),
+        ("copy", 5),
+        ("trail", -3),
+        ("copy-recompute", 4, 0),
+        ("bogus",),
+    ],
+)
+def test_restore_mode_rejects_bad_values_when_built(args):
+    with pytest.raises(ValueError):
+        RestoreMode(*args)
+
+
 def test_trail_restores_exact_state():
     store, xs, b = _store_with_vars()
     backend = TrailBackend(store, _noop_unsubsume)

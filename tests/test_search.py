@@ -4,7 +4,8 @@ import pytest
 
 from fdlab.problems import build, check_solution, parse_instance
 from fdlab.restore import RestoreMode
-from fdlab.search import A_ASSIGN, _EnumerateSearch, minimize, solve
+from fdlab.domain import Op
+from fdlab.search import _EnumerateSearch, minimize, solve
 
 # -- independent oracles ------------------------------------------------
 
@@ -67,7 +68,7 @@ def golomb_oracle(m):
 # -- enumeration --------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,expected", [(4, 2), (5, 10), (6, 4)])
+@pytest.mark.parametrize("n,expected", [(1, 1), (4, 2), (5, 10), (6, 4)])
 def test_queens_all_solutions_match_oracle(n, expected):
     assert queens_oracle(n) == expected
     inst = parse_instance(f"queens:{n}")
@@ -84,6 +85,14 @@ def test_magic3_unique_solution():
     inst = parse_instance("magic:3")
     sols, _ = solve(build(inst), mode="all")
     assert len(sols) == 1
+    assert check_solution(inst, sols[0].values) is None
+
+
+def test_magic1_builds_and_solves():
+    assert magic_oracle(1) == 1
+    inst = parse_instance("magic:1")
+    sols, _ = solve(build(inst), mode="all")
+    assert [s.values for s in sols] == [(1,)]
     assert check_solution(inst, sols[0].values) is None
 
 
@@ -123,7 +132,7 @@ def test_stats_are_consistent():
 # -- optimization -------------------------------------------------------
 
 
-@pytest.mark.parametrize("m,expected", [(4, 6), (5, 11), (6, 17)])
+@pytest.mark.parametrize("m,expected", [(1, 0), (2, 1), (4, 6), (5, 11), (6, 17)])
 def test_golomb_optimum_matches_oracle(m, expected):
     assert golomb_oracle(m) == expected
     inst = parse_instance(f"golomb:{m}")
@@ -194,7 +203,7 @@ def replay_error():
     model = build(parse_instance("queens:4"))
     search = _EnumerateSearch(model, RestoreMode.copy_recompute(2), "fifo", "first")
     try:
-        search._replay([(A_ASSIGN, model.decision_vars[0], 99)])
+        search._replay([(Op.ASSIGN, model.decision_vars[0], 99)])
     except Exception as exc:
         return exc
     return None
