@@ -11,7 +11,8 @@ the fixpoint is identical in all modes.
 
 from __future__ import annotations
 
-from .domain import FAILED, UNKNOWN, EventClass, Op, is_int_var
+from .domain import ASSIGN, BOUNDS_CHANGED, FAILED, INSTANTIATED, MAX, MIN, REMOVE
+from .domain import UNKNOWN, is_int_var
 from .model import BOOL_INT, SUM_DECOMPOSED, ModelError
 from .propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Propagator
 from .propagate import PRIORITY_CHEAP, PRIORITY_GLOBAL, PRIORITY_LINEAR
@@ -45,7 +46,7 @@ class LinearProp(Propagator):
 
     def subscriptions(self):
         for _, var in self.terms:
-            yield var, EventClass.BOUNDS_CHANGED
+            yield var, BOUNDS_CHANGED
 
     def propagate(self, eng):
         s = eng.store
@@ -67,13 +68,13 @@ class LinearProp(Propagator):
                     if a > 0:
                         bound = (c - lb) // a + lo[v]
                         if bound < hi[v]:
-                            if narrow(v, Op.MAX, bound) is FAILED:
+                            if narrow(v, MAX, bound) is FAILED:
                                 return PROP_FAILED
                             changed = True
                     else:
                         bound = -((lb - c) // a) + hi[v]
                         if bound > lo[v]:
-                            if narrow(v, Op.MIN, bound) is FAILED:
+                            if narrow(v, MIN, bound) is FAILED:
                                 return PROP_FAILED
                             changed = True
             if rel != LEQ:
@@ -86,13 +87,13 @@ class LinearProp(Propagator):
                     if a > 0:
                         bound = -((ub - c) // a) + hi[v]
                         if bound > lo[v]:
-                            if narrow(v, Op.MIN, bound) is FAILED:
+                            if narrow(v, MIN, bound) is FAILED:
                                 return PROP_FAILED
                             changed = True
                     else:
                         bound = (c - ub) // a + lo[v]
                         if bound < hi[v]:
-                            if narrow(v, Op.MAX, bound) is FAILED:
+                            if narrow(v, MAX, bound) is FAILED:
                                 return PROP_FAILED
                             changed = True
             if not changed:
@@ -122,7 +123,7 @@ class BoolSumProp(Propagator):
 
     def subscriptions(self):
         for var in self.vars:
-            yield var, EventClass.INSTANTIATED
+            yield var, INSTANTIATED
 
     def propagate(self, eng):
         vars = self.vars
@@ -149,13 +150,13 @@ class BoolSumProp(Propagator):
             if rel != GEQ and n_true == c:
                 for v in vars:
                     if bstate[~v] == UNKNOWN:
-                        if narrow(v, Op.ASSIGN, 0) is FAILED:
+                        if narrow(v, ASSIGN, 0) is FAILED:
                             return PROP_FAILED
                 continue
             if rel != LEQ and ub == c:
                 for v in vars:
                     if bstate[~v] == UNKNOWN:
-                        if narrow(v, Op.ASSIGN, 1) is FAILED:
+                        if narrow(v, ASSIGN, 1) is FAILED:
                             return PROP_FAILED
                 continue
             break
@@ -178,7 +179,7 @@ class AllDiffValueProp(Propagator):
 
     def subscriptions(self):
         for var in self.vars:
-            yield var, EventClass.INSTANTIATED
+            yield var, INSTANTIATED
 
     def propagate(self, eng):
         s = eng.store
@@ -205,7 +206,7 @@ class AllDiffValueProp(Propagator):
                 for val in assigned:
                     off = val - b
                     if off >= 0 and (mask[v] >> off) & 1:
-                        if narrow(v, Op.REMOVE, val) is FAILED:
+                        if narrow(v, REMOVE, val) is FAILED:
                             return PROP_FAILED
                         changed = True
             if not changed:
@@ -223,7 +224,7 @@ class NeConstProp(Propagator):
         self.c = c
 
     def propagate(self, eng):
-        if eng.narrow(self.var, Op.REMOVE, self.c) is FAILED:
+        if eng.narrow(self.var, REMOVE, self.c) is FAILED:
             return PROP_FAILED
         return SUBSUMED
 
@@ -239,7 +240,7 @@ class FixValueProp(Propagator):
         self.c = c
 
     def propagate(self, eng):
-        if eng.narrow(self.var, Op.ASSIGN, self.c) is FAILED:
+        if eng.narrow(self.var, ASSIGN, self.c) is FAILED:
             return PROP_FAILED
         return SUBSUMED
 
@@ -256,14 +257,14 @@ class LeProp(Propagator):
         self.gap = 1 if strict else 0
 
     def subscriptions(self):
-        yield self.x, EventClass.BOUNDS_CHANGED
-        yield self.y, EventClass.BOUNDS_CHANGED
+        yield self.x, BOUNDS_CHANGED
+        yield self.y, BOUNDS_CHANGED
 
     def propagate(self, eng):
         s = eng.store
-        if eng.narrow(self.x, Op.MAX, s.max(self.y) - self.gap) is FAILED:
+        if eng.narrow(self.x, MAX, s.max(self.y) - self.gap) is FAILED:
             return PROP_FAILED
-        if eng.narrow(self.y, Op.MIN, s.min(self.x) + self.gap) is FAILED:
+        if eng.narrow(self.y, MIN, s.min(self.x) + self.gap) is FAILED:
             return PROP_FAILED
         if s.max(self.x) + self.gap <= s.min(self.y):
             return SUBSUMED
@@ -282,9 +283,9 @@ class BoolAndProp(Propagator):
         self.y = y
 
     def subscriptions(self):
-        yield self.z, EventClass.INSTANTIATED
-        yield self.x, EventClass.INSTANTIATED
-        yield self.y, EventClass.INSTANTIATED
+        yield self.z, INSTANTIATED
+        yield self.x, INSTANTIATED
+        yield self.y, INSTANTIATED
 
     def propagate(self, eng):
         s = eng.store
@@ -292,32 +293,32 @@ class BoolAndProp(Propagator):
         while True:
             changed = False
             if s.min(x) == 1 and s.min(y) == 1:
-                r = eng.narrow(z, Op.ASSIGN, 1)
+                r = eng.narrow(z, ASSIGN, 1)
                 if r is FAILED:
                     return PROP_FAILED
                 changed |= r is not None
             if s.max(x) == 0 or s.max(y) == 0:
-                r = eng.narrow(z, Op.ASSIGN, 0)
+                r = eng.narrow(z, ASSIGN, 0)
                 if r is FAILED:
                     return PROP_FAILED
                 changed |= r is not None
             if s.min(z) == 1:
-                r = eng.narrow(x, Op.ASSIGN, 1)
+                r = eng.narrow(x, ASSIGN, 1)
                 if r is FAILED:
                     return PROP_FAILED
                 changed |= r is not None
-                r = eng.narrow(y, Op.ASSIGN, 1)
+                r = eng.narrow(y, ASSIGN, 1)
                 if r is FAILED:
                     return PROP_FAILED
                 changed |= r is not None
             elif s.max(z) == 0:
                 if s.min(x) == 1:
-                    r = eng.narrow(y, Op.ASSIGN, 0)
+                    r = eng.narrow(y, ASSIGN, 0)
                     if r is FAILED:
                         return PROP_FAILED
                     changed |= r is not None
                 if s.min(y) == 1:
-                    r = eng.narrow(x, Op.ASSIGN, 0)
+                    r = eng.narrow(x, ASSIGN, 0)
                     if r is FAILED:
                         return PROP_FAILED
                     changed |= r is not None
@@ -345,9 +346,9 @@ class LexLeqProp(Propagator):
 
     def subscriptions(self):
         for var in self.xs:
-            yield var, EventClass.BOUNDS_CHANGED
+            yield var, BOUNDS_CHANGED
         for var in self.ys:
-            yield var, EventClass.BOUNDS_CHANGED
+            yield var, BOUNDS_CHANGED
 
     def _tail_satisfiable(self, s, alpha):
         xs, ys = self.xs, self.ys
@@ -374,9 +375,9 @@ class LexLeqProp(Propagator):
             if a == n:
                 return PROP_FAILED if self.strict else SUBSUMED
             gap = 0 if self._tail_satisfiable(s, a) else 1
-            if eng.narrow(xs[a], Op.MAX, s.max(ys[a]) - gap) is FAILED:
+            if eng.narrow(xs[a], MAX, s.max(ys[a]) - gap) is FAILED:
                 return PROP_FAILED
-            if eng.narrow(ys[a], Op.MIN, s.min(xs[a]) + gap) is FAILED:
+            if eng.narrow(ys[a], MIN, s.min(xs[a]) + gap) is FAILED:
                 return PROP_FAILED
             if not (
                 s.size(xs[a]) == 1
@@ -400,7 +401,7 @@ class UpperBoundProp(Propagator):
         self.bound = bound
 
     def propagate(self, eng):
-        if eng.narrow(self.var, Op.MAX, self.bound) is FAILED:
+        if eng.narrow(self.var, MAX, self.bound) is FAILED:
             return PROP_FAILED
         return SUBSUMED
 

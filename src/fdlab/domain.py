@@ -4,8 +4,10 @@ Every domain mutation goes through :meth:`VariableStore.narrow`, which
 invokes the restoration backend's record hook before the change becomes
 visible and reports the strongest applicable event class.  Integer domains
 are bitsets over the variable's original bounds with cached lo/hi/size;
-Boolean domains are three-state cells.  Boolean variables expose the same
-observable semantics as integer variables with domain {0..1}.
+Boolean domains are three-state cells, signed bytes (``UNKNOWN``, 0 or 1) in
+one ``array("b")``, so a snapshot of all of them is one block copy.  Boolean
+variables expose the same observable semantics as integer variables with
+domain {0..1}.
 
 A variable is a plain int.  An integer variable is its slot in the integer
 arrays (``_mask``, ``_lo``, ``_hi``, ``_size``, ``_base``, ``_span``); a
@@ -19,6 +21,7 @@ integer-only propagators with :func:`is_int_var`.
 from __future__ import annotations
 
 import enum
+from array import array
 
 
 def is_int_var(var):
@@ -39,6 +42,12 @@ class Op(enum.IntEnum):
     MIN = 1
     MAX = 2
     ASSIGN = 3
+
+
+# Module-level names for the members: a plain global load is an order of
+# magnitude cheaper than an enum attribute load on the narrowing hot path.
+REMOVE, MIN, MAX, ASSIGN = Op
+DOMAIN_CHANGED, BOUNDS_CHANGED, INSTANTIATED = EventClass
 
 
 class _Failed:
@@ -66,9 +75,13 @@ class DomainError(ValueError):
 class VariableStore:
     """All variable domains of one solver instance, indexed by variable.
 
-    The restorable state is the integer bitset masks plus the Boolean state
-    words; cached bounds and sizes are derived.  A copy backend snapshots
-    that state as one contiguous region (``snapshot_blob``).
+    The restorable state is the integer bitset masks plus the Boolean
+    cells; cached bounds and sizes are derived.  A copy backend snapshots
+    that state as one region (``snapshot_blob``): the masks stay a list of
+    Python ints, and the Boolean cells, signed bytes in one ``array("b")``,
+    are copied as one block.  ``region_bytes`` is the modelled region, one
+    64-bit word per Boolean and per 64 values of an integer domain, not the
+    Python footprint.
     """
 
     def __init__(self):
@@ -82,7 +95,7 @@ class VariableStore:
         self._hi = []
         self._size = []
         # Boolean variables, indexed by ~id
-        self._bstate = []
+        self._bstate = array("b")
         self._region_words = 0
 
     # -- construction -------------------------------------------------
@@ -116,7 +129,7 @@ class VariableStore:
         for name in ("depth", "_base", "_span", "_region_words"):
             setattr(twin, name, getattr(self, name))
         for name in ("_mask", "_lo", "_hi", "_size", "_bstate"):
-            setattr(twin, name, list(getattr(self, name)))
+            setattr(twin, name, getattr(self, name)[:])
         return twin
 
     @property
@@ -133,7 +146,7 @@ class VariableStore:
 
     @property
     def region_bytes(self):
-        """Size in bytes of the restorable domain region."""
+        """Size in bytes of the modelled restorable domain region."""
         return 8 * self._region_words
 
     # -- queries ------------------------------------------------------
@@ -202,13 +215,13 @@ class VariableStore:
 
     def _narrow_bool(self, var, op, value):
         cur = self._bstate[~var]
-        if op is Op.ASSIGN:
+        if op is ASSIGN:
             allowed = 1 << value if value in (0, 1) else 0
-        elif op is Op.REMOVE:
+        elif op is REMOVE:
             allowed = 3 & ~(1 << value if value in (0, 1) else 0)
-        elif op is Op.MIN:
+        elif op is MIN:
             allowed = 3 if value <= 0 else (2 if value == 1 else 0)
-        else:  # Op.MAX
+        else:  # MAX
             allowed = 3 if value >= 1 else (1 if value == 0 else 0)
         have = 3 if cur == UNKNOWN else 1 << cur
         new = have & allowed
@@ -220,28 +233,28 @@ class VariableStore:
         if self.backend is not None:
             self.backend.record(var, cur)
         self._bstate[~var] = state
-        return EventClass.INSTANTIATED
+        return INSTANTIATED
 
     def _narrow_int(self, var, op, value):
         base = self._base[var]
         span = self._span[var]
         mask = self._mask[var]
-        if op is Op.REMOVE:
+        if op is REMOVE:
             off = value - base
             if not (0 <= off < span):
                 return None
             new = mask & ~(1 << off)
-        elif op is Op.MIN:
+        elif op is MIN:
             off = value - base
             if off <= 0:
                 off = 0
             new = (mask >> off) << off
-        elif op is Op.MAX:
+        elif op is MAX:
             off = value - base
             if off >= span - 1:
                 off = span - 1
             new = mask & ((1 << (off + 1)) - 1) if off >= 0 else 0
-        else:  # Op.ASSIGN
+        else:  # ASSIGN
             off = value - base
             new = mask & (1 << off) if 0 <= off < span else 0
         if new == mask:
@@ -259,16 +272,16 @@ class VariableStore:
         self._hi[var] = hi
         self._size[var] = size
         if size == 1:
-            return EventClass.INSTANTIATED
+            return INSTANTIATED
         if lo != old_lo or hi != old_hi:
-            return EventClass.BOUNDS_CHANGED
-        return EventClass.DOMAIN_CHANGED
+            return BOUNDS_CHANGED
+        return DOMAIN_CHANGED
 
     # -- restoration support -------------------------------------------
 
     def snapshot_blob(self):
-        """Copy of the restorable domain region (masks + Boolean states)."""
-        return (list(self._mask), list(self._bstate))
+        """Copy of the restorable domain region (masks + Boolean cells)."""
+        return (self._mask[:], self._bstate[:])
 
     def load_blob(self, blob):
         masks, bstates = blob

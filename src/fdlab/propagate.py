@@ -95,6 +95,7 @@ class Engine:
         self.props = []
         self.subs = {}  # variable -> list of (pid, min event class)
         self.subsumed = {}  # pid -> search depth at which it became entailed
+        self._entailed = []  # the pids of subsumed, in the order marked
         self.running = None
 
     def fork(self, store, queue):
@@ -141,12 +142,17 @@ class Engine:
             self.schedule_pid(pid)
 
     def unsubsume_above(self, depth):
-        """Re-enable propagators subsumed deeper than ``depth``."""
+        """Re-enable propagators subsumed deeper than ``depth``.
+
+        Entailment is recorded at the current depth, and every backtrack or
+        replay unsubsumes down to its target before it records anything
+        deeper, so depths never decrease along ``_entailed`` and the stale
+        pids are its tail.
+        """
         subsumed = self.subsumed
-        if subsumed:
-            stale = [pid for pid, d in subsumed.items() if d > depth]
-            for pid in stale:
-                del subsumed[pid]
+        entailed = self._entailed
+        while entailed and subsumed[entailed[-1]] > depth:
+            del subsumed[entailed.pop()]
 
     def fixpoint(self):
         """Run pending propagators until quiescence.
@@ -170,5 +176,6 @@ class Engine:
                 return False
             if outcome == SUBSUMED:
                 self.subsumed[pid] = self.store.depth
+                self._entailed.append(pid)
             elif outcome == RESCHEDULE:
                 queue.push(pid, props[pid].priority)

@@ -137,19 +137,47 @@ def test_running_propagator_not_rescheduled_by_own_narrow():
     assert store.max(x) == 8
 
 
+def _entail_at(store, eng, depth):
+    """Post x <= y over x in 0..2, y in 5..9, which is entailed at once, and
+    run it to its subsumption at search depth ``depth``."""
+    store.depth = depth
+    pid = eng.add(LeProp(store.new_int_var(0, 2), store.new_int_var(5, 9)))
+    eng.schedule_pid(pid)
+    assert eng.fixpoint()
+    return pid
+
+
 def test_subsumed_propagator_skipped_until_unsubsumed():
     store = VariableStore()
     eng = Engine(store)
-    x = store.new_int_var(0, 9)
-    prop = LeProp(x, store.new_int_var(0, 3))
-    pid = eng.add(prop)
-    eng.subsumed[pid] = 5
+    pid = _entail_at(store, eng, 5)
+    assert eng.subsumed == {pid: 5}
     eng.schedule_pid(pid)
     assert len(eng.queue) == 0
     eng.unsubsume_above(4)
     assert pid not in eng.subsumed
     eng.schedule_pid(pid)
     assert pid in eng.queue
+
+
+def test_unsubsume_above_reenables_only_deeper_entailments():
+    store = VariableStore()
+    eng = Engine(store)
+    pids = [_entail_at(store, eng, depth) for depth in range(4)]
+
+    def reenabled():
+        for pid in pids:
+            eng.schedule_pid(pid)
+        out = [pid in eng.queue for pid in pids]
+        eng.queue.clear()
+        return out
+
+    eng.unsubsume_above(2)
+    assert reenabled() == [False, False, False, True]
+    assert eng.subsumed == {pids[0]: 0, pids[1]: 1, pids[2]: 2}
+    eng.unsubsume_above(0)
+    assert reenabled() == [False, True, True, True]
+    assert eng.subsumed == {pids[0]: 0}
 
 
 def test_root_fixpoint_confluence_across_policies():

@@ -186,6 +186,26 @@ def test_solving_a_model_twice_finds_the_same_solutions():
         _assert_model_untouched(model, blob, n_props)
 
 
+def test_solving_a_boolean_model_twice_finds_the_same_solution():
+    """Every solve must copy the Boolean cells, in its fork and in each
+    snapshot, rather than share the model's byte array."""
+    model = build(parse_instance("golfers:2,3,3+ext"))
+    assert model.store.num_bool_vars > 0
+    blob, n_props = model.store.snapshot_blob(), len(model.engine.props)
+    found = []
+    for restore in (
+        RestoreMode.trail(),
+        RestoreMode.trail(),
+        RestoreMode.copy(),
+        RestoreMode.copy_recompute(2),
+    ):
+        sols, stats = solve(model, restore=restore)
+        assert len(sols) == 1 and stats.backtracks > 0
+        found.append(sols[0])
+        _assert_model_untouched(model, blob, n_props)
+    assert found == [found[0]] * 4
+
+
 @pytest.mark.parametrize("bnb", ["post", "tighten"])
 def test_minimizing_a_model_twice_finds_the_same_optimum(bnb):
     model = build(parse_instance("golomb:5"))
