@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .domain import ASSIGN, BOUNDS_CHANGED, FAILED, INSTANTIATED, MAX, MIN, REMOVE
 from .domain import UNKNOWN, is_int_var
-from .model import BOOL_INT, SUM_DECOMPOSED, ModelError
+from .model import SUM_DECOMPOSED, ModelError
 from .propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Propagator
 from .propagate import PRIORITY_CHEAP, PRIORITY_GLOBAL, PRIORITY_LINEAR
 
@@ -32,17 +32,23 @@ class LinearProp(Propagator):
     """Bounds-consistent propagation of sum(coeff * var) rel c.
 
     Only integer variables participate (Boolean sums route here after
-    being remodelled as {0..1} integers), so the hot loop indexes the
-    store's bound arrays with the variables themselves.
+    being remodelled as {0..1} integers).  The terms are split by sign once,
+    at construction, into ``pos`` and ``neg`` (the latter with negated,
+    positive coefficients).  A pass over one side of the relation reads each
+    term's bound straight from the store's ``_lo``/``_hi`` arrays once for
+    the sum and once to narrow, with no store query and no per-term sign
+    test.
     """
 
-    __slots__ = ("terms", "rel", "c")
+    __slots__ = ("terms", "rel", "c", "pos", "neg")
     priority = PRIORITY_LINEAR
 
     def __init__(self, terms, rel, c):
         self.terms = terms
         self.rel = rel
         self.c = c
+        self.pos = [(a, v) for a, v in terms if a > 0]
+        self.neg = [(-a, v) for a, v in terms if a < 0]
 
     def subscriptions(self):
         for _, var in self.terms:
@@ -50,9 +56,10 @@ class LinearProp(Propagator):
 
     def propagate(self, eng):
         s = eng.store
-        terms = self.terms
         lo = s._lo
         hi = s._hi
+        pos = self.pos
+        neg = self.neg
         c = self.c
         rel = self.rel
         narrow = eng.narrow
@@ -60,53 +67,57 @@ class LinearProp(Propagator):
             changed = False
             if rel != GEQ:
                 lb = 0
-                for a, v in terms:
-                    lb += a * (lo[v] if a > 0 else hi[v])
-                if lb > c:
+                for a, v in pos:
+                    lb += a * lo[v]
+                for a, v in neg:
+                    lb -= a * hi[v]
+                slack = c - lb
+                if slack < 0:
                     return PROP_FAILED
-                for a, v in terms:
-                    if a > 0:
-                        bound = (c - lb) // a + lo[v]
-                        if bound < hi[v]:
-                            if narrow(v, MAX, bound) is FAILED:
-                                return PROP_FAILED
-                            changed = True
-                    else:
-                        bound = -((lb - c) // a) + hi[v]
-                        if bound > lo[v]:
-                            if narrow(v, MIN, bound) is FAILED:
-                                return PROP_FAILED
-                            changed = True
+                for a, v in pos:
+                    bound = lo[v] + slack // a
+                    if bound < hi[v]:
+                        if narrow(v, MAX, bound) is FAILED:
+                            return PROP_FAILED
+                        changed = True
+                for a, v in neg:
+                    bound = hi[v] - slack // a
+                    if bound > lo[v]:
+                        if narrow(v, MIN, bound) is FAILED:
+                            return PROP_FAILED
+                        changed = True
             if rel != LEQ:
                 ub = 0
-                for a, v in terms:
-                    ub += a * (hi[v] if a > 0 else lo[v])
-                if ub < c:
+                for a, v in pos:
+                    ub += a * hi[v]
+                for a, v in neg:
+                    ub -= a * lo[v]
+                slack = ub - c
+                if slack < 0:
                     return PROP_FAILED
-                for a, v in terms:
-                    if a > 0:
-                        bound = -((ub - c) // a) + hi[v]
-                        if bound > lo[v]:
-                            if narrow(v, MIN, bound) is FAILED:
-                                return PROP_FAILED
-                            changed = True
-                    else:
-                        bound = (c - ub) // a + lo[v]
-                        if bound < hi[v]:
-                            if narrow(v, MAX, bound) is FAILED:
-                                return PROP_FAILED
-                            changed = True
+                for a, v in pos:
+                    bound = hi[v] - slack // a
+                    if bound > lo[v]:
+                        if narrow(v, MIN, bound) is FAILED:
+                            return PROP_FAILED
+                        changed = True
+                for a, v in neg:
+                    bound = lo[v] + slack // a
+                    if bound < hi[v]:
+                        if narrow(v, MAX, bound) is FAILED:
+                            return PROP_FAILED
+                        changed = True
             if not changed:
                 break
+        if rel == EQ:
+            # ub - lb is sum(|a| * (hi - lo)), so they meet only when every
+            # variable is fixed.
+            return SUBSUMED if lb == ub else AT_FIXPOINT
         if rel == LEQ:
-            ub = sum(a * (hi[v] if a > 0 else lo[v]) for a, v in terms)
+            ub = sum(a * hi[v] for a, v in pos) - sum(a * lo[v] for a, v in neg)
             return SUBSUMED if ub <= c else AT_FIXPOINT
-        if rel == GEQ:
-            lb = sum(a * (lo[v] if a > 0 else hi[v]) for a, v in terms)
-            return SUBSUMED if lb >= c else AT_FIXPOINT
-        if all(lo[v] == hi[v] for _, v in terms):
-            return SUBSUMED
-        return AT_FIXPOINT
+        lb = sum(a * lo[v] for a, v in pos) - sum(a * hi[v] for a, v in neg)
+        return SUBSUMED if lb >= c else AT_FIXPOINT
 
 
 class BoolSumProp(Propagator):
@@ -272,7 +283,14 @@ class LeProp(Propagator):
 
 
 class BoolAndProp(Propagator):
-    """z = x and y, propagated in all directions."""
+    """z = x and y, propagated in all directions.
+
+    All three variables have one kind.  A run reads each variable's
+    three-state value (``UNKNOWN``, 0 or 1) once, straight from the store:
+    the Boolean cell ``_bstate[~var]``, or for a {0..1} integer ``lo[var]``
+    when ``lo[var] == hi[var]``.  It then settles the truth table in one
+    pass and narrows only variables that were unknown.
+    """
 
     __slots__ = ("z", "x", "y")
     priority = PRIORITY_CHEAP
@@ -288,46 +306,48 @@ class BoolAndProp(Propagator):
         yield self.y, INSTANTIATED
 
     def propagate(self, eng):
-        s = eng.store
         z, x, y = self.z, self.x, self.y
-        while True:
-            changed = False
-            if s.min(x) == 1 and s.min(y) == 1:
-                r = eng.narrow(z, ASSIGN, 1)
-                if r is FAILED:
-                    return PROP_FAILED
-                changed |= r is not None
-            if s.max(x) == 0 or s.max(y) == 0:
-                r = eng.narrow(z, ASSIGN, 0)
-                if r is FAILED:
-                    return PROP_FAILED
-                changed |= r is not None
-            if s.min(z) == 1:
-                r = eng.narrow(x, ASSIGN, 1)
-                if r is FAILED:
-                    return PROP_FAILED
-                changed |= r is not None
-                r = eng.narrow(y, ASSIGN, 1)
-                if r is FAILED:
-                    return PROP_FAILED
-                changed |= r is not None
-            elif s.max(z) == 0:
-                if s.min(x) == 1:
-                    r = eng.narrow(y, ASSIGN, 0)
-                    if r is FAILED:
-                        return PROP_FAILED
-                    changed |= r is not None
-                if s.min(y) == 1:
-                    r = eng.narrow(x, ASSIGN, 0)
-                    if r is FAILED:
-                        return PROP_FAILED
-                    changed |= r is not None
-            if not changed:
-                break
-        if s.size(z) == 1 and s.size(x) == 1 and s.size(y) == 1:
+        s = eng.store
+        if z < 0:
+            bstate = s._bstate
+            zs = bstate[~z]
+            xs = bstate[~x]
+            ys = bstate[~y]
+        else:
+            lo = s._lo
+            hi = s._hi
+            zs = lo[z] if lo[z] == hi[z] else UNKNOWN
+            xs = lo[x] if lo[x] == hi[x] else UNKNOWN
+            ys = lo[y] if lo[y] == hi[y] else UNKNOWN
+        narrow = eng.narrow
+        if xs == 1 and ys == 1:
+            if zs == 0:
+                return PROP_FAILED
+            if zs == UNKNOWN and narrow(z, ASSIGN, 1) is FAILED:
+                return PROP_FAILED
             return SUBSUMED
-        if s.max(z) == 0 and (s.max(x) == 0 or s.max(y) == 0):
+        if xs == 0 or ys == 0:
+            if zs == 1:
+                return PROP_FAILED
+            if zs == UNKNOWN and narrow(z, ASSIGN, 0) is FAILED:
+                return PROP_FAILED
             return SUBSUMED
+        # x and y are each unknown or 1, and not both 1.
+        if zs == 1:
+            if xs == UNKNOWN and narrow(x, ASSIGN, 1) is FAILED:
+                return PROP_FAILED
+            if ys == UNKNOWN and narrow(y, ASSIGN, 1) is FAILED:
+                return PROP_FAILED
+            return SUBSUMED
+        if zs == 0:
+            if xs == 1:
+                if narrow(y, ASSIGN, 0) is FAILED:
+                    return PROP_FAILED
+                return SUBSUMED
+            if ys == 1:
+                if narrow(x, ASSIGN, 0) is FAILED:
+                    return PROP_FAILED
+                return SUBSUMED
         return AT_FIXPOINT
 
 
@@ -470,15 +490,22 @@ def post_linear(model, terms, rel, c, *, pair_counted=False):
 
 
 def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
-    """Sum of Boolean variables rel c; counter-based under the native
-    Boolean mode, routed to the linear propagator under the integer mode.
-    Returns the number of propagators posted."""
+    """Sum of Boolean variables rel c; counter-based over native Booleans,
+    routed to the linear propagator over {0..1} integers (what the integer
+    Boolean mode builds).  The variables must all be of one kind.  Returns
+    the number of propagators posted."""
     _check_rel(rel)
     vars = list(vars)
     if not vars:
         raise PostError("boolean sum needs at least one variable")
+    # Boolean ids are the negative ones, so the kinds mix exactly when the
+    # smallest and the largest id differ in kind.  A mix must not reach
+    # LinearProp, which would read a Boolean id's integer bounds from the
+    # end of the store's arrays.
+    if is_int_var(min(vars)) != is_int_var(max(vars)):
+        raise PostError("boolean sum mixes Boolean and integer variables")
     model.count_constraint(1, 2 if rel == EQ or pair_counted else 1)
-    if model.bool_mode == BOOL_INT or any(is_int_var(v) for v in vars):
+    if is_int_var(vars[0]):
         terms = [(1, v) for v in vars]
 
         def make(r, bound):
@@ -522,6 +549,14 @@ def post_le(model, x, y, strict=False):
 
 
 def post_bool_and(model, z, x, y):
+    """z = x and y over three Booleans or three integers within {0..1},
+    the two cases the propagator's three-state read handles."""
+    if is_int_var(z):
+        s = model.store
+        if not all(is_int_var(v) and s.min(v) >= 0 and s.max(v) <= 1 for v in (z, x, y)):
+            raise PostError("boolean and takes three Booleans or three {0..1} integers")
+    elif is_int_var(x) or is_int_var(y):
+        raise PostError("boolean and mixes Boolean and integer variables")
     model.count_constraint(1, 1)
     model.engine.add(BoolAndProp(z, x, y))
 

@@ -14,9 +14,8 @@ from .domain import FAILED
 
 # Propagator outcomes.
 AT_FIXPOINT = 0
-RESCHEDULE = 1
-PROP_FAILED = 2
-SUBSUMED = 3
+PROP_FAILED = 1
+SUBSUMED = 2
 
 # Queue buckets, popped in this order under the ``priority`` policy.
 PRIORITY_CHEAP = 0  # arity <= 3: disequalities, orderings, conjunction
@@ -174,8 +173,6 @@ class Engine:
             if outcome == PROP_FAILED:
                 queue.clear()
                 return False
-            if outcome == SUBSUMED:
-                self.subsumed[pid] = self.store.depth
-                self._entailed.append(pid)
-            elif outcome == RESCHEDULE:
-                queue.push(pid, props[pid].priority)
+            # SUBSUMED
+            self.subsumed[pid] = self.store.depth
+            self._entailed.append(pid)

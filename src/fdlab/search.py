@@ -66,7 +66,8 @@ class _Search:
         self.backend = make(self.store, self.eng.unsubsume_above, self._replay)
         self.store.backend = self.backend
         self.stats = SearchStats()
-        self.alts = []
+        self.alts = []  # (depth, cursor, actions) of each open alternative
+        self.cursor = 0  # index in decision_vars of the last branching variable
 
     def _replay(self, actions):
         # Replaying a previously consistent path with monotone propagators
@@ -79,9 +80,15 @@ class _Search:
         return self.eng.fixpoint()
 
     def first_unassigned(self):
+        """The first unassigned decision variable, scanned from the cursor:
+        domains only shrink along a branch, so every variable before the one
+        the parent branched on is still assigned."""
         size = self.store.size
-        for var in self.model.decision_vars:
+        decision_vars = self.model.decision_vars
+        for i in range(self.cursor, len(decision_vars)):
+            var = decision_vars[i]
             if size(var) > 1:
+                self.cursor = i
                 return var
         return None
 
@@ -98,7 +105,7 @@ class _Search:
         """Retreat to the nearest open alternative and take it.  Returns
         False when the tree is exhausted."""
         while self.alts:
-            depth, actions = self.alts.pop()
+            depth, self.cursor, actions = self.alts.pop()
             self.backend.backtrack_to(depth)
             if self.try_node(self.prefix_actions() + actions):
                 return True
@@ -116,7 +123,7 @@ class _Search:
         if var is None:
             return self.on_solution()
         v = self.store.min(var)
-        self.alts.append((self.store.depth, [(Op.REMOVE, var, v)]))
+        self.alts.append((self.store.depth, self.cursor, [(Op.REMOVE, var, v)]))
         if self.try_node(self.prefix_actions() + [(Op.ASSIGN, var, v)]):
             return True
         self.stats.backtracks += 1

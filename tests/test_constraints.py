@@ -135,6 +135,29 @@ def test_bool_and_truth_table(bool_mode):
         assert _fix(model)
         assert model.store.value(z) == (vx and vy)
 
+    # Every partial assignment of (z, x, y) over {0, 1, unset}, against
+    # brute force: the fixpoint fails exactly when no completion satisfies
+    # z = x and y, and otherwise keeps exactly the values some completion uses.
+    for partial in itertools.product([0, 1, None], repeat=3):
+        model = Model(bool_mode=bool_mode)
+        zxy = [model.new_01_var() for _ in range(3)]
+        post_bool_and(model, *zxy)
+        for var, value in zip(zxy, partial):
+            if value is not None:
+                model.store.narrow(var, Op.ASSIGN, value)
+        completions = [
+            (z, x, y)
+            for z, x, y in itertools.product([0, 1], repeat=3)
+            if z == (x and y)
+            and all(p is None or p == v for p, v in zip(partial, (z, x, y)))
+        ]
+        ok = _fix(model)
+        assert ok == bool(completions), partial
+        if ok:
+            for i, var in enumerate(zxy):
+                expected = sorted({c[i] for c in completions})
+                assert model.store.domain_values(var) == expected, partial
+
 
 def test_bool_and_backward_direction():
     model = Model()
@@ -167,6 +190,47 @@ def test_bool_and_contradiction():
     model.store.narrow(x, Op.ASSIGN, 1)
     model.store.narrow(y, Op.ASSIGN, 1)
     assert not _fix(model)
+
+
+def test_bool_and_rejects_mixed_kinds_and_wide_integers():
+    model = Model()
+    b = model.new_bool_var()
+    i = model.new_int_var(0, 1)
+    with pytest.raises(PostError):
+        post_bool_and(model, b, i, model.new_bool_var())
+    with pytest.raises(PostError):
+        post_bool_and(model, i, b, b)
+    with pytest.raises(PostError):
+        post_bool_and(model, i, i, model.new_int_var(0, 2))
+    with pytest.raises(PostError):
+        post_bool_and(model, model.new_int_var(-1, 0), i, i)
+    assert model.count_native == 0 and not model.engine.props
+    post_bool_and(model, i, model.new_int_var(1, 1), model.new_int_var(0, 0))
+    assert _fix(model) and model.store.value(i) == 0
+
+
+def test_bool_sum_rejects_mixed_kinds():
+    model = Model()
+    x = model.new_bool_var()
+    y = model.new_int_var(0, 1)
+    model.new_int_var(5, 9)
+    with pytest.raises(PostError):
+        post_bool_sum(model, [x, y], EQ, 1)
+    with pytest.raises(PostError):
+        post_bool_sum(model, [y, x], LEQ, 1)
+    assert model.count_native == 0 and not model.engine.props
+
+
+def test_bool_sum_routes_by_variable_kind_not_model_mode():
+    """Native Booleans in an integer-mode model still get the counter
+    propagator, never a linear one reading integer arrays."""
+    model = Model(bool_mode=BOOL_INT)
+    model.new_int_var(5, 9)
+    xs = [model.new_bool_var() for _ in range(3)]
+    post_bool_sum(model, xs, EQ, 1)
+    model.store.narrow(xs[1], Op.ASSIGN, 1)
+    assert _fix(model)
+    assert [model.store.value(v) for v in xs] == [0, 1, 0]
 
 
 @pytest.mark.parametrize("bool_mode", [BOOL_NATIVE, BOOL_INT])
@@ -291,7 +355,7 @@ def test_constraint_counting_conventions():
 
 @given(
     st.lists(
-        st.tuples(st.integers(-3, 3).filter(bool), st.integers(0, 6), st.integers(0, 6)),
+        st.tuples(st.integers(-3, 3).filter(bool), st.integers(-3, 6), st.integers(0, 6)),
         min_size=1,
         max_size=4,
     ),
@@ -300,7 +364,12 @@ def test_constraint_counting_conventions():
 )
 def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
     """Values surviving propagation can still participate in a support, and
-    the fixpoint never contains values outside the original domains."""
+    the fixpoint never contains values outside the original domains.  It is
+    also exact: it equals a reference that filters each domain, as a Python
+    set, by the interval rule (a value stays while the other terms' extreme
+    contributions leave room for it) until nothing changes.  The propagator
+    is entailed only when every point of its final box satisfies the
+    relation."""
     import itertools
 
     model = Model()
@@ -326,10 +395,41 @@ def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
             assert all(
                 model.store.size(v) >= 1 for _, v in terms
             )
+    else:
+        assert ok
+        for i, (_, var) in enumerate(terms):
+            left = set(model.store.domain_values(var))
+            assert left <= set(domains[i])
+            # every value used by some solution must survive bounds pruning
+            assert {combo[i] for combo in solutions} <= left
+
+    coeffs = [a for a, _ in terms]
+    sets = [set(d) for d in domains]
+    changed = True
+    while changed and all(sets):
+        changed = False
+        for i, a in enumerate(coeffs):
+            others = [
+                sorted(coeffs[j] * v for v in sets[j])
+                for j in range(len(coeffs))
+                if j != i
+            ]
+            low = sum(o[0] for o in others)
+            high = sum(o[-1] for o in others)
+            keep = {
+                v
+                for v in sets[i]
+                if (rel == GEQ or a * v + low <= c) and (rel == LEQ or a * v + high >= c)
+            }
+            if keep != sets[i]:
+                sets[i] = keep
+                changed = True
+                if not keep:
+                    break
+    assert ok == all(sets)
+    if not ok:
         return
-    assert ok
-    for i, (_, var) in enumerate(terms):
-        left = set(model.store.domain_values(var))
-        assert left <= set(domains[i])
-        # every value used by some solution must survive bounds pruning
-        assert {combo[i] for combo in solutions} <= left
+    for (_, var), ref in zip(terms, sets):
+        assert model.store.domain_values(var) == sorted(ref)
+    if 0 in model.engine.subsumed:
+        assert all(sat(combo) for combo in itertools.product(*map(sorted, sets)))
