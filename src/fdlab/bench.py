@@ -1,6 +1,5 @@
 """Benchmark harness: experiment matrices over (instance x configuration),
-repeated runs with median/CoV aggregation, CSV/JSON emission, and ratio
-tables.
+repeated runs with median/CoV aggregation, and CSV/JSON emission.
 
 A configuration fully determines the search trajectory, so the trajectory
 columns (nodes, backtracks, solutions, restoration counters) must agree
@@ -12,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 
 from .model import BOOL_NATIVE, SUM_NATIVE, ModelError
@@ -209,44 +207,6 @@ def run_matrix(configs):
     return records
 
 
-def ratio_report(records, numerator, denominator):
-    """Pair records per (model, instance, extended) and report the ratio of
-    median solve times, keyed by backtracks.
-
-    ``numerator`` and ``denominator`` are predicates over RunRecord.
-    Unmatched pairs are omitted with a warning.
-    """
-
-    def index(pred):
-        out = {}
-        for r in records:
-            if r.error is None and pred(r):
-                out[(r.model, r.instance, r.extended)] = r
-        return out
-
-    nums = index(numerator)
-    dens = index(denominator)
-    rows = []
-    for key in sorted(set(nums) | set(dens)):
-        if key not in nums or key not in dens:
-            warnings.warn(f"ratio_report: unmatched pair for {key}", stacklevel=2)
-            continue
-        num, den = nums[key], dens[key]
-        if den.solve_ms_median == 0:
-            warnings.warn(f"ratio_report: zero denominator for {key}", stacklevel=2)
-            continue
-        rows.append(
-            {
-                "model": num.model,
-                "instance": num.instance,
-                "backtracks": num.backtracks,
-                "ratio": num.solve_ms_median / den.solve_ms_median,
-            }
-        )
-    rows.sort(key=lambda r: r["backtracks"])
-    return rows
-
-
 def _row(record):
     return {col: getattr(record, col) for col in CSV_COLUMNS}
 
@@ -277,37 +237,3 @@ def emit(records, format="csv", path=None, stream=None):
     if stream is not None:
         stream.write(text)
     return text
-
-
-def load_records(path, format="json"):
-    """Read back emitted records (the inverse of :func:`emit`)."""
-    if format == "json":
-        with open(path) as f:
-            rows = json.load(f)
-    elif format == "csv":
-        with open(path, newline="") as f:
-            rows = [_coerce_csv_row(row) for row in csv.DictReader(f)]
-    else:
-        raise ValueError(f"unknown format {format!r}")
-    return [RunRecord(**row) for row in rows]
-
-
-def _coerce_csv_row(row):
-    out = dict(row)
-    out["extended"] = row["extended"] == "True"
-    for col in ("rec_dist", "adapt_dist"):
-        out[col] = int(row[col]) if row[col] else None
-    for col in (
-        "runs",
-        "nodes",
-        "backtracks",
-        "solutions",
-        "bytes_copied",
-        "trail_entries",
-        "snapshots",
-        "recomputations",
-    ):
-        out[col] = int(row[col])
-    for col in ("setup_ms_median", "solve_ms_median", "cov", "nps"):
-        out[col] = float(row[col])
-    return out

@@ -22,6 +22,7 @@ from .bench import RunConfig, emit, run_matrix
 from .data import table_rows
 from .model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, ModelError
 from .problems import Instance, counts, parse_instance
+from .propagate import Engine
 from .restore import RestoreMode
 
 EXIT_OK = 0
@@ -47,7 +48,7 @@ def _add_run_options(parser):
     parser.add_argument("--rec-dist", type=int, default=8, metavar="N")
     parser.add_argument("--adapt-dist", type=int, default=2, metavar="N")
     parser.add_argument(
-        "--queue", choices=["fifo", "priority", "reversed"], default="fifo"
+        "--queue", choices=Engine.POLICIES, default="fifo"
     )
     parser.add_argument(
         "--sum-eq", choices=["native", "decomposed"], default="native"

@@ -452,19 +452,18 @@ def _check_rel(rel):
 def _post_sum(model, rel, c, make, pair_counted):
     """Post the propagator(s) for one sum per the model's sum mode and
     return how many were posted."""
-    eng = model.engine
     if rel == EQ:
         if model.sum_mode == SUM_DECOMPOSED:
-            eng.add(make(LEQ, c))
-            eng.add(make(GEQ, c))
+            model.add(make(LEQ, c))
+            model.add(make(GEQ, c))
             return 2
-        eng.add(make(EQ, c))
+        model.add(make(EQ, c))
         return 1
-    eng.add(make(rel, c))
+    model.add(make(rel, c))
     if model.sum_mode == SUM_DECOMPOSED and pair_counted:
         # The count-fidelity half: a trivially-true bound in the opposite
         # direction (e.g. sum >= 0 next to sum <= 1).
-        eng.add(make(GEQ if rel == LEQ else LEQ, None))
+        model.add(make(GEQ if rel == LEQ else LEQ, None))
         return 2
     return 1
 
@@ -530,22 +529,22 @@ def post_alldifferent(model, vars):
     if not all(is_int_var(v) for v in vars):
         raise PostError("alldifferent takes integer variables only")
     model.count_constraint(1, 1)
-    model.engine.add(AllDiffValueProp(vars))
+    model.add(AllDiffValueProp(vars))
 
 
 def post_ne_const(model, var, c):
     model.count_constraint(1, 1)
-    model.engine.add(NeConstProp(var, c))
+    model.add(NeConstProp(var, c))
 
 
 def post_fix(model, var, c):
     model.count_constraint(1, 1)
-    model.engine.add(FixValueProp(var, c))
+    model.add(FixValueProp(var, c))
 
 
 def post_le(model, x, y, strict=False):
     model.count_constraint(1, 1)
-    model.engine.add(LeProp(x, y, strict))
+    model.add(LeProp(x, y, strict))
 
 
 def post_bool_and(model, z, x, y):
@@ -558,7 +557,7 @@ def post_bool_and(model, z, x, y):
     elif is_int_var(x) or is_int_var(y):
         raise PostError("boolean and mixes Boolean and integer variables")
     model.count_constraint(1, 1)
-    model.engine.add(BoolAndProp(z, x, y))
+    model.add(BoolAndProp(z, x, y))
 
 
 def post_lex_leq(model, xs, ys, strict=False):
@@ -566,4 +565,4 @@ def post_lex_leq(model, xs, ys, strict=False):
     if not xs or len(xs) != len(ys):
         raise PostError("lex needs two equal-length non-empty vectors")
     model.count_constraint(1, 1)
-    model.engine.add(LexLeqProp(xs, ys, strict))
+    model.add(LexLeqProp(xs, ys, strict))

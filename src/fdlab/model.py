@@ -1,6 +1,7 @@
 """Model container: variables, posted constraints, branch order, objective.
-A model only describes the problem; each solve works on forks of its store
-and engine and leaves it unchanged.
+A model only describes the problem: its store, its propagators and their
+subscriptions.  Each solve works on a fork of the store and builds its own
+``Engine`` over the propagators, so it leaves the model unchanged.
 
 The model also keeps the declared constraint counts for both sum-constraint
 accounting conventions (native sum-equals vs. the decomposed less-equal /
@@ -10,7 +11,6 @@ greater-equal pair), independently of which convention is actually posted.
 from __future__ import annotations
 
 from .domain import VariableStore
-from .propagate import Engine
 
 BOOL_NATIVE = "native"
 BOOL_INT = "int"
@@ -23,6 +23,10 @@ class ModelError(ValueError):
 
 
 class Model:
+    """The problem: variables in ``store``, propagators in ``props`` and
+    their subscriptions in ``subs``, branch order and objective.  Each solve
+    builds its own ``Engine`` over these and leaves them unchanged."""
+
     def __init__(self, bool_mode=BOOL_NATIVE, sum_mode=SUM_NATIVE):
         if bool_mode not in (BOOL_NATIVE, BOOL_INT):
             raise ModelError(f"unknown bool mode {bool_mode!r}")
@@ -31,7 +35,8 @@ class Model:
         self.bool_mode = bool_mode
         self.sum_mode = sum_mode
         self.store = VariableStore()
-        self.engine = Engine(self.store)
+        self.props = []
+        self.subs = {}  # variable -> list of (pid, min event class)
         self.decision_vars = []
         self.objective = None
         self.count_native = 0
@@ -54,6 +59,14 @@ class Model:
         if self.bool_mode == BOOL_NATIVE:
             return self.new_bool_var(decision)
         return self.new_int_var(0, 1, decision)
+
+    def add(self, prop):
+        """Post a propagator and register its subscriptions; returns its pid."""
+        pid = len(self.props)
+        self.props.append(prop)
+        for var, klass in prop.subscriptions():
+            self.subs.setdefault(var, []).append((pid, klass))
+        return pid
 
     def count_constraint(self, native=1, decomposed=1):
         self.count_native += native

@@ -1,9 +1,11 @@
 """Event-driven propagation engine with a policy-ordered queue.
 
 Propagators subscribe to (variable, event class) pairs and are run to a
-fixpoint.  All propagators are monotone and contracting, so the fixpoint
-reached is unique regardless of the queue policy; only the amount of work
-to get there differs.
+fixpoint.  The model owns the propagators and their subscriptions; each
+solve builds one ``Engine`` for its queue and entailment state.  All
+propagators are monotone and contracting, so the fixpoint reached is unique
+regardless of the queue policy; only the amount of work to get there
+differs.
 """
 
 from __future__ import annotations
@@ -37,80 +39,50 @@ class Propagator:
         raise NotImplementedError
 
 
-class PropQueue:
-    """Pending-propagator queue; a propagator appears at most once.
+class Engine:
+    """The propagation state of one solve, built by the solve over its fork
+    of the store and the model's propagators and subscriptions (variable ->
+    list of (pid, min event class)).  It copies the propagator list, so
+    what the solve adds stays out of the model, reads the subscriptions
+    without changing them, and owns the queue, the entailment record and
+    the running slot.
 
-    ``fifo`` ignores priorities; ``priority`` pops the lowest priority
-    value first; ``reversed`` pops the highest first.  Within equal
-    priority, FIFO order breaks ties.
+    ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
+    first; ``reversed`` pops the highest first.  Within equal priority, FIFO
+    order breaks ties.  Each propagator's bucket is resolved once, when it
+    joins the engine, so a push makes no policy test.
     """
 
-    POLICIES = ("fifo", "priority", "reversed")
+    # The bucket of each priority under each policy; fixpoint pops the
+    # first non-empty bucket.
+    _BUCKET_OF = {"fifo": (0, 0, 0), "priority": (0, 1, 2), "reversed": (2, 1, 0)}
+    POLICIES = tuple(_BUCKET_OF)
 
-    def __init__(self, policy="fifo"):
+    def __init__(self, store, props, subs, policy="fifo"):
         if policy not in self.POLICIES:
             raise ValueError(f"unknown queue policy {policy!r}")
-        self.policy = policy
-        self._pending = set()
-        self._buckets = [deque() for _ in range(NUM_PRIORITIES)]
-        if policy == "reversed":
-            self._order = range(NUM_PRIORITIES - 1, -1, -1)
-        else:
-            self._order = range(NUM_PRIORITIES)
-
-    def push(self, pid, priority):
-        if pid in self._pending:
-            return
-        self._pending.add(pid)
-        self._buckets[0 if self.policy == "fifo" else priority].append(pid)
-
-    def pop(self):
-        for p in self._order:
-            bucket = self._buckets[p]
-            if bucket:
-                pid = bucket.popleft()
-                self._pending.discard(pid)
-                return pid
-        return None
-
-    def clear(self):
-        self._pending.clear()
-        for bucket in self._buckets:
-            bucket.clear()
-
-    def __len__(self):
-        return len(self._pending)
-
-    def __contains__(self, pid):
-        return pid in self._pending
-
-
-class Engine:
-    """Owns the propagators, their subscriptions, and the fixpoint loop."""
-
-    def __init__(self, store, queue=None):
         self.store = store
-        self.queue = queue if queue is not None else PropQueue()
-        self.props = []
-        self.subs = {}  # variable -> list of (pid, min event class)
+        self.props = list(props)
+        self.subs = subs
+        bucket_of = self._BUCKET_OF[policy]
+        buckets = self._buckets = [deque() for _ in range(max(bucket_of) + 1)]
+        by_priority = self._by_priority = tuple(buckets[b] for b in bucket_of)
+        self._bucket = [by_priority[p.priority] for p in self.props]  # pid -> its deque
+        self.pending = bytearray(len(self.props))  # pid -> 1 while queued
         self.subsumed = {}  # pid -> search depth at which it became entailed
         self._entailed = []  # the pids of subsumed, in the order marked
         self.running = None
 
-    def fork(self, store, queue):
-        """An engine for one solve over a fork of this engine's store.  It
-        owns its queue, entailment record and propagator list but shares
-        the subscriptions, so what is added to it must subscribe to none."""
-        eng = Engine(store, queue)
-        eng.props = list(self.props)
-        eng.subs = self.subs
-        return eng
-
     def add(self, prop):
+        """Add a propagator to this solve only (branch and bound's bound).
+        The subscription table is the model's, so it must subscribe to
+        nothing; it runs when scheduled by pid."""
+        if list(prop.subscriptions()):
+            raise ValueError("a propagator added during a solve must not subscribe")
         pid = len(self.props)
         self.props.append(prop)
-        for var, klass in prop.subscriptions():
-            self.subs.setdefault(var, []).append((pid, klass))
+        self._bucket.append(self._by_priority[prop.priority])
+        self.pending.append(0)
         return pid
 
     def narrow(self, var, op, value):
@@ -124,17 +96,35 @@ class Engine:
         subs = self.subs.get(var)
         if not subs:
             return
-        queue = self.queue
-        props = self.props
+        push = self.push
         running = self.running
         subsumed = self.subsumed
         for pid, min_class in subs:
             if strength >= min_class and pid != running and pid not in subsumed:
-                queue.push(pid, props[pid].priority)
+                push(pid)
+
+    def push(self, pid):
+        """Queue ``pid`` unless it is already queued."""
+        pending = self.pending
+        if not pending[pid]:
+            pending[pid] = 1
+            self._bucket[pid].append(pid)
+
+    def __contains__(self, pid):
+        """True while ``pid`` is queued."""
+        return self.pending[pid] == 1
+
+    def clear(self):
+        """Empty the queue."""
+        pending = self.pending
+        for bucket in self._buckets:
+            for pid in bucket:
+                pending[pid] = 0
+            bucket.clear()
 
     def schedule_pid(self, pid):
         if pid not in self.subsumed:
-            self.queue.push(pid, self.props[pid].priority)
+            self.push(pid)
 
     def schedule_all(self):
         for pid in range(len(self.props)):
@@ -159,19 +149,24 @@ class Engine:
         Returns True at the (unique) fixpoint, False when some domain
         emptied; the queue is drained in both cases.
         """
-        queue = self.queue
+        buckets = self._buckets
+        pending = self.pending
         props = self.props
         while True:
-            pid = queue.pop()
-            if pid is None:
+            for bucket in buckets:
+                if bucket:
+                    pid = bucket.popleft()
+                    break
+            else:
                 return True
+            pending[pid] = 0
             self.running = pid
             outcome = props[pid].propagate(self)
             self.running = None
             if outcome == AT_FIXPOINT:
                 continue
             if outcome == PROP_FAILED:
-                queue.clear()
+                self.clear()
                 return False
             # SUBSUMED
             self.subsumed[pid] = self.store.depth

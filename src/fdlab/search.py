@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .constraints import UpperBoundProp
 from .domain import FAILED, Op
-from .propagate import PropQueue
+from .propagate import Engine
 from .restore import RestoreMode, RestoreStats, make_backend
 
 # A node action is (op, var, value), narrowed with the Op; the one other
@@ -54,14 +54,15 @@ def _apply_actions(eng, actions):
 
 
 class _Search:
-    """The state of one solve.  It narrows forks of the model's store and
-    engine, so the model itself is never changed."""
+    """The state of one solve.  It narrows a fork of the model's store and
+    runs its own engine over the model's propagators, so the model itself
+    is never changed."""
 
     def __init__(self, model, restore, queue, backend=None):
         self.started = time.perf_counter()
         self.model = model
         self.store = model.store.fork()
-        self.eng = model.engine.fork(self.store, PropQueue(queue))
+        self.eng = Engine(self.store, model.props, model.subs, queue)
         make = backend or functools.partial(make_backend, restore)
         self.backend = make(self.store, self.eng.unsubsume_above, self._replay)
         self.store.backend = self.backend
@@ -97,7 +98,7 @@ class _Search:
         self.store.depth += 1
         self.stats.nodes += 1
         if not _apply_actions(self.eng, actions):
-            self.eng.queue.clear()
+            self.eng.clear()
             return False
         return self.eng.fixpoint()
 

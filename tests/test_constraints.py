@@ -17,11 +17,15 @@ from fdlab.constraints import (
 )
 from fdlab.domain import Op
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, Model
+from fdlab.propagate import Engine
 
 
 def _fix(model):
-    model.engine.schedule_all()
-    return model.engine.fixpoint()
+    """Run the model's propagators to their fixpoint on the model's own
+    store; returns whether the fixpoint was reached."""
+    eng = Engine(model.store, model.props, model.subs)
+    eng.schedule_all()
+    return eng.fixpoint()
 
 
 def test_linear_eq_prunes_both_sides():
@@ -204,7 +208,7 @@ def test_bool_and_rejects_mixed_kinds_and_wide_integers():
         post_bool_and(model, i, i, model.new_int_var(0, 2))
     with pytest.raises(PostError):
         post_bool_and(model, model.new_int_var(-1, 0), i, i)
-    assert model.count_native == 0 and not model.engine.props
+    assert model.count_native == 0 and not model.props
     post_bool_and(model, i, model.new_int_var(1, 1), model.new_int_var(0, 0))
     assert _fix(model) and model.store.value(i) == 0
 
@@ -218,7 +222,7 @@ def test_bool_sum_rejects_mixed_kinds():
         post_bool_sum(model, [x, y], EQ, 1)
     with pytest.raises(PostError):
         post_bool_sum(model, [y, x], LEQ, 1)
-    assert model.count_native == 0 and not model.engine.props
+    assert model.count_native == 0 and not model.props
 
 
 def test_bool_sum_routes_by_variable_kind_not_model_mode():
@@ -322,7 +326,7 @@ def test_sum_mode_posts_decomposed_pair():
     y = model.new_int_var(0, 5)
     n = post_linear(model, [(1, x), (1, y)], EQ, 5)
     assert n == 2
-    assert len(model.engine.props) == 2
+    assert len(model.props) == 2
     assert _fix(model)
     assert model.store.max(x) == 5 and model.store.min(x) == 0
 
@@ -380,7 +384,9 @@ def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
         terms.append((coeff, var))
         domains.append(list(range(lo, lo + width + 1)))
     post_linear(model, terms, rel, c)
-    ok = _fix(model)
+    eng = Engine(model.store, model.props, model.subs)
+    eng.schedule_all()
+    ok = eng.fixpoint()
 
     def sat(combo):
         total = sum(a * v for (a, _), v in zip(terms, combo))
@@ -431,5 +437,5 @@ def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
         return
     for (_, var), ref in zip(terms, sets):
         assert model.store.domain_values(var) == sorted(ref)
-    if 0 in model.engine.subsumed:
+    if 0 in eng.subsumed:
         assert all(sat(combo) for combo in itertools.product(*map(sorted, sets)))

@@ -68,7 +68,7 @@ def test_extended_model_adds_unconstrained_bools_only():
     extended = build(parse_instance("queens:8+ext"))
     assert extended.store.num_int_vars == normal.store.num_int_vars
     assert extended.store.num_bool_vars > normal.store.num_bool_vars
-    assert len(extended.engine.props) == len(normal.engine.props)
+    assert len(extended.props) == len(normal.props)
     assert extended.decision_vars == normal.decision_vars
 
 

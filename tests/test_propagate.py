@@ -1,49 +1,77 @@
 import pytest
 
-from fdlab.constraints import LEQ, GEQ, LeProp, post_le, post_linear
+from fdlab.constraints import LEQ, GEQ, LeProp, UpperBoundProp, post_le, post_linear
 from fdlab.domain import VariableStore
 from fdlab.model import Model
 from fdlab.problems import build, parse_instance
 from fdlab.propagate import (
+    AT_FIXPOINT,
     NUM_PRIORITIES,
     PRIORITY_CHEAP,
     PRIORITY_GLOBAL,
     PRIORITY_LINEAR,
     Engine,
-    PropQueue,
 )
+from fdlab.search import minimize
+
+
+def _engine(model, policy="fifo"):
+    return Engine(model.store, model.props, model.subs, policy)
 
 
 def test_queue_rejects_unknown_policy():
     with pytest.raises(ValueError):
-        PropQueue("lifo")
+        Engine(VariableStore(), [], {}, "lifo")
+    with pytest.raises(ValueError):
+        minimize(build(parse_instance("golomb:4")), queue="lifo")
+
+
+class _Recorder:
+    """Subscribes to nothing and logs its pid each time it runs."""
+
+    def __init__(self, log, pid, priority):
+        self.log = log
+        self.pid = pid
+        self.priority = priority
+
+    def subscriptions(self):
+        return ()
+
+    def propagate(self, eng):
+        self.log.append(self.pid)
+        return AT_FIXPOINT
+
+
+def _recorders(log, priorities):
+    model = Model()
+    for pid, priority in enumerate(priorities, 1):
+        model.add(_Recorder(log, pid, priority))
+    return model
 
 
 def test_queue_deduplicates():
-    q = PropQueue()
-    q.push(7, 2)
-    q.push(7, 2)
-    assert len(q) == 1
-    assert q.pop() == 7
-    assert q.pop() is None
+    log = []
+    eng = _engine(_recorders(log, [PRIORITY_LINEAR]))
+    eng.push(0)
+    eng.push(0)
+    assert 0 in eng
+    assert eng.fixpoint()
+    assert log == [1]
+    assert 0 not in eng
 
 
 def test_queue_policies_order():
-    entries = [
-        (1, PRIORITY_GLOBAL),
-        (2, PRIORITY_CHEAP),
-        (3, PRIORITY_LINEAR),
-        (4, PRIORITY_CHEAP),
-    ]
+    priorities = [PRIORITY_GLOBAL, PRIORITY_CHEAP, PRIORITY_LINEAR, PRIORITY_CHEAP]
 
     def drain(policy):
-        q = PropQueue(policy)
-        for pid, prio in entries:
-            q.push(pid, prio)
-        out = []
-        while (pid := q.pop()) is not None:
-            out.append(pid)
-        return out
+        # The last one joins through Engine.add, as branch and bound's bound
+        # does, so its bucket is resolved there.
+        log = []
+        eng = _engine(_recorders(log, priorities[:-1]), policy)
+        eng.add(_Recorder(log, len(priorities), priorities[-1]))
+        eng.schedule_all()
+        assert eng.fixpoint()
+        return log
 
     assert drain("fifo") == [1, 2, 3, 4]
     assert drain("priority") == [2, 4, 3, 1]  # low value first, FIFO ties
@@ -51,6 +79,30 @@ def test_queue_policies_order():
     assert (PRIORITY_CHEAP, PRIORITY_LINEAR, PRIORITY_GLOBAL) == tuple(
         range(NUM_PRIORITIES)
     )
+
+
+def test_engine_add_rejects_a_subscribing_propagator():
+    model = Model()
+    x = model.new_int_var(0, 5)
+    eng = _engine(model)
+    with pytest.raises(ValueError):
+        eng.add(LeProp(x, model.new_int_var(0, 5)))
+    assert not eng.props and not model.subs
+    assert eng.add(UpperBoundProp(x, 3)) == 0
+    eng.schedule_pid(0)
+    assert eng.fixpoint() and model.store.max(x) == 3
+    assert not model.props
+
+
+@pytest.mark.parametrize("policy", Engine.POLICIES)
+def test_post_bnb_matches_tighten_under_every_policy(policy):
+    """bnb="post" adds a bounding propagator during the solve; it must land
+    in its policy's bucket and leave the tree that of bnb="tighten"."""
+    results = []
+    for bnb in ("tighten", "post"):
+        best, stats = minimize(build(parse_instance("golomb:6")), bnb=bnb, queue=policy)
+        results.append((best.objective, stats.nodes, stats.backtracks, stats.solutions))
+    assert results == [(17, 356, 176, 3)] * 2
 
 
 def _model_x_between():
@@ -61,12 +113,12 @@ def _model_x_between():
     return model, x
 
 
-@pytest.mark.parametrize("policy", PropQueue.POLICIES)
+@pytest.mark.parametrize("policy", Engine.POLICIES)
 def test_bounds_fixpoint_all_policies(policy, request):
     model, x = _model_x_between()
-    model.engine.queue = PropQueue(policy)
-    model.engine.schedule_all()
-    assert model.engine.fixpoint()
+    eng = _engine(model, policy)
+    eng.schedule_all()
+    assert eng.fixpoint()
     assert model.store.domain_values(x) == [3, 4, 5]
 
 
@@ -76,17 +128,17 @@ def test_unsat_strict_cycle():
     y = model.new_int_var(0, 5)
     post_le(model, x, y, strict=True)
     post_le(model, y, x, strict=True)
-    model.engine.schedule_all()
-    assert not model.engine.fixpoint()
-    assert len(model.engine.queue) == 0  # drained on failure
+    eng = _engine(model)
+    eng.schedule_all()
+    assert not eng.fixpoint()
+    assert not any(eng.pending)  # drained on failure
 
 
 def test_wakeup_respects_event_class():
     from fdlab.domain import EventClass, Op
 
-    store = VariableStore()
-    eng = Engine(store)
-    x = store.new_int_var(0, 9)
+    model = Model()
+    x = model.new_int_var(0, 9)
 
     class Recorder:
         priority = 2
@@ -100,25 +152,26 @@ def test_wakeup_respects_event_class():
         def propagate(self, eng):
             return 0
 
-    bounds_pid = eng.add(Recorder(EventClass.BOUNDS_CHANGED))
-    inst_pid = eng.add(Recorder(EventClass.INSTANTIATED))
+    bounds_pid = model.add(Recorder(EventClass.BOUNDS_CHANGED))
+    inst_pid = model.add(Recorder(EventClass.INSTANTIATED))
+    eng = _engine(model)
     # interior removal: too weak for either subscription
     eng.narrow(x, Op.REMOVE, 5)
-    assert bounds_pid not in eng.queue and inst_pid not in eng.queue
+    assert bounds_pid not in eng and inst_pid not in eng
     # bound move wakes the bounds subscriber only
     eng.narrow(x, Op.MAX, 7)
-    assert bounds_pid in eng.queue and inst_pid not in eng.queue
+    assert bounds_pid in eng and inst_pid not in eng
     # instantiation wakes everyone
     eng.narrow(x, Op.ASSIGN, 2)
-    assert inst_pid in eng.queue
+    assert inst_pid in eng
 
 
 def test_running_propagator_not_rescheduled_by_own_narrow():
     from fdlab.domain import EventClass, Op
 
-    store = VariableStore()
-    eng = Engine(store)
-    x = store.new_int_var(0, 9)
+    model = Model()
+    store = model.store
+    x = model.new_int_var(0, 9)
 
     class SelfNarrower:
         priority = 2
@@ -130,46 +183,49 @@ def test_running_propagator_not_rescheduled_by_own_narrow():
             eng.narrow(x, Op.REMOVE, store.max(x))
             return 0
 
-    pid = eng.add(SelfNarrower())
+    pid = model.add(SelfNarrower())
+    eng = _engine(model)
     eng.schedule_pid(pid)
     assert eng.fixpoint()
     # exactly one run: its own removal must not have requeued it
     assert store.max(x) == 8
 
 
-def _entail_at(store, eng, depth):
-    """Post x <= y over x in 0..2, y in 5..9, which is entailed at once, and
-    run it to its subsumption at search depth ``depth``."""
-    store.depth = depth
-    pid = eng.add(LeProp(store.new_int_var(0, 2), store.new_int_var(5, 9)))
-    eng.schedule_pid(pid)
-    assert eng.fixpoint()
-    return pid
+def _entailed_at(depths):
+    """Post one x <= y over x in 0..2, y in 5..9, which is entailed at once,
+    per depth, and run each to its subsumption at that search depth."""
+    model = Model()
+    pids = [
+        model.add(LeProp(model.new_int_var(0, 2), model.new_int_var(5, 9)))
+        for _ in depths
+    ]
+    eng = _engine(model)
+    for pid, depth in zip(pids, depths):
+        model.store.depth = depth
+        eng.schedule_pid(pid)
+        assert eng.fixpoint()
+    return eng, pids
 
 
 def test_subsumed_propagator_skipped_until_unsubsumed():
-    store = VariableStore()
-    eng = Engine(store)
-    pid = _entail_at(store, eng, 5)
+    eng, (pid,) = _entailed_at([5])
     assert eng.subsumed == {pid: 5}
     eng.schedule_pid(pid)
-    assert len(eng.queue) == 0
+    assert not any(eng.pending)
     eng.unsubsume_above(4)
     assert pid not in eng.subsumed
     eng.schedule_pid(pid)
-    assert pid in eng.queue
+    assert pid in eng
 
 
 def test_unsubsume_above_reenables_only_deeper_entailments():
-    store = VariableStore()
-    eng = Engine(store)
-    pids = [_entail_at(store, eng, depth) for depth in range(4)]
+    eng, pids = _entailed_at(range(4))
 
     def reenabled():
         for pid in pids:
             eng.schedule_pid(pid)
-        out = [pid in eng.queue for pid in pids]
-        eng.queue.clear()
+        out = [pid in eng for pid in pids]
+        eng.clear()
         return out
 
     eng.unsubsume_above(2)
@@ -186,9 +242,9 @@ def test_root_fixpoint_confluence_across_policies():
 
     def root_domains(policy):
         model = build(parse_instance("magic:4"))
-        model.engine.queue = PropQueue(policy)
-        model.engine.schedule_all()
-        assert model.engine.fixpoint()
+        eng = _engine(model, policy)
+        eng.schedule_all()
+        assert eng.fixpoint()
         store = model.store
         return [store.domain_values(v) for v in model.decision_vars]
 

@@ -168,14 +168,14 @@ def test_minimize_under_all_backends(restore):
 
 def _assert_model_untouched(model, blob, n_props):
     assert model.store.snapshot_blob() == blob
-    assert len(model.engine.props) == n_props
+    assert len(model.props) == n_props
     assert model.store.backend is None
-    assert not model.engine.subsumed
+    assert not hasattr(model, "engine")
 
 
 def test_solving_a_model_twice_finds_the_same_solutions():
     model = build(parse_instance("queens:6"))
-    blob, n_props = model.store.snapshot_blob(), len(model.engine.props)
+    blob, n_props = model.store.snapshot_blob(), len(model.props)
     for restore in (
         RestoreMode.trail(),
         RestoreMode.trail(),
@@ -191,7 +191,7 @@ def test_solving_a_boolean_model_twice_finds_the_same_solution():
     snapshot, rather than share the model's byte array."""
     model = build(parse_instance("golfers:2,3,3+ext"))
     assert model.store.num_bool_vars > 0
-    blob, n_props = model.store.snapshot_blob(), len(model.engine.props)
+    blob, n_props = model.store.snapshot_blob(), len(model.props)
     found = []
     for restore in (
         RestoreMode.trail(),
@@ -209,7 +209,7 @@ def test_solving_a_boolean_model_twice_finds_the_same_solution():
 @pytest.mark.parametrize("bnb", ["post", "tighten"])
 def test_minimizing_a_model_twice_finds_the_same_optimum(bnb):
     model = build(parse_instance("golomb:5"))
-    blob, n_props = model.store.snapshot_blob(), len(model.engine.props)
+    blob, n_props = model.store.snapshot_blob(), len(model.props)
     for _ in range(2):
         best, _ = minimize(model, bnb=bnb)
         assert best is not None and best.objective == 11
