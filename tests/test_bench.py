@@ -184,16 +184,26 @@ def test_emit_rejects_empty_and_unknown():
         emit(_sample_records(), "xml")
 
 
-def test_emit_writes_every_column_of_every_record(tmp_path):
+def _expected_rows(records):
+    return [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
+
+
+def test_json_round_trip(tmp_path):
     records = _sample_records()
-    expected = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
     path = tmp_path / "records.json"
     emit(records, "json", path=str(path))
-    assert json.loads(path.read_text()) == expected
-    rows = list(csv.DictReader(io.StringIO(emit(records, "csv"))))
+    assert json.loads(path.read_text()) == _expected_rows(records)
+
+
+def test_csv_round_trip(tmp_path):
+    records = _sample_records()
+    path = tmp_path / "records.csv"
+    emit(records, "csv", path=str(path))
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert rows == [
         {col: "" if v is None else str(v) for col, v in row.items()}
-        for row in expected
+        for row in _expected_rows(records)
     ]
 
 
