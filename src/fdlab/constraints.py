@@ -1,4 +1,5 @@
-"""Constraint catalog: linear sums, alldifferent, disequalities, Boolean
+"""Constraint catalog: linear sums (with a kernel for the three-variable
+difference x = y + z + k), alldifferent, disequalities, Boolean
 conjunction, specialised Boolean sums, ordering and lex constraints.
 
 Posting functions maintain two constraint counts on the model: the native
@@ -118,6 +119,95 @@ class LinearProp(Propagator):
             return SUBSUMED if ub <= c else AT_FIXPOINT
         lb = sum(a * lo[v] for a, v in pos) - sum(a * hi[v] for a, v in neg)
         return SUBSUMED if lb >= c else AT_FIXPOINT
+
+
+class DiffProp(Propagator):
+    """Bounds-consistent x = y + z + k over three distinct integer
+    variables: the difference constraints of queens and golomb.
+
+    A run keeps the six bounds in locals, read once from ``_lo``/``_hi``,
+    and applies the six bound rules, narrowing a variable only when its
+    bound would move.  A bound that would cross the opposite one fails
+    without a ``narrow`` call; every other ``narrow`` succeeds, because the
+    opposite bound stays in the domain.  After narrowing, only the moved
+    bound is read back (holes can move it further).  The x rules read y and
+    z, so a pass repeats only when y or z moved.  It subsumes exactly when
+    all three variables are fixed, as ``LinearProp`` does for ``EQ``.
+    """
+
+    __slots__ = ("x", "y", "z", "k")
+    priority = PRIORITY_LINEAR
+
+    def __init__(self, x, y, z, k):
+        self.x = x
+        self.y = y
+        self.z = z
+        self.k = k
+
+    def subscriptions(self):
+        yield self.x, BOUNDS_CHANGED
+        yield self.y, BOUNDS_CHANGED
+        yield self.z, BOUNDS_CHANGED
+
+    def propagate(self, eng):
+        s = eng.store
+        lo = s._lo
+        hi = s._hi
+        x, y, z, k = self.x, self.y, self.z, self.k
+        narrow = eng.narrow
+        xl, xh = lo[x], hi[x]
+        yl, yh = lo[y], hi[y]
+        zl, zh = lo[z], hi[z]
+        while True:
+            again = False
+            # x = y + z + k
+            b = yl + zl + k
+            if b > xl:
+                if b > xh:
+                    return PROP_FAILED
+                narrow(x, MIN, b)
+                xl = lo[x]
+            b = yh + zh + k
+            if b < xh:
+                if b < xl:
+                    return PROP_FAILED
+                narrow(x, MAX, b)
+                xh = hi[x]
+            # y = x - z - k
+            b = xl - zh - k
+            if b > yl:
+                if b > yh:
+                    return PROP_FAILED
+                narrow(y, MIN, b)
+                yl = lo[y]
+                again = True
+            b = xh - zl - k
+            if b < yh:
+                if b < yl:
+                    return PROP_FAILED
+                narrow(y, MAX, b)
+                yh = hi[y]
+                again = True
+            # z = x - y - k
+            b = xl - yh - k
+            if b > zl:
+                if b > zh:
+                    return PROP_FAILED
+                narrow(z, MIN, b)
+                zl = lo[z]
+                again = True
+            b = xh - yl - k
+            if b < zh:
+                if b < zl:
+                    return PROP_FAILED
+                narrow(z, MAX, b)
+                zh = hi[z]
+                again = True
+            if not again:
+                break
+        if xl == xh and yl == yh and zl == zh:
+            return SUBSUMED
+        return AT_FIXPOINT
 
 
 class BoolSumProp(Propagator):
@@ -257,7 +347,14 @@ class FixValueProp(Propagator):
 
 
 class LeProp(Propagator):
-    """x <= y (or x < y) by bounds."""
+    """x <= y (or x < y) by bounds, over integer variables.
+
+    A run reads the bounds straight from ``_lo``/``_hi`` and narrows a
+    side only when its bound would move; a bound that would cross the
+    opposite one fails without a ``narrow`` call.  One pass reaches the
+    fixpoint: lowering max(x) leaves min(x) alone, and raising min(y)
+    leaves max(y) alone.
+    """
 
     __slots__ = ("x", "y", "gap")
     priority = PRIORITY_CHEAP
@@ -273,11 +370,25 @@ class LeProp(Propagator):
 
     def propagate(self, eng):
         s = eng.store
-        if eng.narrow(self.x, MAX, s.max(self.y) - self.gap) is FAILED:
-            return PROP_FAILED
-        if eng.narrow(self.y, MIN, s.min(self.x) + self.gap) is FAILED:
-            return PROP_FAILED
-        if s.max(self.x) + self.gap <= s.min(self.y):
+        lo = s._lo
+        hi = s._hi
+        x, y, gap = self.x, self.y, self.gap
+        xl, xh = lo[x], hi[x]
+        yl = lo[y]
+        b = hi[y] - gap
+        if b < xh:
+            if b < xl:
+                return PROP_FAILED
+            eng.narrow(x, MAX, b)
+            xh = hi[x]
+        b = xl + gap
+        if b > yl:
+            # hi[y] is read again: with x == y the narrowing above moved it.
+            if b > hi[y]:
+                return PROP_FAILED
+            eng.narrow(y, MIN, b)
+            yl = lo[y]
+        if xh + gap <= yl:
             return SUBSUMED
         return AT_FIXPOINT
 
@@ -480,12 +591,35 @@ def post_linear(model, terms, rel, c, *, pair_counted=False):
     lo0 = sum(a * (s.min(v) if a > 0 else s.max(v)) for a, v in terms)
     hi0 = sum(a * (s.max(v) if a > 0 else s.min(v)) for a, v in terms)
 
+    diff = _as_difference(terms)
+
     def make(r, bound):
+        if r == EQ and diff is not None:
+            x, y, z, sign = diff
+            return DiffProp(x, y, z, sign * bound)
         if bound is None:
             bound = lo0 if r == GEQ else hi0
         return LinearProp(terms, r, bound)
 
     return _post_sum(model, rel, c, make, pair_counted)
+
+
+def _as_difference(terms):
+    """(x, y, z, sign) when the terms are three distinct variables with unit
+    coefficients of mixed sign, so that ``terms = c`` reads
+    x = y + z + sign * c; otherwise None.  x is the variable whose sign is
+    in the minority and sign is its coefficient."""
+    if len(terms) != 3 or len({v for _, v in terms}) != 3:
+        return None
+    if any(a not in (1, -1) for a, _ in terms):
+        return None
+    pos = [v for a, v in terms if a == 1]
+    neg = [v for a, v in terms if a == -1]
+    if len(neg) == 1:
+        return neg[0], pos[0], pos[1], -1
+    if len(pos) == 1:
+        return pos[0], neg[0], neg[1], 1
+    return None
 
 
 def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
@@ -543,6 +677,8 @@ def post_fix(model, var, c):
 
 
 def post_le(model, x, y, strict=False):
+    if not (is_int_var(x) and is_int_var(y)):
+        raise PostError("le takes integer variables only")
     model.count_constraint(1, 1)
     model.add(LeProp(x, y, strict))
 

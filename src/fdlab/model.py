@@ -17,6 +17,11 @@ BOOL_INT = "int"
 SUM_NATIVE = "native"
 SUM_DECOMPOSED = "decomposed"
 
+#: Largest number of values an integer domain may span.  A domain is a
+#: bitset over its span, so a wide span is a large allocation; the catalogued
+#: models stay below 200 values.
+MAX_DOMAIN_SPAN = 1 << 16
+
 
 class ModelError(ValueError):
     """Invalid model construction or posting."""
@@ -43,6 +48,10 @@ class Model:
         self.count_decomposed = 0
 
     def new_int_var(self, lo, hi, decision=False):
+        if hi - lo + 1 > MAX_DOMAIN_SPAN:
+            raise ModelError(
+                f"domain [{lo}..{hi}] spans more than {MAX_DOMAIN_SPAN} values"
+            )
         var = self.store.new_int_var(lo, hi)
         if decision:
             self.decision_vars.append(var)

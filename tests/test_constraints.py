@@ -1,10 +1,13 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fdlab.constraints import (
     EQ,
     GEQ,
     LEQ,
+    DiffProp,
+    LeProp,
+    LinearProp,
     PostError,
     post_alldifferent,
     post_bool_and,
@@ -17,7 +20,7 @@ from fdlab.constraints import (
 )
 from fdlab.domain import Op
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, Model
-from fdlab.propagate import Engine
+from fdlab.propagate import PROP_FAILED, Engine
 
 
 def _fix(model):
@@ -110,6 +113,49 @@ def test_ne_const_and_fix():
     post_ne_const(model, x, 2)
     assert _fix(model)
     assert model.store.domain_values(x) == [0, 1, 3]
+
+
+def test_le_rejects_bools():
+    """A Boolean id is negative and would read the integer arrays from
+    their end, so le refuses it before counting anything."""
+    model = Model()
+    x = model.new_int_var(0, 5)
+    b = model.new_bool_var()
+    with pytest.raises(PostError):
+        post_le(model, x, b)
+    with pytest.raises(PostError):
+        post_le(model, b, x, strict=True)
+    assert model.count_native == 0 and not model.props
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(-4, 4),
+    st.integers(0, 6),
+    st.integers(-4, 4),
+    st.integers(0, 6),
+    st.booleans(),
+)
+def test_le_matches_linear(xlo, xw, ylo, yw, strict):
+    """x <= y (x < y) prunes like the linear x - y <= 0 (x - y <= -1), and
+    is entailed exactly when every point of its final box satisfies it."""
+
+    def run(make):
+        model = Model()
+        x = model.new_int_var(xlo, xlo + xw)
+        y = model.new_int_var(ylo, ylo + yw)
+        model.add(make(x, y))
+        eng = Engine(model.store, model.props, model.subs)
+        eng.schedule_all()
+        ok = eng.fixpoint()
+        doms = [model.store.domain_values(v) for v in (x, y)] if ok else None
+        return ok, doms, 0 in eng.subsumed
+
+    gap = 1 if strict else 0
+    ok, doms, entailed = run(lambda x, y: LeProp(x, y, strict))
+    assert (ok, doms) == run(lambda x, y: LinearProp([(1, x), (-1, y)], LEQ, -gap))[:2]
+    if ok:
+        assert entailed == (doms[0][-1] + gap <= doms[1][0])
 
 
 def test_le_strict_chain():
@@ -439,3 +485,113 @@ def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
         assert model.store.domain_values(var) == sorted(ref)
     if 0 in eng.subsumed:
         assert all(sat(combo) for combo in itertools.product(*map(sorted, sets)))
+
+
+def _props_of(model, cls):
+    return [p for p in model.props if isinstance(p, cls)]
+
+
+@pytest.mark.parametrize(
+    "coeffs, c, x_index, k",
+    [
+        ((1, -1, 1), 0, 1, 0),  # queens: d - q_i + q_j = 0, q_i = d + q_j
+        ((1, 1, -1), 0, 2, 0),  # golomb: d + t_i - t_j = 0, t_j = d + t_i
+        ((1, 1, -1), 3, 2, -3),  # a + b - n = 3, n = a + b - 3
+        ((-1, -1, 1), 3, 2, 3),  # -a - b + p = 3, p = a + b + 3
+        ((-1, 1, -1), -2, 1, -2),  # -a + p - b = -2, p = a + b - 2
+    ],
+)
+def test_difference_routes_to_diff_prop(coeffs, c, x_index, k):
+    """Three distinct unit terms of mixed sign under EQ get the difference
+    kernel, oriented so that the odd-signed variable is x; the fixpoint is
+    the one the linear propagator reaches on the same terms."""
+
+    def run(post):
+        model = Model()
+        vs = [model.new_int_var(-3, 9), model.new_int_var(0, 4), model.new_int_var(2, 7)]
+        terms = [(a, v) for a, v in zip(coeffs, vs)]
+        post(model, terms)
+        model.store.narrow(vs[0], Op.REMOVE, 0)
+        ok = _fix(model)
+        return vs, model, ok, [model.store.domain_values(v) for v in vs] if ok else None
+
+    vs, model, ok, doms = run(lambda m, t: post_linear(m, t, EQ, c))
+    (prop,) = model.props
+    assert isinstance(prop, DiffProp)
+    assert prop.x == vs[x_index] and prop.k == k
+    assert {prop.y, prop.z} == set(vs) - {vs[x_index]}
+    assert (ok, doms) == run(lambda m, t: m.add(LinearProp(t, EQ, c)))[2:]
+
+
+@pytest.mark.parametrize(
+    "coeffs, rel, sum_mode",
+    [
+        ((1, -1, 1), LEQ, "native"),  # not EQ
+        ((1, -1, 1), GEQ, "native"),
+        ((1, -1, 1), EQ, SUM_DECOMPOSED),  # the LEQ/GEQ pair
+        ((1, 1, 1), EQ, "native"),  # all positive, like magic:3's rows
+        ((-1, -1, -1), EQ, "native"),
+        ((2, -1, 1), EQ, "native"),  # non-unit coefficient
+        ((1, -1), EQ, "native"),  # two terms
+        ((1, -1, 1, 1), EQ, "native"),  # four terms
+    ],
+)
+def test_other_linear_shapes_stay_on_linear_prop(coeffs, rel, sum_mode):
+    model = Model(sum_mode=sum_mode)
+    vs = [model.new_int_var(0, 5) for _ in coeffs]
+    post_linear(model, list(zip(coeffs, vs)), rel, 1)
+    assert model.props and all(type(p) is LinearProp for p in model.props)
+
+
+def test_repeated_variable_stays_on_linear_prop():
+    model = Model()
+    x = model.new_int_var(0, 5)
+    y = model.new_int_var(0, 5)
+    post_linear(model, [(1, x), (-1, y), (1, x)], EQ, 2)  # 2x - y = 2
+    (prop,) = model.props
+    assert type(prop) is LinearProp
+    model.store.narrow(x, Op.ASSIGN, 3)
+    assert _fix(model)
+    assert model.store.value(y) == 4
+
+
+_domain_with_holes = st.tuples(
+    st.integers(-5, 5), st.integers(0, 7), st.lists(st.integers(1, 6), max_size=3)
+)
+
+
+@settings(max_examples=300)
+@given(_domain_with_holes, _domain_with_holes, _domain_with_holes, st.integers(-6, 6))
+def test_diff_prop_matches_linear(xd, yd, zd, k):
+    """x = y + z + k: the difference kernel reaches the linear propagator's
+    fixpoint (or its failure) on domains with interior holes, in one run,
+    and is entailed exactly when all three variables are fixed."""
+
+    def run(make):
+        model = Model()
+        vs = []
+        for lo, width, holes in (xd, yd, zd):
+            v = model.new_int_var(lo, lo + width)
+            for off in holes:
+                if off < width:
+                    model.store.narrow(v, Op.REMOVE, lo + off)
+            vs.append(v)
+        prop = make(*vs)
+        model.add(prop)
+        eng = Engine(model.store, model.props, model.subs)
+        eng.schedule_all()
+        ok = eng.fixpoint()
+        if not ok:
+            return False, None, None
+        doms = [model.store.domain_values(v) for v in vs]
+        # The engine never re-queues the running propagator, so its one
+        # run must have left nothing for a second run to do.
+        assert prop.propagate(eng) != PROP_FAILED
+        assert [model.store.domain_values(v) for v in vs] == doms
+        return True, doms, 0 in eng.subsumed
+
+    ok, doms, entailed = run(lambda x, y, z: DiffProp(x, y, z, k))
+    expected = run(lambda x, y, z: LinearProp([(1, x), (-1, y), (-1, z)], EQ, k))
+    assert (ok, doms) == expected[:2]
+    if ok:
+        assert entailed == all(len(d) == 1 for d in doms) == expected[2]

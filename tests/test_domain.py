@@ -9,6 +9,7 @@ from fdlab.domain import (
     VariableStore,
     is_int_var,
 )
+from fdlab.model import MAX_DOMAIN_SPAN, Model, ModelError
 
 
 def test_int_var_creation():
@@ -35,6 +36,21 @@ def test_empty_initial_domain_rejected():
     store = VariableStore()
     with pytest.raises(DomainError):
         store.new_int_var(5, 4)
+
+
+def test_model_caps_domain_span():
+    """A span past the cap fails as a model error before the store
+    allocates a mask for it."""
+    model = Model()
+    model.new_int_var(0, MAX_DOMAIN_SPAN - 1)
+    model.new_int_var(-5, MAX_DOMAIN_SPAN - 6)
+    with pytest.raises(ModelError):
+        model.new_int_var(0, MAX_DOMAIN_SPAN)
+    with pytest.raises(ModelError):
+        model.new_int_var(0, 10**8, decision=True)
+    assert model.store.num_int_vars == 2
+    assert model.store.region_bytes == 2 * 8 * (MAX_DOMAIN_SPAN // 64)
+    assert model.decision_vars == []
 
 
 def test_bool_var_creation():
