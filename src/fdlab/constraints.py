@@ -12,6 +12,8 @@ the fixpoint is identical in all modes.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .domain import ASSIGN, BOUNDS_CHANGED, FAILED, INSTANTIATED, MAX, MIN, REMOVE
 from .domain import UNKNOWN, is_int_var
 from .model import SUM_DECOMPOSED, ModelError
@@ -23,6 +25,10 @@ LEQ = "leq"
 GEQ = "geq"
 
 INT64_MAX = 2**63 - 1
+
+#: (min, max) of a Boolean by its cell's state; ``UNKNOWN`` (-1) indexes
+#: the last entry.
+_BOOL_BOUNDS = ((0, 0), (1, 1), (0, 1))
 
 
 class PostError(ModelError):
@@ -211,58 +217,50 @@ class DiffProp(Propagator):
 
 
 class BoolSumProp(Propagator):
-    """Counter-based sum over Boolean variables, read straight off their
-    three-state cells (``_bstate[~var]``)."""
+    """Counter-based sum over Boolean variables.  A run gathers the
+    variables' three-state cells (``UNKNOWN``, 0 or 1) from ``_bstate`` in
+    one C-level call and counts the true and the unknown ones with
+    ``count``.  When the count forces every unknown cell to one value, it
+    fixes them and the sum is entailed."""
 
-    __slots__ = ("vars", "rel", "c")
+    __slots__ = ("vars", "rel", "c", "_read_cells")
     priority = PRIORITY_LINEAR
 
     def __init__(self, vars, rel, c):
         self.vars = list(vars)
         self.rel = rel
         self.c = c
+        cells = [~v for v in self.vars]
+        # itemgetter of one index returns that item, not a sequence; a
+        # one-cell slice of the array has ``count`` too.
+        if len(cells) == 1:
+            cells = [slice(cells[0], cells[0] + 1)]
+        self._read_cells = itemgetter(*cells)
 
     def subscriptions(self):
         for var in self.vars:
             yield var, INSTANTIATED
 
     def propagate(self, eng):
-        vars = self.vars
-        bstate = eng.store._bstate
+        states = self._read_cells(eng.store._bstate)
+        n_true = states.count(1)
+        n_unknown = states.count(UNKNOWN)
+        ub = n_true + n_unknown
         c = self.c
         rel = self.rel
-        narrow = eng.narrow
-        while True:
-            n_true = 0
-            n_unknown = 0
-            for v in vars:
-                st = bstate[~v]
+        if rel != GEQ and n_true > c or rel != LEQ and ub < c:
+            return PROP_FAILED
+        zeros = rel != GEQ and n_true == c
+        if n_unknown and (zeros or rel != LEQ and ub == c):
+            # The count forces every unknown cell; fixing one cannot fail.
+            value = 0 if zeros else 1
+            narrow = eng.narrow
+            for v, st in zip(self.vars, states):
                 if st == UNKNOWN:
-                    n_unknown += 1
-                else:
-                    n_true += st
-            ub = n_true + n_unknown
-            if rel != LEQ and ub < c:
-                return PROP_FAILED
-            if rel != GEQ and n_true > c:
-                return PROP_FAILED
-            if n_unknown == 0:
-                break
-            if rel != GEQ and n_true == c:
-                for v in vars:
-                    if bstate[~v] == UNKNOWN:
-                        if narrow(v, ASSIGN, 0) is FAILED:
-                            return PROP_FAILED
-                continue
-            if rel != LEQ and ub == c:
-                for v in vars:
-                    if bstate[~v] == UNKNOWN:
-                        if narrow(v, ASSIGN, 1) is FAILED:
-                            return PROP_FAILED
-                continue
-            break
+                    narrow(v, ASSIGN, value)
+            return SUBSUMED
         if rel == LEQ:
-            return SUBSUMED if n_true + n_unknown <= c else AT_FIXPOINT
+            return SUBSUMED if ub <= c else AT_FIXPOINT
         if rel == GEQ:
             return SUBSUMED if n_true >= c else AT_FIXPOINT
         return SUBSUMED if n_unknown == 0 else AT_FIXPOINT
@@ -464,16 +462,29 @@ class BoolAndProp(Propagator):
 
 class LexLeqProp(Propagator):
     """xs <=lex ys (or <lex), filtered with the two-pointer scheme: advance
-    over the ground-equal prefix, then enforce the order at the first open
-    position, strictly when the tail cannot satisfy the remainder."""
+    over the ground-equal prefix to the first open position a, then enforce
+    xs[a] <= ys[a], strictly when the tail after a cannot satisfy the
+    remainder.  The tail's first position j with min(xs[j]) != max(ys[j])
+    decides that (satisfiable when min(xs[j]) < max(ys[j])); a tail that
+    can only be equal is satisfiable unless the order is strict.
 
-    __slots__ = ("xs", "ys", "strict")
+    Both vectors hold one kind of variable, fixed at posting, and a run
+    reads each position it visits once: a Boolean's cell in ``_bstate``, an
+    integer's ``_lo``/``_hi``.  It narrows a side only when its bound would
+    move, and a bound that would cross the opposite one fails without a
+    ``narrow`` call.
+    """
+
+    __slots__ = ("xs", "ys", "strict", "_cells")
     priority = PRIORITY_GLOBAL
 
     def __init__(self, xs, ys, strict=False):
         self.xs = list(xs)
         self.ys = list(ys)
         self.strict = strict
+        self._cells = None
+        if not is_int_var(self.xs[0]):  # a Boolean vector is read by cell
+            self._cells = ([~v for v in self.xs], [~v for v in self.ys])
 
     def subscriptions(self):
         for var in self.xs:
@@ -481,44 +492,73 @@ class LexLeqProp(Propagator):
         for var in self.ys:
             yield var, BOUNDS_CHANGED
 
-    def _tail_satisfiable(self, s, alpha):
-        xs, ys = self.xs, self.ys
-        for j in range(alpha + 1, len(xs)):
-            if s.min(xs[j]) < s.max(ys[j]):
-                return True
-            if s.min(xs[j]) > s.max(ys[j]) or s.min(ys[j]) > s.max(xs[j]):
-                return False
-        return not self.strict
-
     def propagate(self, eng):
         s = eng.store
         xs, ys = self.xs, self.ys
         n = len(xs)
+        cells = self._cells
+        if cells is None:
+            lo = s._lo
+            hi = s._hi
+        else:
+            bstate = s._bstate
+            cx, cy = cells
         a = 0
         while True:
-            while (
-                a < n
-                and s.size(xs[a]) == 1
-                and s.size(ys[a]) == 1
-                and s.min(xs[a]) == s.min(ys[a])
-            ):
-                a += 1
+            if cells is None:
+                while a < n:
+                    x, y = xs[a], ys[a]
+                    xl, xh, yl, yh = lo[x], hi[x], lo[y], hi[y]
+                    if not xl == xh == yl == yh:
+                        break
+                    a += 1
+            else:
+                while a < n:
+                    bx, by = bstate[cx[a]], bstate[cy[a]]
+                    if bx != by or bx == UNKNOWN:
+                        break
+                    a += 1
             if a == n:
                 return PROP_FAILED if self.strict else SUBSUMED
-            gap = 0 if self._tail_satisfiable(s, a) else 1
-            if eng.narrow(xs[a], MAX, s.max(ys[a]) - gap) is FAILED:
-                return PROP_FAILED
-            if eng.narrow(ys[a], MIN, s.min(xs[a]) + gap) is FAILED:
-                return PROP_FAILED
-            if not (
-                s.size(xs[a]) == 1
-                and s.size(ys[a]) == 1
-                and s.min(xs[a]) == s.min(ys[a])
-            ):
+            gap = 1 if self.strict else 0
+            if cells is None:
+                for j in range(a + 1, n):
+                    xl_j = lo[xs[j]]
+                    yh_j = hi[ys[j]]
+                    if xl_j != yh_j:
+                        gap = 0 if xl_j < yh_j else 1
+                        break
+            else:
+                x, y = xs[a], ys[a]
+                xl, xh = _BOOL_BOUNDS[bx]
+                yl, yh = _BOOL_BOUNDS[by]
+                for j in range(a + 1, n):
+                    # A cell's min is 1 only when true, its max 0 only when false.
+                    xl_j = bstate[cx[j]] == 1
+                    yh_j = bstate[cy[j]] != 0
+                    if xl_j != yh_j:
+                        gap = 0 if xl_j < yh_j else 1
+                        break
+            b = yh - gap
+            if b < xh:
+                if b < xl:
+                    return PROP_FAILED
+                eng.narrow(x, MAX, b)
+                xh = b if cells is not None else hi[x]
+                if y == x:
+                    yh = xh
+            b = xl + gap
+            if b > yl:
+                if b > yh:
+                    return PROP_FAILED
+                eng.narrow(y, MIN, b)
+                yl = b if cells is not None else lo[y]
+                if x == y:
+                    xl = yl
+            if not xl == xh == yl == yh:
                 break
-        if s.max(xs[a]) < s.min(ys[a]):
-            return SUBSUMED
-        return AT_FIXPOINT
+            a += 1
+        return SUBSUMED if xh < yl else AT_FIXPOINT
 
 
 class UpperBoundProp(Propagator):
@@ -697,8 +737,13 @@ def post_bool_and(model, z, x, y):
 
 
 def post_lex_leq(model, xs, ys, strict=False):
+    """xs <=lex ys (or <lex) over two vectors of one kind of variable, the
+    kind the propagator reads by."""
     xs, ys = list(xs), list(ys)
     if not xs or len(xs) != len(ys):
         raise PostError("lex needs two equal-length non-empty vectors")
+    both = xs + ys
+    if is_int_var(min(both)) != is_int_var(max(both)):
+        raise PostError("lex mixes Boolean and integer variables")
     model.count_constraint(1, 1)
     model.add(LexLeqProp(xs, ys, strict))

@@ -10,6 +10,7 @@ greater-equal pair), independently of which convention is actually posted.
 
 from __future__ import annotations
 
+from .domain import BOUNDS_CHANGED, DOMAIN_CHANGED, INSTANTIATED, EventClass
 from .domain import VariableStore
 
 BOOL_NATIVE = "native"
@@ -30,7 +31,12 @@ class ModelError(ValueError):
 class Model:
     """The problem: variables in ``store``, propagators in ``props`` and
     their subscriptions in ``subs``, branch order and objective.  Each solve
-    builds its own ``Engine`` over these and leaves them unchanged."""
+    builds its own ``Engine`` over these and leaves them unchanged.
+
+    ``subs`` holds one wake table per event class, ``{event class:
+    {variable: [pid, ...]}}``: the table of a class lists, per variable,
+    the propagators that an event of that class wakes.  It stays empty
+    until a propagator subscribes."""
 
     def __init__(self, bool_mode=BOOL_NATIVE, sum_mode=SUM_NATIVE):
         if bool_mode not in (BOOL_NATIVE, BOOL_INT):
@@ -41,7 +47,7 @@ class Model:
         self.sum_mode = sum_mode
         self.store = VariableStore()
         self.props = []
-        self.subs = {}  # variable -> list of (pid, min event class)
+        self.subs = {}  # event class -> {variable -> pids it wakes}
         self.decision_vars = []
         self.objective = None
         self.count_native = 0
@@ -70,11 +76,21 @@ class Model:
         return self.new_int_var(0, 1, decision)
 
     def add(self, prop):
-        """Post a propagator and register its subscriptions; returns its pid."""
+        """Post a propagator and file each (variable, event class)
+        subscription under that class and every stronger one; returns its
+        pid."""
         pid = len(self.props)
         self.props.append(prop)
+        subs = self.subs
         for var, klass in prop.subscriptions():
-            self.subs.setdefault(var, []).append((pid, klass))
+            if not subs:
+                subs.update((k, {}) for k in EventClass)
+            subs[INSTANTIATED].setdefault(var, []).append(pid)
+            # INSTANTIATED is a Boolean's only event.
+            if var >= 0 and klass != INSTANTIATED:
+                subs[BOUNDS_CHANGED].setdefault(var, []).append(pid)
+                if klass == DOMAIN_CHANGED:
+                    subs[DOMAIN_CHANGED].setdefault(var, []).append(pid)
         return pid
 
     def count_constraint(self, native=1, decomposed=1):

@@ -1,8 +1,10 @@
 """Event-driven propagation engine with a policy-ordered queue.
 
 Propagators subscribe to (variable, event class) pairs and are run to a
-fixpoint.  The model owns the propagators and their subscriptions; each
-solve builds one ``Engine`` for its queue and entailment state.  All
+fixpoint.  The model owns the propagators and files each subscription in
+one wake table per event class (variable -> the pids that class wakes);
+each solve builds one ``Engine`` for its queue and entailment state, and
+a domain change looks up the table of its own event class only.  All
 propagators are monotone and contracting, so the fixpoint reached is unique
 regardless of the queue policy; only the amount of work to get there
 differs.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .domain import FAILED
+from .domain import FAILED, EventClass
 
 # Propagator outcomes.
 AT_FIXPOINT = 0
@@ -39,13 +41,25 @@ class Propagator:
         raise NotImplementedError
 
 
+# A propagator's state in ``Engine._state``.  ASLEEP covers the running
+# propagator and the subsumed ones: an event wakes neither.
+IDLE = 0
+QUEUED = 1
+ASLEEP = 2
+
+
 class Engine:
     """The propagation state of one solve, built by the solve over its fork
-    of the store and the model's propagators and subscriptions (variable ->
-    list of (pid, min event class)).  It copies the propagator list, so
-    what the solve adds stays out of the model, reads the subscriptions
-    without changing them, and owns the queue, the entailment record and
-    the running slot.
+    of the store and the model's propagators and wake tables (event class ->
+    {variable -> pids}, see ``Model.add``).  It copies the propagator list,
+    so what the solve adds stays out of the model, reads the wake tables
+    without changing them, and owns the queue and the entailment record.
+
+    Each pid has one state byte: idle, queued, or asleep while it runs or
+    stays subsumed.  A domain change reads the one wake table of its event
+    class and pushes only the idle pids there, so the running propagator
+    never requeues itself and a subsumed one sleeps until a backtrack
+    re-enables it.
 
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
     first; ``reversed`` pops the highest first.  Within equal priority, FIFO
@@ -63,26 +77,31 @@ class Engine:
             raise ValueError(f"unknown queue policy {policy!r}")
         self.store = store
         self.props = list(props)
-        self.subs = subs
+        # Indexed by event class; a model without subscriptions has none.
+        self._wake = tuple(subs.get(k, {}) for k in EventClass)
         bucket_of = self._BUCKET_OF[policy]
         buckets = self._buckets = [deque() for _ in range(max(bucket_of) + 1)]
         by_priority = self._by_priority = tuple(buckets[b] for b in bucket_of)
         self._bucket = [by_priority[p.priority] for p in self.props]  # pid -> its deque
-        self.pending = bytearray(len(self.props))  # pid -> 1 while queued
+        self._state = bytearray(len(self.props))  # pid -> IDLE, QUEUED or ASLEEP
         self.subsumed = {}  # pid -> search depth at which it became entailed
         self._entailed = []  # the pids of subsumed, in the order marked
-        self.running = None
+
+    @property
+    def pending(self):
+        """pid -> 1 while queued, else 0."""
+        return bytes(st == QUEUED for st in self._state)
 
     def add(self, prop):
         """Add a propagator to this solve only (branch and bound's bound).
-        The subscription table is the model's, so it must subscribe to
-        nothing; it runs when scheduled by pid."""
+        The wake tables are the model's, so it must subscribe to nothing;
+        it runs when scheduled by pid."""
         if list(prop.subscriptions()):
             raise ValueError("a propagator added during a solve must not subscribe")
         pid = len(self.props)
         self.props.append(prop)
         self._bucket.append(self._by_priority[prop.priority])
-        self.pending.append(0)
+        self._state.append(IDLE)
         return pid
 
     def narrow(self, var, op, value):
@@ -93,38 +112,40 @@ class Engine:
         return r
 
     def dispatch(self, var, strength):
-        subs = self.subs.get(var)
-        if not subs:
+        """Queue the idle propagators that a ``strength`` event on ``var``
+        wakes."""
+        pids = self._wake[strength].get(var)
+        if not pids:
             return
+        state = self._state
         push = self.push
-        running = self.running
-        subsumed = self.subsumed
-        for pid, min_class in subs:
-            if strength >= min_class and pid != running and pid not in subsumed:
+        for pid in pids:
+            if not state[pid]:
                 push(pid)
 
     def push(self, pid):
-        """Queue ``pid`` unless it is already queued."""
-        pending = self.pending
-        if not pending[pid]:
-            pending[pid] = 1
+        """Queue ``pid`` if it is idle: not queued, running or subsumed."""
+        state = self._state
+        if not state[pid]:
+            state[pid] = QUEUED
             self._bucket[pid].append(pid)
 
     def __contains__(self, pid):
         """True while ``pid`` is queued."""
-        return self.pending[pid] == 1
+        return self._state[pid] == QUEUED
 
     def clear(self):
         """Empty the queue."""
-        pending = self.pending
+        state = self._state
         for bucket in self._buckets:
             for pid in bucket:
-                pending[pid] = 0
+                state[pid] = IDLE
             bucket.clear()
 
     def schedule_pid(self, pid):
-        if pid not in self.subsumed:
-            self.push(pid)
+        """Queue ``pid`` from outside a propagator; a subsumed one stays
+        asleep."""
+        self.push(pid)
 
     def schedule_all(self):
         for pid in range(len(self.props)):
@@ -140,8 +161,11 @@ class Engine:
         """
         subsumed = self.subsumed
         entailed = self._entailed
+        state = self._state
         while entailed and subsumed[entailed[-1]] > depth:
-            del subsumed[entailed.pop()]
+            pid = entailed.pop()
+            del subsumed[pid]
+            state[pid] = IDLE
 
     def fixpoint(self):
         """Run pending propagators until quiescence.
@@ -150,7 +174,7 @@ class Engine:
         emptied; the queue is drained in both cases.
         """
         buckets = self._buckets
-        pending = self.pending
+        state = self._state
         props = self.props
         while True:
             for bucket in buckets:
@@ -159,15 +183,15 @@ class Engine:
                     break
             else:
                 return True
-            pending[pid] = 0
-            self.running = pid
+            state[pid] = ASLEEP
             outcome = props[pid].propagate(self)
-            self.running = None
             if outcome == AT_FIXPOINT:
+                state[pid] = IDLE
                 continue
             if outcome == PROP_FAILED:
+                state[pid] = IDLE
                 self.clear()
                 return False
-            # SUBSUMED
+            # SUBSUMED: it sleeps until a backtrack re-enables it.
             self.subsumed[pid] = self.store.depth
             self._entailed.append(pid)

@@ -7,6 +7,7 @@ from fdlab.constraints import (
     LEQ,
     DiffProp,
     LeProp,
+    LexLeqProp,
     LinearProp,
     PostError,
     post_alldifferent,
@@ -18,9 +19,10 @@ from fdlab.constraints import (
     post_linear,
     post_ne_const,
 )
-from fdlab.domain import Op
+from fdlab.domain import BOUNDS_CHANGED, FAILED, Op
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, Model
-from fdlab.propagate import PROP_FAILED, Engine
+from fdlab.propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Engine
+from fdlab.propagate import PRIORITY_GLOBAL
 
 
 def _fix(model):
@@ -329,6 +331,88 @@ def test_bool_sum_native_matches_int_model(states, rel, c):
     assert run(BOOL_NATIVE) == run(BOOL_INT)
 
 
+def _fix_one(model):
+    """Run the model's one propagator to its fixpoint; returns whether it
+    was reached and whether the propagator ended subsumed."""
+    eng = Engine(model.store, model.props, model.subs)
+    eng.schedule_all()
+    return eng.fixpoint(), 0 in eng.subsumed
+
+
+@pytest.mark.parametrize("bool_mode", [BOOL_NATIVE, BOOL_INT])
+@pytest.mark.parametrize(
+    "rel, c, value", [(EQ, 1, 1), (EQ, 0, 0), (GEQ, 1, 1), (LEQ, 0, 0)]
+)
+def test_bool_sum_of_one_variable(bool_mode, rel, c, value):
+    """A one-variable sum fixes its variable and is entailed."""
+    model = Model(bool_mode=bool_mode)
+    b = model.new_01_var()
+    post_bool_sum(model, [b], rel, c)
+    assert _fix_one(model) == (True, True)
+    assert model.store.value(b) == value
+
+
+def test_bool_sum_of_one_variable_fails_and_holds():
+    model = Model()
+    b = model.new_bool_var()
+    post_bool_sum(model, [b], EQ, 1)
+    model.store.narrow(b, Op.ASSIGN, 0)
+    assert not _fix_one(model)[0]
+    model = Model()
+    b = model.new_bool_var()
+    post_bool_sum(model, [b], LEQ, 1)
+    assert _fix_one(model) == (True, True)
+    assert model.store.domain_values(b) == [0, 1]
+
+
+@pytest.mark.parametrize(
+    "values, rel, c, ok",
+    [
+        ([1, 0, 1], EQ, 2, True),
+        ([1, 0, 1], EQ, 1, False),
+        ([1, 0, 1], LEQ, 2, True),
+        ([1, 1, 1], LEQ, 2, False),
+        ([0, 0, 1], GEQ, 1, True),
+        ([0, 0, 0], GEQ, 1, False),
+    ],
+)
+def test_bool_sum_already_fixed(values, rel, c, ok):
+    """A sum over fixed cells is entailed when it holds and fails when not."""
+    model = Model()
+    vs = [model.new_bool_var() for _ in values]
+    post_bool_sum(model, vs, rel, c)
+    for v, value in zip(vs, values):
+        model.store.narrow(v, Op.ASSIGN, value)
+    reached, entailed = _fix_one(model)
+    assert reached == ok
+    if ok:
+        assert entailed
+
+
+@pytest.mark.parametrize(
+    "fixed, rel, c, entailed",
+    [
+        ({0: 0}, LEQ, 2, True),  # at most two unknown cells remain
+        ({}, LEQ, 2, False),
+        ({0: 1}, LEQ, 3, True),
+        ({0: 1}, GEQ, 1, True),
+        ({0: 0}, GEQ, 1, False),
+        ({}, GEQ, 0, True),
+    ],
+)
+def test_bool_sum_leq_geq_entailment(fixed, rel, c, entailed):
+    """LEQ and GEQ sums are entailed as soon as every completion satisfies
+    them, with the remaining cells left open."""
+    model = Model()
+    vs = [model.new_bool_var() for _ in range(3)]
+    post_bool_sum(model, vs, rel, c)
+    for i, value in fixed.items():
+        model.store.narrow(vs[i], Op.ASSIGN, value)
+    assert _fix_one(model) == (True, entailed)
+    open_cells = [v for i, v in enumerate(vs) if i not in fixed]
+    assert all(model.store.domain_values(v) == [0, 1] for v in open_cells)
+
+
 def test_lex_leq_basic():
     model = Model()
     xs = [model.new_int_var(0, 1) for _ in range(3)]
@@ -364,6 +448,22 @@ def test_lex_rejects_mismatched_vectors():
     x = model.new_int_var(0, 1)
     with pytest.raises(PostError):
         post_lex_leq(model, [x], [])
+
+
+def test_lex_rejects_mixed_kinds():
+    """The propagator reads by a kind fixed at posting, so a Boolean and an
+    integer may not share its vectors."""
+    model = Model()
+    x = model.new_int_var(0, 1)
+    y = model.new_int_var(0, 1)
+    b = model.new_bool_var()
+    with pytest.raises(PostError):
+        post_lex_leq(model, [x, b], [y, x])
+    with pytest.raises(PostError):
+        post_lex_leq(model, [b], [x])
+    with pytest.raises(PostError):
+        post_lex_leq(model, [x], [b], strict=True)
+    assert model.count_native == 0 and not model.props
 
 
 def test_sum_mode_posts_decomposed_pair():
@@ -595,3 +695,112 @@ def test_diff_prop_matches_linear(xd, yd, zd, k):
     assert (ok, doms) == expected[:2]
     if ok:
         assert entailed == all(len(d) == 1 for d in doms) == expected[2]
+
+
+class _LexReference:
+    """xs <=lex ys (or <lex) as LexLeqProp computed it through the store's
+    size/min/max queries, narrowing both sides of the first open position
+    on every run: the reference for the array kernel."""
+
+    priority = PRIORITY_GLOBAL
+
+    def __init__(self, xs, ys, strict):
+        self.xs = xs
+        self.ys = ys
+        self.strict = strict
+
+    def subscriptions(self):
+        for var in self.xs + self.ys:
+            yield var, BOUNDS_CHANGED
+
+    def _tail_satisfiable(self, s, alpha):
+        xs, ys = self.xs, self.ys
+        for j in range(alpha + 1, len(xs)):
+            if s.min(xs[j]) < s.max(ys[j]):
+                return True
+            if s.min(xs[j]) > s.max(ys[j]) or s.min(ys[j]) > s.max(xs[j]):
+                return False
+        return not self.strict
+
+    def propagate(self, eng):
+        s = eng.store
+        xs, ys = self.xs, self.ys
+        n = len(xs)
+        a = 0
+        while True:
+            while (
+                a < n
+                and s.size(xs[a]) == 1
+                and s.size(ys[a]) == 1
+                and s.min(xs[a]) == s.min(ys[a])
+            ):
+                a += 1
+            if a == n:
+                return PROP_FAILED if self.strict else SUBSUMED
+            gap = 0 if self._tail_satisfiable(s, a) else 1
+            if eng.narrow(xs[a], Op.MAX, s.max(ys[a]) - gap) is FAILED:
+                return PROP_FAILED
+            if eng.narrow(ys[a], Op.MIN, s.min(xs[a]) + gap) is FAILED:
+                return PROP_FAILED
+            if not (
+                s.size(xs[a]) == 1
+                and s.size(ys[a]) == 1
+                and s.min(xs[a]) == s.min(ys[a])
+            ):
+                break
+        if s.max(xs[a]) < s.min(ys[a]):
+            return SUBSUMED
+        return AT_FIXPOINT
+
+
+_lex_small_domain = st.tuples(
+    st.integers(-1, 2), st.integers(0, 3), st.lists(st.integers(1, 2), max_size=2)
+)
+
+
+@st.composite
+def _lex_cases(draw):
+    """Vectors over a pool of variables of one kind; a pool smaller than
+    the two vectors makes positions share variables."""
+    kind = draw(st.sampled_from(["bool", "int01", "int"]))
+    n = draw(st.integers(1, 5))
+    size = draw(st.integers(1, 2 * n))
+    if kind == "int":
+        doms = draw(st.lists(_lex_small_domain, min_size=size, max_size=size))
+    else:
+        cell = st.sampled_from([0, 1, None])
+        doms = draw(st.lists(cell, min_size=size, max_size=size))
+    positions = st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
+    return kind, doms, draw(positions), draw(positions), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lex_cases())
+def test_lex_leq_matches_reference(case):
+    """The array kernel reaches the query-based reference's domains, or its
+    failure, and is subsumed exactly when the reference is, on Boolean,
+    {0..1}-integer and holed integer vectors, strict or not, with and
+    without shared variables."""
+    kind, doms, xi, yi, strict = case
+
+    def run(make):
+        model = Model()
+        pool = []
+        for dom in doms:
+            if kind == "int":
+                lo, width, holes = dom
+                v = model.new_int_var(lo, lo + width)
+                for off in holes:
+                    if off < width:
+                        model.store.narrow(v, Op.REMOVE, lo + off)
+            else:
+                v = model.new_bool_var() if kind == "bool" else model.new_int_var(0, 1)
+                if dom is not None:
+                    model.store.narrow(v, Op.ASSIGN, dom)
+            pool.append(v)
+        model.add(make([pool[i] for i in xi], [pool[i] for i in yi], strict))
+        ok, entailed = _fix_one(model)
+        doms_after = [model.store.domain_values(v) for v in pool] if ok else None
+        return ok, doms_after, entailed
+
+    assert run(LexLeqProp) == run(_LexReference)

@@ -166,6 +166,93 @@ def test_wakeup_respects_event_class():
     assert inst_pid in eng
 
 
+class _Waker:
+    """Subscribes to one (variable, event class) pair and does nothing."""
+
+    priority = PRIORITY_CHEAP
+
+    def __init__(self, var, klass):
+        self.var = var
+        self.klass = klass
+
+    def subscriptions(self):
+        yield self.var, self.klass
+
+    def propagate(self, eng):
+        return AT_FIXPOINT
+
+
+def _wakers(model, var):
+    """One subscriber of ``var`` per event class, weakest first."""
+    from fdlab.domain import EventClass
+
+    return [model.add(_Waker(var, klass)) for klass in EventClass]
+
+
+@pytest.mark.parametrize("policy", Engine.POLICIES)
+def test_hole_removal_wakes_only_domain_subscribers(policy):
+    from fdlab.domain import Op
+
+    model = Model()
+    x = model.new_int_var(0, 9)
+    pids = _wakers(model, x)
+    eng = _engine(model, policy)
+    eng.narrow(x, Op.REMOVE, 5)
+    assert [pid in eng for pid in pids] == [True, False, False]
+    assert eng.fixpoint()
+    eng.narrow(x, Op.MIN, 2)
+    assert [pid in eng for pid in pids] == [True, True, False]
+
+
+@pytest.mark.parametrize("policy", Engine.POLICIES)
+def test_boolean_fix_wakes_every_subscriber(policy):
+    """A Boolean's only event is INSTANTIATED, so every subscription to it is
+    filed in that table alone, and fixing it wakes them all."""
+    from fdlab.domain import BOUNDS_CHANGED, DOMAIN_CHANGED, INSTANTIATED, Op
+
+    model = Model()
+    b = model.new_bool_var()
+    pids = _wakers(model, b)
+    assert model.subs[INSTANTIATED][b] == pids
+    assert b not in model.subs[BOUNDS_CHANGED] and b not in model.subs[DOMAIN_CHANGED]
+    eng = _engine(model, policy)
+    eng.narrow(b, Op.MAX, 0)
+    assert all(pid in eng for pid in pids)
+
+
+@pytest.mark.parametrize("policy", Engine.POLICIES)
+def test_running_and_subsumed_propagators_are_not_queued(policy):
+    from fdlab.domain import EventClass, Op
+
+    model = Model()
+    x = model.new_int_var(0, 9)
+    woken = []
+
+    class Narrower:
+        """Removes x's maximum, then checks which propagators that woke."""
+
+        priority = PRIORITY_LINEAR
+
+        def subscriptions(self):
+            yield x, EventClass.DOMAIN_CHANGED
+
+        def propagate(self, eng):
+            eng.narrow(x, Op.REMOVE, model.store.max(x))
+            woken.extend(pid in eng for pid in (narrower, entailed, idle))
+            return AT_FIXPOINT
+
+    narrower = model.add(Narrower())
+    entailed = model.add(LeProp(x, model.new_int_var(9, 9)))
+    idle = model.add(_Waker(x, EventClass.BOUNDS_CHANGED))
+    eng = _engine(model, policy)
+    eng.schedule_pid(entailed)
+    assert eng.fixpoint() and entailed in eng.subsumed
+    eng.schedule_pid(narrower)
+    assert eng.fixpoint()
+    assert woken == [False, False, True]
+    assert model.store.max(x) == 8
+
+
 def test_running_propagator_not_rescheduled_by_own_narrow():
     from fdlab.domain import EventClass, Op
 
