@@ -11,39 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 from .model import BOOL_NATIVE, SUM_NATIVE, ModelError
 from .problems import Instance, build, check_solution
 from .restore import RestoreMode
 from .search import minimize, solve
 from .stats import cov, median, nodes_per_second
-
-#: Exact emission order for both CSV and JSON.
-CSV_COLUMNS = [
-    "model",
-    "instance",
-    "extended",
-    "bool_mode",
-    "sum_mode",
-    "restore",
-    "rec_dist",
-    "adapt_dist",
-    "queue",
-    "bnb",
-    "runs",
-    "nodes",
-    "backtracks",
-    "solutions",
-    "setup_ms_median",
-    "solve_ms_median",
-    "cov",
-    "nps",
-    "bytes_copied",
-    "trail_entries",
-    "snapshots",
-    "recomputations",
-]
 
 _TRAJECTORY_FIELDS = (
     "nodes",
@@ -119,6 +93,11 @@ class RunRecord:
             bnb=config.bnb if inst.is_optimization else "",
             runs=config.runs,
         )
+
+
+#: Exact emission order for both CSV and JSON: every record field but
+#: ``error``.
+CSV_COLUMNS = [f.name for f in fields(RunRecord) if f.name != "error"]
 
 
 def run_once(config):

@@ -29,9 +29,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_CONFIG = 2
 
-_BOOL_MODES = {"native": BOOL_NATIVE, "int": BOOL_INT}
-_SUM_MODES = {"native": SUM_NATIVE, "decomposed": SUM_DECOMPOSED}
-
 
 def _restore_mode(args):
     if args.restore == "trail":
@@ -51,10 +48,10 @@ def _add_run_options(parser):
         "--queue", choices=Engine.POLICIES, default="fifo"
     )
     parser.add_argument(
-        "--sum-eq", choices=["native", "decomposed"], default="native"
+        "--sum-eq", choices=[SUM_NATIVE, SUM_DECOMPOSED], default=SUM_NATIVE
     )
     parser.add_argument(
-        "--bool-vars", choices=["native", "int"], default="native"
+        "--bool-vars", choices=[BOOL_NATIVE, BOOL_INT], default=BOOL_NATIVE
     )
     parser.add_argument("--bnb", choices=["post", "tighten"], default="tighten")
     parser.add_argument(
@@ -83,8 +80,8 @@ def cmd_run(args):
         instance = Instance(instance.problem, instance.params, extended=True)
     config = RunConfig(
         instance,
-        bool_mode=_BOOL_MODES[args.bool_vars],
-        sum_mode=_SUM_MODES[args.sum_eq],
+        bool_mode=args.bool_vars,
+        sum_mode=args.sum_eq,
         restore=_restore_mode(args),
         queue=args.queue,
         bnb=args.bnb,

@@ -1,13 +1,13 @@
 """Variable store with bitset integer domains and specialised Boolean domains.
 
 Every domain mutation goes through :meth:`VariableStore.narrow`, which
-invokes the restoration backend's record hook before the change becomes
-visible and reports the strongest applicable event class.  Integer domains
-are bitsets over the variable's original bounds with cached lo/hi/size;
-Boolean domains are three-state cells, signed bytes (``UNKNOWN``, 0 or 1) in
-one ``array("b")``, so a snapshot of all of them is one block copy.  Boolean
-variables expose the same observable semantics as integer variables with
-domain {0..1}.
+appends the old state to the store's trail (when a trailing backend gave it
+one) before the change becomes visible and reports the strongest applicable
+event class.  Integer domains are bitsets over the variable's original
+bounds with cached lo/hi/size; Boolean domains are three-state cells, signed
+bytes (``UNKNOWN``, 0 or 1) in one ``array("b")``, so a snapshot of all of
+them is one block copy.  Boolean variables expose the same observable
+semantics as integer variables with domain {0..1}.
 
 A variable is a plain int.  An integer variable is its slot in the integer
 arrays (``_mask``, ``_lo``, ``_hi``, ``_size``, ``_base``, ``_span``); a
@@ -85,8 +85,7 @@ class VariableStore:
     """
 
     def __init__(self):
-        self.depth = 0
-        self.backend = None  # restoration backend; record hook target
+        self.trail = None  # (var, old state) per change, kept while trailing
         # integer variables, indexed by id
         self._base = []
         self._span = []
@@ -121,12 +120,12 @@ class VariableStore:
     def fork(self):
         """A store for one solve: it shares this store's variable layout
         (so variables are added to the original only) and owns a copy of
-        the domains plus its own depth and backend."""
+        the domains, and no trail until a backend gives it one."""
         # Built through __init__, not copy.copy: an instance whose __dict__
         # was filled by update loses the attribute layout that makes the
         # hot-path reads of self._mask, self._lo, ... fast.
         twin = VariableStore()
-        for name in ("depth", "_base", "_span", "_region_words"):
+        for name in ("_base", "_span", "_region_words"):
             setattr(twin, name, getattr(self, name))
         for name in ("_mask", "_lo", "_hi", "_size", "_bstate"):
             setattr(twin, name, getattr(self, name)[:])
@@ -230,8 +229,8 @@ class VariableStore:
         if new == 0:
             return FAILED
         state = 0 if new == 1 else 1
-        if self.backend is not None:
-            self.backend.record(var, cur)
+        if self.trail is not None:
+            self.trail.append((var, cur))
         self._bstate[~var] = state
         return INSTANTIATED
 
@@ -261,8 +260,8 @@ class VariableStore:
             return None
         if new == 0:
             return FAILED
-        if self.backend is not None:
-            self.backend.record(var, mask)
+        if self.trail is not None:
+            self.trail.append((var, mask))
         self._mask[var] = new
         old_lo, old_hi = self._lo[var], self._hi[var]
         lo = base + ((new & -new).bit_length() - 1)

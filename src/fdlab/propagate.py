@@ -53,7 +53,8 @@ class Engine:
     of the store and the model's propagators and wake tables (event class ->
     {variable -> pids}, see ``Model.add``).  It copies the propagator list,
     so what the solve adds stays out of the model, reads the wake tables
-    without changing them, and owns the queue and the entailment record.
+    without changing them, and owns the queue, the search depth and the
+    entailment record.
 
     Each pid has one state byte: idle, queued, or asleep while it runs or
     stays subsumed.  A domain change reads the one wake table of its event
@@ -84,13 +85,9 @@ class Engine:
         by_priority = self._by_priority = tuple(buckets[b] for b in bucket_of)
         self._bucket = [by_priority[p.priority] for p in self.props]  # pid -> its deque
         self._state = bytearray(len(self.props))  # pid -> IDLE, QUEUED or ASLEEP
+        self.depth = 0  # search depth, the number of open nodes
         self.subsumed = {}  # pid -> search depth at which it became entailed
         self._entailed = []  # the pids of subsumed, in the order marked
-
-    @property
-    def pending(self):
-        """pid -> 1 while queued, else 0."""
-        return bytes(st == QUEUED for st in self._state)
 
     def add(self, prop):
         """Add a propagator to this solve only (branch and bound's bound).
@@ -142,23 +139,20 @@ class Engine:
                 state[pid] = IDLE
             bucket.clear()
 
-    def schedule_pid(self, pid):
-        """Queue ``pid`` from outside a propagator; a subsumed one stays
-        asleep."""
-        self.push(pid)
-
     def schedule_all(self):
         for pid in range(len(self.props)):
-            self.schedule_pid(pid)
+            self.push(pid)
 
-    def unsubsume_above(self, depth):
-        """Re-enable propagators subsumed deeper than ``depth``.
+    def backtrack(self, depth):
+        """Return to search depth ``depth``: re-enable the propagators
+        subsumed deeper than it.
 
         Entailment is recorded at the current depth, and every backtrack or
-        replay unsubsumes down to its target before it records anything
+        replay returns to its target depth before it records anything
         deeper, so depths never decrease along ``_entailed`` and the stale
         pids are its tail.
         """
+        self.depth = depth
         subsumed = self.subsumed
         entailed = self._entailed
         state = self._state
@@ -193,5 +187,5 @@ class Engine:
                 self.clear()
                 return False
             # SUBSUMED: it sleeps until a backtrack re-enables it.
-            self.subsumed[pid] = self.store.depth
+            self.subsumed[pid] = self.depth
             self._entailed.append(pid)

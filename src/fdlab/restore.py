@@ -1,12 +1,15 @@
 """Pluggable backtrack-memory backends: trailing, copying, recomputation.
 
 All backends maintain the stack of node frames and restore the variable
-store to the exact state it had when a frame was opened.  Trailing records
-every domain change and undoes them in reverse; copy-with-recomputation
-snapshots the whole contiguous domain region every ``distance`` nodes and
-otherwise replays the recorded per-node actions with full propagation from
-the nearest snapshot.  Copying is recomputation at distance 1: a snapshot
-at every node and nothing to replay.
+store's domains to the exact state they had when a frame was opened.  The
+search depth and the entailment record belong to the engine; the search
+resets them after each backtrack and before each replayed frame.  Trailing
+has the store append every domain change to a trail and undoes them in
+reverse; copy-with-recomputation snapshots the whole contiguous domain
+region every ``distance`` nodes and otherwise replays the recorded per-node
+actions with full propagation from the nearest snapshot.  Copying is
+recomputation at distance 1: a snapshot at every node and nothing to
+replay.
 """
 
 from __future__ import annotations
@@ -70,70 +73,57 @@ class RestoreMode:
 
 
 class _Frame:
-    __slots__ = ("actions", "snapshot", "trail_mark")
+    __slots__ = ("actions", "snapshot")
 
-    def __init__(self, actions, snapshot=None, trail_mark=0):
+    def __init__(self, actions):
         self.actions = actions
-        self.snapshot = snapshot
-        self.trail_mark = trail_mark
+        self.snapshot = None
 
 
-class Backend:
-    """Common frame-stack behaviour; subclasses fill in the strategy."""
+class TrailBackend:
+    """Trailing: the store appends every domain change to ``trail``, and a
+    backtrack undoes the changes made since the target frame opened, in
+    reverse.  A frame is the trail's length when its node opened."""
 
-    def __init__(self, store, unsubsume):
+    def __init__(self, store):
         self.store = store
         self.frames = []
-        self.stats = RestoreStats()
-        self._unsubsume = unsubsume
+        self.trail = store.trail = []
+        self._undone = 0  # trail entries already undone
 
-    def record(self, var, old):
-        """Called by the store before a domain mutation becomes visible."""
-
-    def open_node(self, actions):
-        raise NotImplementedError
-
-    def backtrack_to(self, target):
-        raise NotImplementedError
-
-    def _settle(self, target):
-        del self.frames[target:]
-        self.store.depth = target
-        self._unsubsume(target)
-
-
-class TrailBackend(Backend):
-    def __init__(self, store, unsubsume):
-        super().__init__(store, unsubsume)
-        self.trail = []
-
-    def record(self, var, old):
-        self.trail.append((var, old))
-        self.stats.trail_entries += 1
+    @property
+    def stats(self):
+        return RestoreStats(trail_entries=self._undone + len(self.trail))
 
     def open_node(self, actions):
-        self.frames.append(_Frame(actions, trail_mark=len(self.trail)))
+        self.frames.append(len(self.trail))
 
     def backtrack_to(self, target):
-        mark = self.frames[target].trail_mark
+        mark = self.frames[target]
         trail = self.trail
         restore = self.store.restore_raw
         for i in range(len(trail) - 1, mark - 1, -1):
             var, old = trail[i]
             restore(var, old)
+        self._undone += len(trail) - mark
         del trail[mark:]
-        self._settle(target)
+        del self.frames[target:]
 
 
-class RecomputeBackend(Backend):
+class RecomputeBackend:
     """Copying every ``distance`` nodes, otherwise replay with propagation.
 
-    The adaptive rule places one extra snapshot at the midpoint of the
-    replayed path whenever the path length reaches ``adaptive``.
+    A backtrack loads the nearest snapshot at or above the target frame and
+    replays the frames in between with ``replay(depth, actions)``, where
+    ``depth`` is the depth the frame was opened at.  The adaptive rule
+    places one extra snapshot at the midpoint of the replayed path whenever
+    the path length reaches ``adaptive``.
     """
 
-    def __init__(self, store, unsubsume, replay, distance, adaptive=2):
-        super().__init__(store, unsubsume)
+    def __init__(self, store, replay, distance, adaptive=2):
+        self.store = store
+        self.frames = []
+        self.stats = RestoreStats()
         self._replay = replay
         self.distance = distance
         self.adaptive = adaptive
@@ -151,29 +141,22 @@ class RecomputeBackend(Backend):
 
     def backtrack_to(self, target):
         frames = self.frames
-        store = self.store
-        if frames[target].snapshot is not None:
-            store.load_blob(frames[target].snapshot)
-            self._settle(target)
-            return
-        k = target - 1
+        k = target
         while frames[k].snapshot is None:
             k -= 1
-        store.load_blob(frames[k].snapshot)
-        store.depth = k
-        self._unsubsume(k)
-        self.stats.recomputations += 1
-        self.stats.replayed_decisions += target - k
+        self.store.load_blob(frames[k].snapshot)
+        if k < target:
+            self.stats.recomputations += 1
+            self.stats.replayed_decisions += target - k
         mid = k + (target - k) // 2 if target - k >= self.adaptive else None
         for m in range(k, target):
             if m == mid and frames[m].snapshot is None:
                 self._snap(frames[m])
-            store.depth = m + 1
-            self._replay(frames[m].actions)
-        self._settle(target)
+            self._replay(m, frames[m].actions)
+        del frames[target:]
 
 
-class ShadowBackend(Backend):
+class ShadowBackend:
     """Testing aid: runs a primary backend, snapshots the domains at every
     node it opens and verifies bit-identical restoration after every
     backtrack."""
@@ -187,9 +170,6 @@ class ShadowBackend(Backend):
     def stats(self):
         return self.primary.stats
 
-    def record(self, var, old):
-        self.primary.record(var, old)
-
     def open_node(self, actions):
         self.expected.append(self.primary.store.snapshot_blob())
         self.primary.open_node(actions)
@@ -202,7 +182,7 @@ class ShadowBackend(Backend):
             self.mismatches += 1
 
 
-def make_backend(mode, store, unsubsume, replay):
+def make_backend(mode, store, replay):
     if mode.variant == "trail":
-        return TrailBackend(store, unsubsume)
-    return RecomputeBackend(store, unsubsume, replay, mode.distance, mode.adaptive)
+        return TrailBackend(store)
+    return RecomputeBackend(store, replay, mode.distance, mode.adaptive)

@@ -47,7 +47,7 @@ class Solution:
 def _apply_actions(eng, actions):
     for op, target, value in actions:
         if op is A_SCHED:
-            eng.schedule_pid(target)
+            eng.push(target)
         elif eng.narrow(target, op, value) is FAILED:
             return False
     return True
@@ -64,16 +64,16 @@ class _Search:
         self.store = model.store.fork()
         self.eng = Engine(self.store, model.props, model.subs, queue)
         make = backend or functools.partial(make_backend, restore)
-        self.backend = make(self.store, self.eng.unsubsume_above, self._replay)
-        self.store.backend = self.backend
+        self.backend = make(self.store, self._replay)
         self.stats = SearchStats()
         self.alts = []  # (depth, cursor, actions) of each open alternative
         self.cursor = 0  # index in decision_vars of the last branching variable
 
-    def _replay(self, actions):
+    def _replay(self, depth, actions):
         # Replaying a previously consistent path with monotone propagators
         # cannot fail; if it does, a backend restored the wrong state.
-        if not (_apply_actions(self.eng, actions) and self.eng.fixpoint()):
+        self.eng.backtrack(depth)
+        if not self.descend(actions):
             raise RuntimeError("recomputation replay failed")
 
     def root(self):
@@ -95,12 +95,17 @@ class _Search:
 
     def try_node(self, actions):
         self.backend.open_node(actions)
-        self.store.depth += 1
         self.stats.nodes += 1
-        if not _apply_actions(self.eng, actions):
-            self.eng.clear()
+        return self.descend(actions)
+
+    def descend(self, actions):
+        """Apply a node's actions one level deeper and propagate."""
+        eng = self.eng
+        eng.depth += 1
+        if not _apply_actions(eng, actions):
+            eng.clear()
             return False
-        return self.eng.fixpoint()
+        return eng.fixpoint()
 
     def unwind(self):
         """Retreat to the nearest open alternative and take it.  Returns
@@ -108,6 +113,7 @@ class _Search:
         while self.alts:
             depth, self.cursor, actions = self.alts.pop()
             self.backend.backtrack_to(depth)
+            self.eng.backtrack(depth)
             if self.try_node(self.prefix_actions() + actions):
                 return True
             self.stats.backtracks += 1
@@ -124,7 +130,7 @@ class _Search:
         if var is None:
             return self.on_solution()
         v = self.store.min(var)
-        self.alts.append((self.store.depth, self.cursor, [(Op.REMOVE, var, v)]))
+        self.alts.append((self.eng.depth, self.cursor, [(Op.REMOVE, var, v)]))
         if self.try_node(self.prefix_actions() + [(Op.ASSIGN, var, v)]):
             return True
         self.stats.backtracks += 1
@@ -206,7 +212,7 @@ def solve(
     """Run DFS; returns (solutions, stats).  ``mode`` is 'first' or 'all'.
 
     The model is left as it was.  ``backend``, a test seam, replaces the
-    backend ``restore`` selects with ``backend(store, unsubsume, replay)``.
+    backend ``restore`` selects with ``backend(store, replay)``.
     """
     if mode not in ("first", "all"):
         raise ValueError(f"unknown search mode {mode!r}")

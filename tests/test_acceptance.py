@@ -148,10 +148,8 @@ def test_criterion_3_trajectory_invariance(report):
 def _shadow_run(name, primary_mode):
     shadows = []
 
-    def shadowed(store, unsubsume, replay):
-        shadows.append(
-            ShadowBackend(make_backend(primary_mode, store, unsubsume, replay))
-        )
+    def shadowed(store, replay):
+        shadows.append(ShadowBackend(make_backend(primary_mode, store, replay)))
         return shadows[-1]
 
     mode = "all" if name == "queens:6" else "first"
@@ -162,9 +160,17 @@ def _shadow_run(name, primary_mode):
 def test_criterion_4_restoration_oracle(report):
     results = []
     for name in ("queens:6", "golfers:2,3,3"):
-        for primary in (RestoreMode.trail(), RestoreMode.copy_recompute(8)):
+        for primary in (
+            RestoreMode.trail(),
+            RestoreMode.copy(),
+            RestoreMode.copy_recompute(3),
+            RestoreMode.copy_recompute(8),
+        ):
             mismatches, backtracks = _shadow_run(name, primary)
-            results.append((name, primary.variant, mismatches, backtracks))
+            label = primary.variant
+            if label == "copy-recompute":
+                label += f":{primary.distance}"
+            results.append((name, label, mismatches, backtracks))
     ok = all(m == 0 for _, _, m, _ in results)
     exercised = all(b > 0 for _, _, _, b in results)
     report(

@@ -89,7 +89,7 @@ def test_engine_add_rejects_a_subscribing_propagator():
         eng.add(LeProp(x, model.new_int_var(0, 5)))
     assert not eng.props and not model.subs
     assert eng.add(UpperBoundProp(x, 3)) == 0
-    eng.schedule_pid(0)
+    eng.push(0)
     assert eng.fixpoint() and model.store.max(x) == 3
     assert not model.props
 
@@ -131,7 +131,8 @@ def test_unsat_strict_cycle():
     eng = _engine(model)
     eng.schedule_all()
     assert not eng.fixpoint()
-    assert not any(eng.pending)  # drained on failure
+    # drained on failure
+    assert not any(pid in eng for pid in range(len(eng.props)))
 
 
 def test_wakeup_respects_event_class():
@@ -245,9 +246,9 @@ def test_running_and_subsumed_propagators_are_not_queued(policy):
     entailed = model.add(LeProp(x, model.new_int_var(9, 9)))
     idle = model.add(_Waker(x, EventClass.BOUNDS_CHANGED))
     eng = _engine(model, policy)
-    eng.schedule_pid(entailed)
+    eng.push(entailed)
     assert eng.fixpoint() and entailed in eng.subsumed
-    eng.schedule_pid(narrower)
+    eng.push(narrower)
     assert eng.fixpoint()
     assert woken == [False, False, True]
     assert model.store.max(x) == 8
@@ -272,7 +273,7 @@ def test_running_propagator_not_rescheduled_by_own_narrow():
 
     pid = model.add(SelfNarrower())
     eng = _engine(model)
-    eng.schedule_pid(pid)
+    eng.push(pid)
     assert eng.fixpoint()
     # exactly one run: its own removal must not have requeued it
     assert store.max(x) == 8
@@ -288,8 +289,8 @@ def _entailed_at(depths):
     ]
     eng = _engine(model)
     for pid, depth in zip(pids, depths):
-        model.store.depth = depth
-        eng.schedule_pid(pid)
+        eng.depth = depth
+        eng.push(pid)
         assert eng.fixpoint()
     return eng, pids
 
@@ -297,11 +298,11 @@ def _entailed_at(depths):
 def test_subsumed_propagator_skipped_until_unsubsumed():
     eng, (pid,) = _entailed_at([5])
     assert eng.subsumed == {pid: 5}
-    eng.schedule_pid(pid)
-    assert not any(eng.pending)
-    eng.unsubsume_above(4)
-    assert pid not in eng.subsumed
-    eng.schedule_pid(pid)
+    eng.push(pid)
+    assert pid not in eng
+    eng.backtrack(4)
+    assert pid not in eng.subsumed and eng.depth == 4
+    eng.push(pid)
     assert pid in eng
 
 
@@ -310,15 +311,15 @@ def test_unsubsume_above_reenables_only_deeper_entailments():
 
     def reenabled():
         for pid in pids:
-            eng.schedule_pid(pid)
+            eng.push(pid)
         out = [pid in eng for pid in pids]
         eng.clear()
         return out
 
-    eng.unsubsume_above(2)
+    eng.backtrack(2)
     assert reenabled() == [False, False, False, True]
     assert eng.subsumed == {pids[0]: 0, pids[1]: 1, pids[2]: 2}
-    eng.unsubsume_above(0)
+    eng.backtrack(0)
     assert reenabled() == [False, True, True, True]
     assert eng.subsumed == {pids[0]: 0}
 

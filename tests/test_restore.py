@@ -12,10 +12,6 @@ from fdlab.restore import (
 from fdlab.search import solve
 
 
-def _noop_unsubsume(depth):
-    pass
-
-
 def _store_with_vars():
     store = VariableStore()
     xs = [store.new_int_var(0, 9) for _ in range(3)]
@@ -31,7 +27,7 @@ def test_restore_mode_constructors():
     with pytest.raises(ValueError):
         RestoreMode.copy_recompute(0)
     with pytest.raises(ValueError):
-        make_backend(RestoreMode("nope"), None, None, None)
+        make_backend(RestoreMode("nope"), None, None)
 
 
 @pytest.mark.parametrize(
@@ -51,11 +47,9 @@ def test_restore_mode_rejects_bad_values_when_built(args):
 
 def test_trail_restores_exact_state():
     store, xs, b = _store_with_vars()
-    backend = TrailBackend(store, _noop_unsubsume)
-    store.backend = backend
+    backend = TrailBackend(store)
     before = store.snapshot_blob()
     backend.open_node([])
-    store.depth += 1
     store.narrow(xs[0], Op.ASSIGN, 3)
     store.narrow(xs[1], Op.REMOVE, 5)
     store.narrow(xs[1], Op.MAX, 7)
@@ -63,18 +57,19 @@ def test_trail_restores_exact_state():
     assert backend.stats.trail_entries == 4
     backend.backtrack_to(0)
     assert store.domains_equal(before)
-    assert store.depth == 0
+    # undone changes still count, and later ones add to them
+    assert backend.stats.trail_entries == 4
+    store.narrow(xs[2], Op.MIN, 2)
+    assert backend.stats.trail_entries == 5
 
 
 def test_trail_restores_multiple_levels():
     store, xs, _ = _store_with_vars()
-    backend = TrailBackend(store, _noop_unsubsume)
-    store.backend = backend
+    backend = TrailBackend(store)
     blobs = []
     for level in range(4):
         blobs.append(store.snapshot_blob())
         backend.open_node([])
-        store.depth += 1
         store.narrow(xs[level % 3], Op.REMOVE, level)
     backend.backtrack_to(2)
     assert store.domains_equal(blobs[2])
@@ -84,14 +79,12 @@ def test_trail_restores_multiple_levels():
 
 def test_copy_bytes_accounting():
     store, xs, _ = _store_with_vars()
-    backend = make_backend(RestoreMode.copy(), store, _noop_unsubsume, replay=None)
+    backend = make_backend(RestoreMode.copy(), store, replay=None)
     assert isinstance(backend, RecomputeBackend) and backend.distance == 1
-    store.backend = backend
     blobs = []
     for _ in range(5):
         blobs.append(store.snapshot_blob())
         backend.open_node([])
-        store.depth += 1
         store.narrow(xs[0], Op.REMOVE, store.max(xs[0]))
     backend.backtrack_to(2)
     assert store.domains_equal(blobs[2])
@@ -103,13 +96,9 @@ def test_copy_bytes_accounting():
 
 def test_recompute_snapshot_cadence():
     store, xs, _ = _store_with_vars()
-    backend = RecomputeBackend(
-        store, _noop_unsubsume, replay=lambda actions: None, distance=8
-    )
-    store.backend = backend
+    backend = RecomputeBackend(store, replay=lambda depth, actions: None, distance=8)
     for _ in range(16):
         backend.open_node([])
-        store.depth += 1
     # snapshots at depths 0 and 8 only
     assert backend.stats.snapshots_taken == 2
     assert [i for i, f in enumerate(backend.frames) if f.snapshot is not None] == [0, 8]
@@ -157,10 +146,8 @@ def test_shadow_backend_detects_mismatch():
                 self.trail.pop(0)
             super().backtrack_to(target)
 
-    shadow = ShadowBackend(Broken(store, _noop_unsubsume))
-    store.backend = shadow
+    shadow = ShadowBackend(Broken(store))
     shadow.open_node([])
-    store.depth += 1
     store.narrow(xs[0], Op.ASSIGN, 3)
     store.narrow(xs[1], Op.ASSIGN, 4)
     shadow.backtrack_to(0)

@@ -169,7 +169,7 @@ def test_minimize_under_all_backends(restore):
 def _assert_model_untouched(model, blob, n_props):
     assert model.store.snapshot_blob() == blob
     assert len(model.props) == n_props
-    assert model.store.backend is None
+    assert model.store.trail is None
     assert not hasattr(model, "engine")
 
 
@@ -223,7 +223,7 @@ def replay_error():
     model = build(parse_instance("queens:4"))
     search = _EnumerateSearch(model, RestoreMode.copy_recompute(2), "fifo", "first")
     try:
-        search._replay([(Op.ASSIGN, model.decision_vars[0], 99)])
+        search._replay(0, [(Op.ASSIGN, model.decision_vars[0], 99)])
     except Exception as exc:
         return exc
     return None
