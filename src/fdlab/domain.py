@@ -79,7 +79,10 @@ class VariableStore:
     cells; cached bounds and sizes are derived.  A copy backend snapshots
     that state as one region (``snapshot_blob``): the masks stay a list of
     Python ints, and the Boolean cells, signed bytes in one ``array("b")``,
-    are copied as one block.  ``region_bytes`` is the modelled region, one
+    are copied as one block.  The snapshot also copies the cached bounds
+    and sizes, so ``load_blob`` restores every list by slice assignment;
+    they are derived, so they count in neither ``region_bytes`` nor
+    ``domains_equal``.  ``region_bytes`` is the modelled region, one
     64-bit word per Boolean and per 64 values of an integer domain, not the
     Python footprint.
     """
@@ -207,34 +210,32 @@ class VariableStore:
         intersection would be empty (the domain is left as-is).
         ``EventClass.DOMAIN_CHANGED`` is 0 and therefore falsy, so callers
         must compare the result with ``is None`` or ``is FAILED``.
+
+        One call does the whole store side of a change, for either kind of
+        variable; :meth:`fdlab.propagate.Engine.narrow` calls it once and
+        then queues the propagators the returned event class wakes.
         """
         if var < 0:
-            return self._narrow_bool(var, op, value)
-        return self._narrow_int(var, op, value)
-
-    def _narrow_bool(self, var, op, value):
-        cur = self._bstate[~var]
-        if op is ASSIGN:
-            allowed = 1 << value if value in (0, 1) else 0
-        elif op is REMOVE:
-            allowed = 3 & ~(1 << value if value in (0, 1) else 0)
-        elif op is MIN:
-            allowed = 3 if value <= 0 else (2 if value == 1 else 0)
-        else:  # MAX
-            allowed = 3 if value >= 1 else (1 if value == 0 else 0)
-        have = 3 if cur == UNKNOWN else 1 << cur
-        new = have & allowed
-        if new == have:
-            return None
-        if new == 0:
-            return FAILED
-        state = 0 if new == 1 else 1
-        if self.trail is not None:
-            self.trail.append((var, cur))
-        self._bstate[~var] = state
-        return INSTANTIATED
-
-    def _narrow_int(self, var, op, value):
+            cur = self._bstate[~var]
+            if op is ASSIGN:
+                allowed = 1 << value if value in (0, 1) else 0
+            elif op is REMOVE:
+                allowed = 3 & ~(1 << value if value in (0, 1) else 0)
+            elif op is MIN:
+                allowed = 3 if value <= 0 else (2 if value == 1 else 0)
+            else:  # MAX
+                allowed = 3 if value >= 1 else (1 if value == 0 else 0)
+            have = 3 if cur == UNKNOWN else 1 << cur
+            new = have & allowed
+            if new == have:
+                return None
+            if new == 0:
+                return FAILED
+            state = 0 if new == 1 else 1
+            if self.trail is not None:
+                self.trail.append((var, cur))
+            self._bstate[~var] = state
+            return INSTANTIATED
         base = self._base[var]
         span = self._span[var]
         mask = self._mask[var]
@@ -279,19 +280,19 @@ class VariableStore:
     # -- restoration support -------------------------------------------
 
     def snapshot_blob(self):
-        """Copy of the restorable domain region (masks + Boolean cells)."""
-        return (self._mask[:], self._bstate[:])
+        """Copy of the restorable domain region (masks + Boolean cells),
+        with the masks' cached bounds and sizes so that a load recomputes
+        nothing."""
+        return (self._mask[:], self._lo[:], self._hi[:], self._size[:], self._bstate[:])
 
     def load_blob(self, blob):
-        masks, bstates = blob
-        self._mask[: len(masks)] = masks
+        masks, lo, hi, size, bstates = blob
+        n = len(masks)
+        self._mask[:n] = masks
+        self._lo[:n] = lo
+        self._hi[:n] = hi
+        self._size[:n] = size
         self._bstate[: len(bstates)] = bstates
-        base = self._base
-        lo, hi, size = self._lo, self._hi, self._size
-        for slot, m in enumerate(masks):
-            lo[slot] = base[slot] + ((m & -m).bit_length() - 1)
-            hi[slot] = base[slot] + m.bit_length() - 1
-            size[slot] = m.bit_count()
 
     def restore_raw(self, var, old):
         """Undo hook for trailing: reinstate a recorded pre-change state."""
@@ -305,5 +306,5 @@ class VariableStore:
         self._size[var] = old.bit_count()
 
     def domains_equal(self, blob):
-        masks, bstates = blob
+        masks, _, _, _, bstates = blob
         return self._mask == masks and self._bstate == bstates

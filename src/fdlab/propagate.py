@@ -3,15 +3,17 @@
 Propagators subscribe to (variable, event class) pairs and are run to a
 fixpoint.  The model owns the propagators and files each subscription in
 one wake table per event class (variable -> the pids that class wakes);
-each solve builds one ``Engine`` for its queue and entailment state, and
-a domain change looks up the table of its own event class only.  All
-propagators are monotone and contracting, so the fixpoint reached is unique
-regardless of the queue policy; only the amount of work to get there
-differs.
+each solve builds one ``Engine`` for its queue and entailment state.  A
+propagator's domain change is one ``Engine.narrow`` call, which makes one
+store ``narrow`` and then walks the table of the change's own event class
+only, queueing the idle pids there itself.  All propagators are monotone
+and contracting, so the fixpoint reached is unique regardless of the queue
+policy; only the amount of work to get there differs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 
 from .domain import FAILED, EventClass
@@ -57,15 +59,16 @@ class Engine:
     entailment record.
 
     Each pid has one state byte: idle, queued, or asleep while it runs or
-    stays subsumed.  A domain change reads the one wake table of its event
-    class and pushes only the idle pids there, so the running propagator
-    never requeues itself and a subsumed one sleeps until a backtrack
-    re-enables it.
+    stays subsumed.  ``narrow`` is the whole path of a propagator's domain
+    change: one store ``narrow``, then a walk of the one wake table of the
+    change's event class that queues the idle pids there in table order, so
+    the running propagator never requeues itself and a subsumed one sleeps
+    until a backtrack re-enables it.
 
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
     first; ``reversed`` pops the highest first.  Within equal priority, FIFO
     order breaks ties.  Each propagator's bucket is resolved once, when it
-    joins the engine, so a push makes no policy test.
+    joins the engine, so queueing makes no policy test.
     """
 
     # The bucket of each priority under each policy; fixpoint pops the
@@ -78,6 +81,9 @@ class Engine:
             raise ValueError(f"unknown queue policy {policy!r}")
         self.store = store
         self.props = list(props)
+        # pid -> its bound propagate, bound here so that a propagate patched
+        # on the class before the solve starts is the one that runs.
+        self._run = [p.propagate for p in self.props]
         # Indexed by event class; a model without subscriptions has none.
         self._wake = tuple(subs.get(k, {}) for k in EventClass)
         bucket_of = self._BUCKET_OF[policy]
@@ -86,8 +92,10 @@ class Engine:
         self._bucket = [by_priority[p.priority] for p in self.props]  # pid -> its deque
         self._state = bytearray(len(self.props))  # pid -> IDLE, QUEUED or ASLEEP
         self.depth = 0  # search depth, the number of open nodes
-        self.subsumed = {}  # pid -> search depth at which it became entailed
-        self._entailed = []  # the pids of subsumed, in the order marked
+        # The subsumed pids in the order marked, and the search depth at
+        # which each became entailed (never decreasing, see backtrack).
+        self._entailed = []
+        self._entailed_at = []
 
     def add(self, prop):
         """Add a propagator to this solve only (branch and bound's bound).
@@ -97,28 +105,26 @@ class Engine:
             raise ValueError("a propagator added during a solve must not subscribe")
         pid = len(self.props)
         self.props.append(prop)
+        self._run.append(prop.propagate)
         self._bucket.append(self._by_priority[prop.priority])
         self._state.append(IDLE)
         return pid
 
     def narrow(self, var, op, value):
-        """Single mutation entry point for propagators: narrow + schedule."""
+        """Single mutation entry point for propagators: narrow the store,
+        then queue the idle pids that the change's event class wakes on
+        ``var``.  Returns the store's result."""
         r = self.store.narrow(var, op, value)
         if r is not None and r is not FAILED:
-            self.dispatch(var, r)
+            pids = self._wake[r].get(var)
+            if pids:
+                state = self._state
+                bucket = self._bucket
+                for pid in pids:
+                    if not state[pid]:
+                        state[pid] = QUEUED
+                        bucket[pid].append(pid)
         return r
-
-    def dispatch(self, var, strength):
-        """Queue the idle propagators that a ``strength`` event on ``var``
-        wakes."""
-        pids = self._wake[strength].get(var)
-        if not pids:
-            return
-        state = self._state
-        push = self.push
-        for pid in pids:
-            if not state[pid]:
-                push(pid)
 
     def push(self, pid):
         """Queue ``pid`` if it is idle: not queued, running or subsumed."""
@@ -130,6 +136,11 @@ class Engine:
     def __contains__(self, pid):
         """True while ``pid`` is queued."""
         return self._state[pid] == QUEUED
+
+    @property
+    def subsumed(self):
+        """{pid: search depth at which it became entailed}, a copy."""
+        return dict(zip(self._entailed, self._entailed_at))
 
     def clear(self):
         """Empty the queue."""
@@ -149,17 +160,19 @@ class Engine:
 
         Entailment is recorded at the current depth, and every backtrack or
         replay returns to its target depth before it records anything
-        deeper, so depths never decrease along ``_entailed`` and the stale
-        pids are its tail.
+        deeper, so ``_entailed_at`` never decreases and the stale pids are
+        the tail that follows its last depth not above ``depth``.
         """
         self.depth = depth
-        subsumed = self.subsumed
-        entailed = self._entailed
-        state = self._state
-        while entailed and subsumed[entailed[-1]] > depth:
-            pid = entailed.pop()
-            del subsumed[pid]
-            state[pid] = IDLE
+        at = self._entailed_at
+        if at and at[-1] > depth:
+            cut = bisect_right(at, depth)
+            entailed = self._entailed
+            state = self._state
+            for pid in entailed[cut:]:
+                state[pid] = IDLE
+            del entailed[cut:]
+            del at[cut:]
 
     def fixpoint(self):
         """Run pending propagators until quiescence.
@@ -168,18 +181,23 @@ class Engine:
         emptied; the queue is drained in both cases.
         """
         buckets = self._buckets
+        first = buckets[0]  # the only bucket under fifo
+        rest = buckets[1:]
         state = self._state
-        props = self.props
+        run = self._run
         while True:
-            for bucket in buckets:
-                if bucket:
-                    pid = bucket.popleft()
-                    break
+            if first:
+                pid = first.popleft()
             else:
-                return True
+                for bucket in rest:
+                    if bucket:
+                        pid = bucket.popleft()
+                        break
+                else:
+                    return True
             state[pid] = ASLEEP
-            outcome = props[pid].propagate(self)
-            if outcome == AT_FIXPOINT:
+            outcome = run[pid](self)
+            if not outcome:  # AT_FIXPOINT
                 state[pid] = IDLE
                 continue
             if outcome == PROP_FAILED:
@@ -187,5 +205,5 @@ class Engine:
                 self.clear()
                 return False
             # SUBSUMED: it sleeps until a backtrack re-enables it.
-            self.subsumed[pid] = self.depth
             self._entailed.append(pid)
+            self._entailed_at.append(self.depth)

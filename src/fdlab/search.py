@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from .constraints import UpperBoundProp
-from .domain import FAILED, Op
+from .domain import ASSIGN, FAILED, MAX, REMOVE
 from .propagate import Engine
 from .restore import RestoreMode, RestoreStats, make_backend
 
@@ -130,8 +130,8 @@ class _Search:
         if var is None:
             return self.on_solution()
         v = self.store.min(var)
-        self.alts.append((self.eng.depth, self.cursor, [(Op.REMOVE, var, v)]))
-        if self.try_node(self.prefix_actions() + [(Op.ASSIGN, var, v)]):
+        self.alts.append((self.eng.depth, self.cursor, [(REMOVE, var, v)]))
+        if self.try_node(self.prefix_actions() + [(ASSIGN, var, v)]):
             return True
         self.stats.backtracks += 1
         return self.unwind()
@@ -185,7 +185,7 @@ class _MinimizeSearch(_Search):
         if self.best_value is None:
             return []
         if self.bnb == "tighten":
-            return [(Op.MAX, self.model.objective, self.best_value - 1)]
+            return [(MAX, self.model.objective, self.best_value - 1)]
         return [(A_SCHED, self.bound_pid, None)]
 
     def on_solution(self):

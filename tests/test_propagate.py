@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdlab.constraints import LEQ, GEQ, LeProp, UpperBoundProp, post_le, post_linear
 from fdlab.domain import VariableStore
@@ -10,6 +11,7 @@ from fdlab.propagate import (
     PRIORITY_CHEAP,
     PRIORITY_GLOBAL,
     PRIORITY_LINEAR,
+    SUBSUMED,
     Engine,
 )
 from fdlab.search import minimize
@@ -279,15 +281,21 @@ def test_running_propagator_not_rescheduled_by_own_narrow():
     assert store.max(x) == 8
 
 
-def _entailed_at(depths):
-    """Post one x <= y over x in 0..2, y in 5..9, which is entailed at once,
-    per depth, and run each to its subsumption at that search depth."""
+def _entailable(n):
+    """An engine over ``n`` posts of x <= y over x in 0..2, y in 5..9, each
+    entailed as soon as it runs, and their pids."""
     model = Model()
     pids = [
         model.add(LeProp(model.new_int_var(0, 2), model.new_int_var(5, 9)))
-        for _ in depths
+        for _ in range(n)
     ]
-    eng = _engine(model)
+    return _engine(model), pids
+
+
+def _entailed_at(depths):
+    """Run one entailed x <= y per depth to its subsumption at that search
+    depth."""
+    eng, pids = _entailable(len(depths))
     for pid, depth in zip(pids, depths):
         eng.depth = depth
         eng.push(pid)
@@ -322,6 +330,88 @@ def test_unsubsume_above_reenables_only_deeper_entailments():
     eng.backtrack(0)
     assert reenabled() == [False, True, True, True]
     assert eng.subsumed == {pids[0]: 0}
+
+
+_UNDO_STEPS = st.lists(
+    st.one_of(
+        # Go 0-2 levels deeper, then run pid there (it becomes entailed).
+        st.tuples(st.just("subsume"), st.integers(0, 5), st.integers(0, 2)),
+        # Return to this depth, or stay at the current one if it is lower.
+        st.tuples(st.just("backtrack"), st.integers(0, 12), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_UNDO_STEPS)
+def test_entailment_undo_matches_dict_reference(steps):
+    """Random interleavings of entailments and backtracks: the engine's
+    record equals a {pid: depth} dict cut by depth, and a push queues
+    exactly the pids that dict does not hold."""
+    eng, pids = _entailable(6)
+    reference = {}
+    for kind, a, b in steps:
+        if kind == "subsume":
+            eng.depth += b
+            eng.push(pids[a])
+            assert eng.fixpoint()
+            reference.setdefault(pids[a], eng.depth)
+        else:
+            depth = min(a, eng.depth)
+            eng.backtrack(depth)
+            reference = {pid: d for pid, d in reference.items() if d <= depth}
+            assert eng.depth == depth
+        assert eng.subsumed == reference
+        for pid in pids:
+            eng.push(pid)
+        assert [pid in eng for pid in pids] == [pid not in reference for pid in pids]
+        eng.clear()
+
+
+class _Entailed(_Recorder):
+    """A recorder that reports itself subsumed."""
+
+    def propagate(self, eng):
+        super().propagate(eng)
+        return SUBSUMED
+
+
+@pytest.mark.parametrize("policy", Engine.POLICIES)
+def test_narrow_queues_idle_pids_of_its_event_class_in_table_order(policy):
+    """One Engine.narrow walks the wake table of the change's event class
+    and queues its idle pids in table order, skipping a queued and a
+    subsumed one; other tables' pids stay idle."""
+    from fdlab.domain import BOUNDS_CHANGED, DOMAIN_CHANGED, INSTANTIATED, Op
+
+    log = []
+    store = VariableStore()
+    x = store.new_int_var(0, 9)
+    priorities = [PRIORITY_GLOBAL, PRIORITY_CHEAP, PRIORITY_LINEAR, PRIORITY_CHEAP,
+                  PRIORITY_LINEAR, PRIORITY_CHEAP, PRIORITY_GLOBAL]
+    props = [_Recorder(log, pid, p) for pid, p in enumerate(priorities)]
+    subsumed, queued = 2, 5
+    props[subsumed] = _Entailed(log, subsumed, priorities[subsumed])
+    table = [4, subsumed, 0, queued, 6, 1]  # not pid order
+    subs = {
+        DOMAIN_CHANGED: {x: [3]},
+        BOUNDS_CHANGED: {x: table},
+        INSTANTIATED: {x: [3] + table},
+    }
+    eng = Engine(store, props, subs, policy)
+    eng.push(subsumed)
+    assert eng.fixpoint() and eng.subsumed == {subsumed: 0}
+    eng.push(queued)
+    log.clear()
+    assert eng.narrow(x, Op.MAX, 7) is BOUNDS_CHANGED
+    assert [pid in eng for pid in range(len(props))] == [
+        True, True, False, False, True, True, True
+    ]
+    assert eng.fixpoint()
+    rank = {"fifo": lambda p: 0, "priority": lambda p: p, "reversed": lambda p: -p}
+    # queued was in its bucket before the narrow; the rest follow the table.
+    woken = [queued] + [pid for pid in table if pid not in (queued, subsumed)]
+    assert log == sorted(woken, key=lambda pid: rank[policy](priorities[pid]))
 
 
 def test_root_fixpoint_confluence_across_policies():
