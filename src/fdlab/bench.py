@@ -2,8 +2,8 @@
 repeated runs with median/CoV aggregation, and CSV/JSON emission.
 
 A configuration fully determines the search trajectory, so the trajectory
-columns (nodes, backtracks, solutions, restoration counters) must agree
-across repetitions; only the timings vary.
+columns (nodes, backtracks, solutions, the tree fingerprint, restoration
+counters) must agree across repetitions; only the timings vary.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ _TRAJECTORY_FIELDS = (
     "nodes",
     "backtracks",
     "solutions",
+    "fingerprint",
     "bytes_copied",
     "trail_entries",
     "snapshots",
@@ -65,6 +66,7 @@ class RunRecord:
     nodes: int = 0
     backtracks: int = 0
     solutions: int = 0
+    fingerprint: int = 0
     setup_ms_median: float = 0.0
     solve_ms_median: float = 0.0
     cov: float = 0.0
@@ -158,6 +160,7 @@ def run_matrix(configs):
                     stats.nodes,
                     stats.backtracks,
                     stats.solutions,
+                    stats.fingerprint,
                     stats.restore.bytes_copied,
                     stats.restore.trail_entries,
                     stats.restore.snapshots_taken,

@@ -24,12 +24,32 @@ from .restore import RestoreMode, RestoreStats, make_backend
 # propagator.  Actions are also the recomputation replay alphabet.
 A_SCHED = None
 
+# The tree fingerprint is FNV-1a taken over whole integers instead of bytes.
+_FP_BASIS = 0xCBF29CE484222325
+_FP_PRIME = 0x100000001B3
+_FP_MASK = (1 << 64) - 1
+
+
+def _fold(h, words):
+    """Fold a sequence of integers into the 64-bit fingerprint ``h``."""
+    for w in words:
+        h = ((h ^ w) * _FP_PRIME) & _FP_MASK
+    return h
+
 
 @dataclass
 class SearchStats:
+    """Counters of one solve.  ``fingerprint`` is a 64-bit hash of the tree:
+    per node, the branching variable's index in ``decision_vars`` (not its
+    id, which differs between the Boolean modes), the branching action's op
+    and value and whether the node failed, plus each solution's values and
+    each incumbent objective.  Like the counts, it is the same for every
+    configuration of one model."""
+
     nodes: int = 0
     backtracks: int = 0
     solutions: int = 0
+    fingerprint: int = _FP_BASIS
     setup_ms: float = 0.0
     solve_ms: float = 0.0
     nps: float = 0.0
@@ -95,8 +115,14 @@ class _Search:
 
     def try_node(self, actions):
         self.backend.open_node(actions)
-        self.stats.nodes += 1
-        return self.descend(actions)
+        stats = self.stats
+        stats.nodes += 1
+        ok = self.descend(actions)
+        # The branching action is the last; prefix actions are not hashed.
+        op, _, value = actions[-1]
+        h = ((stats.fingerprint ^ (self.cursor << 3 | op << 1 | ok)) * _FP_PRIME) & _FP_MASK
+        stats.fingerprint = ((h ^ value) * _FP_PRIME) & _FP_MASK
+        return ok
 
     def descend(self, actions):
         """Apply a node's actions one level deeper and propagate."""
@@ -164,8 +190,10 @@ class _EnumerateSearch(_Search):
         self.solutions = []
 
     def on_solution(self):
-        self.solutions.append(Solution(self.snapshot_solution()))
+        values = self.snapshot_solution()
+        self.solutions.append(Solution(values))
         self.stats.solutions += 1
+        self.stats.fingerprint = _fold(self.stats.fingerprint, values)
         if self.mode == "first":
             return False
         return self.unwind()
@@ -190,9 +218,11 @@ class _MinimizeSearch(_Search):
 
     def on_solution(self):
         value = self.store.value(self.model.objective)
-        self.best = Solution(self.snapshot_solution(), value)
+        values = self.snapshot_solution()
+        self.best = Solution(values, value)
         self.best_value = value
         self.stats.solutions += 1
+        self.stats.fingerprint = _fold(self.stats.fingerprint, values + (value,))
         if self.bnb == "post":
             self.bound_pid = self.eng.add(
                 UpperBoundProp(self.model.objective, value - 1)

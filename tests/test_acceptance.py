@@ -99,7 +99,7 @@ def _trajectory(inst, restore, queue, sum_mode, bool_mode):
     else:
         mode = "all" if inst == parse_instance("queens:6") else "first"
         _, stats = solve(model, mode=mode, restore=restore, queue=queue)
-    return stats.nodes, stats.backtracks, stats.solutions
+    return stats.nodes, stats.backtracks, stats.solutions, stats.fingerprint
 
 
 def test_criterion_3_trajectory_invariance(report):
@@ -215,9 +215,11 @@ def test_criterion_6_optimization(report):
         inst = parse_instance(f"golomb:{m}")
         best_t, stats_t = minimize(build(inst), bnb="tighten")
         best_p, stats_p = minimize(build(inst), bnb="post")
-        agreement.append(
-            (m, best_t.objective == best_p.objective, stats_t.nodes == stats_p.nodes)
+        same_tree = (stats_t.nodes, stats_t.fingerprint) == (
+            stats_p.nodes,
+            stats_p.fingerprint,
         )
+        agreement.append((m, best_t.objective == best_p.objective, same_tree))
     elapsed = time.perf_counter() - t0
     ok = (
         all(got == want for _, got, want in optima)

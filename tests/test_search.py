@@ -129,6 +129,29 @@ def test_stats_are_consistent():
     assert stats.setup_ms > 0
 
 
+def test_fingerprint_sees_what_the_counts_miss():
+    """Trees with equal counts but other branching positions or values get
+    other fingerprints; one tree gets one fingerprint under every backend."""
+    from fdlab.model import Model
+
+    def first(lo, skip):
+        model = Model()
+        if skip:
+            model.new_int_var(5, 5, decision=True)  # fixed: never branched on
+        model.new_int_var(lo, lo + 1, decision=True)
+        _, stats = solve(model, mode="first")
+        return (stats.nodes, stats.backtracks, stats.solutions), stats.fingerprint
+
+    counts = {first(lo, skip)[0] for lo in (0, 1) for skip in (False, True)}
+    prints = {first(lo, skip)[1] for lo in (0, 1) for skip in (False, True)}
+    assert counts == {(1, 0, 1)} and len(prints) == 4
+    prints = {
+        solve(build(parse_instance("queens:6")), mode="all", restore=r)[1].fingerprint
+        for r in (RestoreMode.trail(), RestoreMode.copy(), RestoreMode.copy_recompute(2))
+    }
+    assert len(prints) == 1
+
+
 # -- optimization -------------------------------------------------------
 
 
@@ -151,6 +174,7 @@ def test_bnb_modes_agree(m):
     assert best_t.objective == best_p.objective
     assert stats_t.nodes == stats_p.nodes
     assert stats_t.backtracks == stats_p.backtracks
+    assert stats_t.fingerprint == stats_p.fingerprint
 
 
 @pytest.mark.parametrize(
