@@ -15,7 +15,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from .domain import ASSIGN, BOUNDS_CHANGED, FAILED, INSTANTIATED, MAX, MIN, REMOVE
-from .domain import UNKNOWN, is_int_var
+from .domain import FIXED_FALSE, FIXED_TRUE, UNKNOWN, is_int_var
 from .model import SUM_DECOMPOSED, ModelError
 from .propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Propagator
 from .propagate import PRIORITY_CHEAP, PRIORITY_GLOBAL, PRIORITY_LINEAR
@@ -221,7 +221,12 @@ class BoolSumProp(Propagator):
     variables' three-state cells (``UNKNOWN``, 0 or 1) from ``_bstate`` in
     one C-level call and counts the true and the unknown ones with
     ``count``.  When the count forces every unknown cell to one value, it
-    fixes them and the sum is entailed."""
+    fixes them and the sum is entailed.
+
+    A cell turning false leaves the true count alone, so a ``<=`` sum
+    subscribes to ``FIXED_TRUE`` only; a cell turning true leaves the
+    count of possible trues alone, so a ``>=`` sum subscribes to
+    ``FIXED_FALSE`` only.  A ``=`` sum subscribes to both."""
 
     __slots__ = ("vars", "rel", "c", "_read_cells")
     priority = PRIORITY_LINEAR
@@ -238,8 +243,10 @@ class BoolSumProp(Propagator):
         self._read_cells = itemgetter(*cells)
 
     def subscriptions(self):
+        rel = self.rel
+        event = FIXED_TRUE if rel == LEQ else FIXED_FALSE if rel == GEQ else INSTANTIATED
         for var in self.vars:
-            yield var, INSTANTIATED
+            yield var, event
 
     def propagate(self, eng):
         states = self._read_cells(eng.store._bstate)
@@ -473,6 +480,13 @@ class LexLeqProp(Propagator):
     integer's ``_lo``/``_hi``.  It narrows a side only when its bound would
     move, and a bound that would cross the opposite one fails without a
     ``narrow`` call.
+
+    Past the deciding position a run reads only min(xs[j]) and max(ys[j]),
+    and at a fixpoint ys[a] = 0 has already forced xs[a] = 0 and xs[a] = 1
+    has forced ys[a] = 1.  So an x turning false or a y turning true leaves
+    an idle lex at its fixpoint, and a Boolean vector subscribes to
+    ``FIXED_TRUE`` on xs and ``FIXED_FALSE`` on ys (a variable in both
+    vectors gets both).
     """
 
     __slots__ = ("xs", "ys", "strict", "_cells")
@@ -487,10 +501,13 @@ class LexLeqProp(Propagator):
             self._cells = ([~v for v in self.xs], [~v for v in self.ys])
 
     def subscriptions(self):
+        x_event, y_event = (
+            (BOUNDS_CHANGED, BOUNDS_CHANGED) if self._cells is None else (FIXED_TRUE, FIXED_FALSE)
+        )
         for var in self.xs:
-            yield var, BOUNDS_CHANGED
+            yield var, x_event
         for var in self.ys:
-            yield var, BOUNDS_CHANGED
+            yield var, y_event
 
     def propagate(self, eng):
         s = eng.store

@@ -2,12 +2,13 @@
 
 Every domain mutation goes through :meth:`VariableStore.narrow`, which
 appends the old state to the store's trail (when a trailing backend gave it
-one) before the change becomes visible and reports the strongest applicable
-event class.  Integer domains are bitsets over the variable's original
-bounds with cached lo/hi/size; Boolean domains are three-state cells, signed
-bytes (``UNKNOWN``, 0 or 1) in one ``array("b")``, so a snapshot of all of
-them is one block copy.  Boolean variables expose the same observable
-semantics as integer variables with domain {0..1}.
+one) before the change becomes visible and reports its event: the strongest
+applicable event class for an integer, the value written for a Boolean.
+Integer domains are bitsets over the variable's original bounds with cached
+lo/hi/size; Boolean domains are three-state cells, signed bytes
+(``UNKNOWN``, 0 or 1) in one ``array("b")``, so a snapshot of all of them is
+one block copy.  Boolean variables expose the same observable semantics as
+integer variables with domain {0..1}.
 
 A variable is a plain int.  An integer variable is its slot in the integer
 arrays (``_mask``, ``_lo``, ``_hi``, ``_size``, ``_base``, ``_span``); a
@@ -30,11 +31,20 @@ def is_int_var(var):
 
 
 class EventClass(enum.IntEnum):
-    """Wake-up granularity, ordered by strength."""
+    """Wake-up granularity of an integer's events, ordered by strength."""
 
     DOMAIN_CHANGED = 0
     BOUNDS_CHANGED = 1
     INSTANTIATED = 2
+
+
+class BoolEvent(enum.IntEnum):
+    """A Boolean's events: its cell was fixed to 0 or to 1.  They number on
+    from the event classes, so that one tuple of wake tables, indexed by
+    event, serves both kinds of variable (see :data:`EVENTS`)."""
+
+    FIXED_FALSE = 3
+    FIXED_TRUE = 4
 
 
 class Op(enum.IntEnum):
@@ -48,6 +58,11 @@ class Op(enum.IntEnum):
 # magnitude cheaper than an enum attribute load on the narrowing hot path.
 REMOVE, MIN, MAX, ASSIGN = Op
 DOMAIN_CHANGED, BOUNDS_CHANGED, INSTANTIATED = EventClass
+FIXED_FALSE, FIXED_TRUE = BoolEvent
+
+#: Every event, in index order: the keys of ``Model.subs`` and the indices
+#: of ``Engine``'s wake tables.
+EVENTS = (*EventClass, *BoolEvent)
 
 
 class _Failed:
@@ -66,6 +81,7 @@ FAILED = _Failed()
 
 #: Boolean state for "not yet decided".
 UNKNOWN = -1
+_UNKNOWN_BYTE = array("b", [UNKNOWN]).tobytes()
 
 
 class DomainError(ValueError):
@@ -119,6 +135,13 @@ class VariableStore:
         self._bstate.append(UNKNOWN)
         self._region_words += 1
         return ~(len(self._bstate) - 1)
+
+    def new_bool_vars(self, n):
+        """Add ``n`` unknown Booleans in one extend; returns their ids."""
+        first = len(self._bstate)
+        self._bstate.frombytes(_UNKNOWN_BYTE * n)
+        self._region_words += n
+        return range(~first, ~(first + n), -1)
 
     def fork(self):
         """A store for one solve: it shares this store's variable layout
@@ -205,15 +228,18 @@ class VariableStore:
     def narrow(self, var, op, value):
         """Intersect the domain with the action's allowed set.
 
-        Returns the change's :class:`EventClass` when the domain changed,
-        ``None`` when it is bit-identical, or :data:`FAILED` when the
-        intersection would be empty (the domain is left as-is).
+        Returns the change's event when the domain changed: an integer's
+        strongest :class:`EventClass`, or the :class:`BoolEvent` of the
+        value a Boolean's cell was fixed to.  Returns ``None`` when the
+        domain is bit-identical, or :data:`FAILED` when the intersection
+        would be empty (the domain is left as-is).
         ``EventClass.DOMAIN_CHANGED`` is 0 and therefore falsy, so callers
         must compare the result with ``is None`` or ``is FAILED``.
 
         One call does the whole store side of a change, for either kind of
         variable; :meth:`fdlab.propagate.Engine.narrow` calls it once and
-        then queues the propagators the returned event class wakes.
+        then queues the propagators that the returned event wakes, so the
+        Boolean branch's value report costs the integer path nothing.
         """
         if var < 0:
             cur = self._bstate[~var]
@@ -231,11 +257,13 @@ class VariableStore:
                 return None
             if new == 0:
                 return FAILED
-            state = 0 if new == 1 else 1
             if self.trail is not None:
                 self.trail.append((var, cur))
-            self._bstate[~var] = state
-            return INSTANTIATED
+            if new == 1:
+                self._bstate[~var] = 0
+                return FIXED_FALSE
+            self._bstate[~var] = 1
+            return FIXED_TRUE
         base = self._base[var]
         span = self._span[var]
         mask = self._mask[var]

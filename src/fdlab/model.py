@@ -10,7 +10,8 @@ greater-equal pair), independently of which convention is actually posted.
 
 from __future__ import annotations
 
-from .domain import BOUNDS_CHANGED, DOMAIN_CHANGED, INSTANTIATED, EventClass
+from .domain import BOUNDS_CHANGED, DOMAIN_CHANGED, EVENTS, FIXED_FALSE, FIXED_TRUE
+from .domain import INSTANTIATED
 from .domain import VariableStore
 
 BOOL_NATIVE = "native"
@@ -33,10 +34,12 @@ class Model:
     their subscriptions in ``subs``, branch order and objective.  Each solve
     builds its own ``Engine`` over these and leaves them unchanged.
 
-    ``subs`` holds one wake table per event class, ``{event class:
-    {variable: [pid, ...]}}``: the table of a class lists, per variable,
-    the propagators that an event of that class wakes.  It stays empty
-    until a propagator subscribes."""
+    ``subs`` holds one wake table per event, ``{event: {variable: [pid,
+    ...]}}``: the table of an event lists, per variable, the propagators
+    that it wakes.  An integer's events are the three event classes; a
+    Boolean's are its two fixings, ``FIXED_FALSE`` and ``FIXED_TRUE``, so a
+    propagator that can prune on one value only is not woken by the other.
+    It stays empty until a propagator subscribes."""
 
     def __init__(self, bool_mode=BOOL_NATIVE, sum_mode=SUM_NATIVE):
         if bool_mode not in (BOOL_NATIVE, BOOL_INT):
@@ -47,7 +50,7 @@ class Model:
         self.sum_mode = sum_mode
         self.store = VariableStore()
         self.props = []
-        self.subs = {}  # event class -> {variable -> pids it wakes}
+        self.subs = {}  # event -> {variable -> pids it wakes}
         self.decision_vars = []
         self.objective = None
         self.count_native = 0
@@ -76,18 +79,28 @@ class Model:
         return self.new_int_var(0, 1, decision)
 
     def add(self, prop):
-        """Post a propagator and file each (variable, event class)
-        subscription under that class and every stronger one; returns its
-        pid."""
+        """Post a propagator and file its subscriptions; returns its pid.
+
+        An integer's (variable, event class) subscription is filed under
+        that class and every stronger one.  A Boolean's subscription to
+        ``FIXED_FALSE`` or ``FIXED_TRUE`` is filed under that value alone;
+        any other, of whatever event class, under both values.  (A value
+        subscription on an integer is filed as ``INSTANTIATED``.)
+        """
         pid = len(self.props)
         self.props.append(prop)
         subs = self.subs
         for var, klass in prop.subscriptions():
             if not subs:
-                subs.update((k, {}) for k in EventClass)
+                subs.update((k, {}) for k in EVENTS)
+            if var < 0:
+                if klass != FIXED_TRUE:
+                    subs[FIXED_FALSE].setdefault(var, []).append(pid)
+                if klass != FIXED_FALSE:
+                    subs[FIXED_TRUE].setdefault(var, []).append(pid)
+                continue
             subs[INSTANTIATED].setdefault(var, []).append(pid)
-            # INSTANTIATED is a Boolean's only event.
-            if var >= 0 and klass != INSTANTIATED:
+            if klass < INSTANTIATED:
                 subs[BOUNDS_CHANGED].setdefault(var, []).append(pid)
                 if klass == DOMAIN_CHANGED:
                     subs[DOMAIN_CHANGED].setdefault(var, []).append(pid)

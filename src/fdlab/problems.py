@@ -233,8 +233,7 @@ def build(instance, *, bool_mode="native", sum_mode="native"):
     model = Model(bool_mode=bool_mode, sum_mode=sum_mode)
     aux = _BUILDERS[instance.problem](model, *instance.params)
     if instance.extended:
-        for _ in range(PADDING_PER_AUX * aux):
-            model.store.new_bool_var()
+        model.store.new_bool_vars(PADDING_PER_AUX * aux)
     return model
 
 

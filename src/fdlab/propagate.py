@@ -1,14 +1,17 @@
 """Event-driven propagation engine with a policy-ordered queue.
 
-Propagators subscribe to (variable, event class) pairs and are run to a
+Propagators subscribe to (variable, event) pairs and are run to a
 fixpoint.  The model owns the propagators and files each subscription in
-one wake table per event class (variable -> the pids that class wakes);
-each solve builds one ``Engine`` for its queue and entailment state.  A
-propagator's domain change is one ``Engine.narrow`` call, which makes one
-store ``narrow`` and then walks the table of the change's own event class
-only, queueing the idle pids there itself.  All propagators are monotone
-and contracting, so the fixpoint reached is unique regardless of the queue
-policy; only the amount of work to get there differs.
+one wake table per event (variable -> the pids that event wakes): an
+integer's events are its event classes, a Boolean's are its fixings to 0
+and to 1, so a propagator that can prune on one value only sleeps through
+the other.  Each solve builds one ``Engine`` for its queue and entailment
+state.  A propagator's domain change is one ``Engine.narrow`` call, which
+makes one store ``narrow`` and then walks the table of the change's own
+event only, queueing the idle pids there itself.  All propagators are
+monotone and contracting, and an event a propagator does not subscribe to
+cannot make it prune, so the fixpoint reached is unique regardless of the
+queue policy; only the amount of work to get there differs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 
-from .domain import FAILED, EventClass
+from .domain import EVENTS, FAILED
 
 # Propagator outcomes.
 AT_FIXPOINT = 0
@@ -36,7 +39,10 @@ class Propagator:
     priority = PRIORITY_LINEAR
 
     def subscriptions(self):
-        """Yield (variable, EventClass) wake-up conditions."""
+        """Yield (variable, event) wake-up conditions: an ``EventClass``,
+        or for a Boolean that prunes on one value only, the ``BoolEvent``
+        of that value.  A subscribed propagator must be at its fixpoint
+        after any event it does not subscribe to."""
         return ()
 
     def propagate(self, eng):
@@ -52,7 +58,7 @@ ASLEEP = 2
 
 class Engine:
     """The propagation state of one solve, built by the solve over its fork
-    of the store and the model's propagators and wake tables (event class ->
+    of the store and the model's propagators and wake tables (event ->
     {variable -> pids}, see ``Model.add``).  It copies the propagator list,
     so what the solve adds stays out of the model, reads the wake tables
     without changing them, and owns the queue, the search depth and the
@@ -60,10 +66,11 @@ class Engine:
 
     Each pid has one state byte: idle, queued, or asleep while it runs or
     stays subsumed.  ``narrow`` is the whole path of a propagator's domain
-    change: one store ``narrow``, then a walk of the one wake table of the
-    change's event class that queues the idle pids there in table order, so
-    the running propagator never requeues itself and a subsumed one sleeps
-    until a backtrack re-enables it.
+    change: one store ``narrow``, whose result is the change's event (an
+    integer's event class, or the value a Boolean took), then a walk of
+    that event's one wake table that queues the idle pids there in table
+    order, so the running propagator never requeues itself and a subsumed
+    one sleeps until a backtrack re-enables it.
 
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
     first; ``reversed`` pops the highest first.  Within equal priority, FIFO
@@ -84,8 +91,8 @@ class Engine:
         # pid -> its bound propagate, bound here so that a propagate patched
         # on the class before the solve starts is the one that runs.
         self._run = [p.propagate for p in self.props]
-        # Indexed by event class; a model without subscriptions has none.
-        self._wake = tuple(subs.get(k, {}) for k in EventClass)
+        # Indexed by event; a model without subscriptions has none.
+        self._wake = tuple(subs.get(k, {}) for k in EVENTS)
         bucket_of = self._BUCKET_OF[policy]
         buckets = self._buckets = [deque() for _ in range(max(bucket_of) + 1)]
         by_priority = self._by_priority = tuple(buckets[b] for b in bucket_of)
@@ -112,8 +119,8 @@ class Engine:
 
     def narrow(self, var, op, value):
         """Single mutation entry point for propagators: narrow the store,
-        then queue the idle pids that the change's event class wakes on
-        ``var``.  Returns the store's result."""
+        then queue the idle pids that the change's event wakes on ``var``.
+        Returns the store's result."""
         r = self.store.narrow(var, op, value)
         if r is not None and r is not FAILED:
             pids = self._wake[r].get(var)

@@ -1,10 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdlab.constraints import (
     EQ,
     GEQ,
     LEQ,
+    BoolSumProp,
     DiffProp,
     LeProp,
     LexLeqProp,
@@ -19,7 +20,7 @@ from fdlab.constraints import (
     post_linear,
     post_ne_const,
 )
-from fdlab.domain import BOUNDS_CHANGED, FAILED, Op
+from fdlab.domain import BOUNDS_CHANGED, FAILED, FIXED_FALSE, FIXED_TRUE, Op
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, Model
 from fdlab.propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Engine
 from fdlab.propagate import PRIORITY_GLOBAL
@@ -804,3 +805,70 @@ def test_lex_leq_matches_reference(case):
         return ok, doms_after, entailed
 
     assert run(LexLeqProp) == run(_LexReference)
+
+
+@st.composite
+def _polarity_cases(draw):
+    """A Boolean sum under <= or >=, or a Boolean lex, strict or not, over
+    a pool of cells with a random partial assignment; lex positions may
+    share cells, within a vector and across the two.  ``picks`` chooses the
+    cells that get a fixing the propagator does not subscribe to."""
+    kind = draw(st.sampled_from([LEQ, GEQ, "lex", "lex-strict"]))
+    size = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from([0, 1, None]), min_size=size, max_size=size))
+    if kind in (LEQ, GEQ):
+        members = draw(st.lists(st.integers(0, size - 1), min_size=1, unique=True))
+        spec = members, draw(st.integers(0, len(members)))
+    else:
+        positions = st.lists(st.integers(0, size - 1), min_size=1, max_size=4)
+        xi = draw(positions)
+        spec = xi, draw(st.lists(st.integers(0, size - 1), min_size=len(xi), max_size=len(xi)))
+    picks = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    return kind, cells, spec, picks
+
+
+@settings(max_examples=400, deadline=None)
+@given(_polarity_cases())
+@example(("lex", [None] * 3, ([0, 1], [1, 2]), [True] * 3))
+@example(("lex-strict", [None, None, 1], ([0, 1], [1, 2]), [True] * 3))
+def test_skipped_polarity_fixings_leave_the_fixpoint_alone(case):
+    """A <= sum skips cells turning false, a >= sum cells turning true, and
+    a Boolean lex x -> 0 and y -> 1 (a cell in both vectors skips
+    neither).  From the propagator's own fixpoint, any such fixings must
+    leave a re-run nothing to narrow and nothing to fail."""
+    kind, cells, spec, picks = case
+    model = Model()
+    store = model.store
+    pool = [model.new_bool_var() for _ in cells]
+    for v, cell in zip(pool, cells):
+        if cell is not None:
+            store.narrow(v, Op.ASSIGN, cell)
+    if kind in (LEQ, GEQ):
+        members, c = spec
+        prop = BoolSumProp([pool[i] for i in members], kind, c)
+    else:
+        xi, yi = spec
+        prop = LexLeqProp([pool[i] for i in xi], [pool[i] for i in yi], kind == "lex-strict")
+    pid = model.add(prop)
+    eng = Engine(store, model.props, model.subs)
+
+    def domains():
+        return [store.domain_values(v) for v in pool]
+
+    while True:  # to the propagator's own fixpoint
+        before = domains()
+        if prop.propagate(eng) == PROP_FAILED:
+            return
+        if domains() == before:
+            break
+    for v, pick in zip(pool, picks):
+        skipped = [
+            value
+            for value, event in ((0, FIXED_FALSE), (1, FIXED_TRUE))
+            if pid not in model.subs[event].get(v, ())
+        ]
+        if pick and skipped and store.size(v) == 2:
+            store.narrow(v, Op.ASSIGN, skipped[0])
+    before = domains()
+    assert prop.propagate(eng) != PROP_FAILED
+    assert domains() == before

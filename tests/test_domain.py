@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from fdlab.domain import (
     FAILED,
+    BoolEvent,
     DomainError,
     EventClass,
     Op,
@@ -120,7 +121,7 @@ def test_bool_narrow():
     store = VariableStore()
     b = store.new_bool_var()
     ev = store.narrow(b, Op.REMOVE, 1)
-    assert ev is EventClass.INSTANTIATED
+    assert ev is BoolEvent.FIXED_FALSE
     assert store.value(b) == 0
     assert store.narrow(b, Op.ASSIGN, 0) is None
     assert store.narrow(b, Op.ASSIGN, 1) is FAILED
@@ -130,10 +131,10 @@ def test_bool_narrow():
 def test_bool_narrow_via_bounds():
     store = VariableStore()
     b = store.new_bool_var()
-    assert store.narrow(b, Op.MIN, 1) is EventClass.INSTANTIATED
+    assert store.narrow(b, Op.MIN, 1) is BoolEvent.FIXED_TRUE
     assert store.value(b) == 1
     c = store.new_bool_var()
-    assert store.narrow(c, Op.MAX, 0) is EventClass.INSTANTIATED
+    assert store.narrow(c, Op.MAX, 0) is BoolEvent.FIXED_FALSE
     assert store.value(c) == 0
 
 
@@ -146,6 +147,20 @@ def test_region_bytes_accounting():
     assert store.region_bytes == 24
     store.new_bool_var()  # one word
     assert store.region_bytes == 32
+
+
+def test_bulk_booleans_match_one_at_a_time():
+    """``new_bool_vars(n)`` is ``n`` calls of ``new_bool_var``: the same
+    ids, cells and region size."""
+    one, bulk = VariableStore(), VariableStore()
+    for store in (one, bulk):
+        store.new_int_var(0, 9)
+        store.new_bool_var()
+    ids = [one.new_bool_var() for _ in range(5)]
+    assert list(bulk.new_bool_vars(5)) == ids
+    assert list(bulk.new_bool_vars(0)) == []
+    assert bulk._bstate == one._bstate and bulk.region_bytes == one.region_bytes
+    assert all(bulk.size(b) == 2 for b in ids)
 
 
 def test_snapshot_blob_round_trip():
@@ -200,7 +215,9 @@ def test_bool_matches_int_zero_one(ops):
         elif rb is None or rx is None:
             assert rb is None and rx is None
         else:
-            assert rb is rx
+            # The integer reports instantiation, the Boolean the value.
+            assert rx is EventClass.INSTANTIATED
+            assert rb is (BoolEvent.FIXED_TRUE if store.min(x) else BoolEvent.FIXED_FALSE)
         assert store.min(b) == store.min(x)
         assert store.max(b) == store.max(x)
         assert store.size(b) == store.size(x)

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdlab.constraints import LEQ, GEQ, LeProp, UpperBoundProp, post_le, post_linear
+from fdlab.constraints import EQ, LEQ, GEQ, BoolSumProp, LeProp, LexLeqProp, UpperBoundProp
+from fdlab.constraints import post_le, post_linear
 from fdlab.domain import VariableStore
 from fdlab.model import Model
 from fdlab.problems import build, parse_instance
@@ -207,20 +208,61 @@ def test_hole_removal_wakes_only_domain_subscribers(policy):
     assert [pid in eng for pid in pids] == [True, True, False]
 
 
+def _queued_after_fixing(model, pid, var, value, policy="fifo"):
+    """Whether fixing ``var`` to ``value`` on a fork of the model's store
+    queues ``pid``."""
+    from fdlab.domain import Op
+
+    eng = Engine(model.store.fork(), model.props, model.subs, policy)
+    eng.narrow(var, Op.ASSIGN, value)
+    return pid in eng
+
+
 @pytest.mark.parametrize("policy", Engine.POLICIES)
 def test_boolean_fix_wakes_every_subscriber(policy):
-    """A Boolean's only event is INSTANTIATED, so every subscription to it is
-    filed in that table alone, and fixing it wakes them all."""
-    from fdlab.domain import BOUNDS_CHANGED, DOMAIN_CHANGED, INSTANTIATED, Op
+    """A Boolean's events are its fixings to 0 and to 1, so a subscription
+    of any event class is filed under both values, in no other table, and
+    fixing the Boolean either way wakes every class subscriber."""
+    from fdlab.domain import EVENTS, FIXED_FALSE, FIXED_TRUE
 
     model = Model()
     b = model.new_bool_var()
     pids = _wakers(model, b)
-    assert model.subs[INSTANTIATED][b] == pids
-    assert b not in model.subs[BOUNDS_CHANGED] and b not in model.subs[DOMAIN_CHANGED]
-    eng = _engine(model, policy)
-    eng.narrow(b, Op.MAX, 0)
-    assert all(pid in eng for pid in pids)
+    assert model.subs[FIXED_FALSE][b] == pids
+    assert model.subs[FIXED_TRUE][b] == pids
+    assert [e for e in EVENTS if b in model.subs[e]] == [FIXED_FALSE, FIXED_TRUE]
+    for value in (0, 1):
+        assert all(_queued_after_fixing(model, pid, b, value, policy) for pid in pids)
+
+
+@pytest.mark.parametrize("rel, wakes_on", [(LEQ, (1,)), (GEQ, (0,)), (EQ, (0, 1))])
+def test_bool_sum_wakes_only_on_the_value_that_can_prune(rel, wakes_on):
+    """A cell going false does not queue a <= sum, a cell going true does
+    not queue a >= sum, and either queues a = sum."""
+    model = Model()
+    cells = [model.new_bool_var() for _ in range(3)]
+    pid = model.add(BoolSumProp(cells, rel, 1))
+    for value in (0, 1):
+        assert _queued_after_fixing(model, pid, cells[1], value) == (value in wakes_on)
+
+
+def test_bool_lex_sleeps_through_x_false_and_y_true():
+    """Neither x -> 0 nor y -> 1 queues a Boolean lex; x -> 1 and y -> 0
+    do, and a variable in both vectors wakes it either way."""
+    model = Model()
+    x0, x1, shared, y1 = (model.new_bool_var() for _ in range(4))
+    pid = model.add(LexLeqProp([x0, x1, shared], [shared, y1, x1]))
+    queued = {
+        (var, value): _queued_after_fixing(model, pid, var, value)
+        for var in (x0, y1, shared) for value in (0, 1)
+    }
+    assert queued == {
+        (x0, 0): False, (x0, 1): True,
+        (y1, 0): True, (y1, 1): False,
+        (shared, 0): True, (shared, 1): True,
+    }
+    # x1 sits in xs and in ys as well.
+    assert _queued_after_fixing(model, pid, x1, 0) and _queued_after_fixing(model, pid, x1, 1)
 
 
 @pytest.mark.parametrize("policy", Engine.POLICIES)

@@ -1,8 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fdlab.constraints import EQ, GEQ, LEQ, post_bool_and, post_bool_sum, post_lex_leq
+from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model
 from fdlab.problems import build, check_solution, parse_instance
+from fdlab.propagate import Engine
 from fdlab.restore import RestoreMode
 from fdlab.domain import Op
 from fdlab.search import _EnumerateSearch, minimize, solve
@@ -276,3 +280,82 @@ def test_checker_catches_perturbed_golfers():
     values = list(sol.values)
     values[0] = 1 - values[0]
     assert check_solution(inst, tuple(values)) is not None
+
+
+# -- Boolean modes, differentially --------------------------------------
+
+
+@st.composite
+def _bool_models(draw):
+    """3-6 cells and 1-4 constraints among Boolean sums of each relation
+    (over distinct cells, maybe pair-counted), ``and`` and lex, strict or
+    not; ``and`` and lex may repeat cells."""
+    n = draw(st.integers(3, 6))
+    cell = st.integers(0, n - 1)
+    cons = []
+    for kind in draw(st.lists(st.sampled_from(["sum", "and", "lex"]), min_size=1, max_size=4)):
+        if kind == "sum":
+            members = draw(st.lists(cell, min_size=1, max_size=n, unique=True))
+            rel = draw(st.sampled_from([EQ, LEQ, GEQ]))
+            cons.append((kind, members, rel, draw(st.integers(0, len(members))), draw(st.booleans())))
+        elif kind == "and":
+            cons.append((kind, draw(cell), draw(cell), draw(cell)))
+        else:
+            xs = draw(st.lists(cell, min_size=1, max_size=3))
+            ys = draw(st.lists(cell, min_size=len(xs), max_size=len(xs)))
+            cons.append((kind, xs, ys, draw(st.booleans())))
+    return n, cons
+
+
+def _post_bool_model(n, cons, bool_mode, sum_mode):
+    model = Model(bool_mode=bool_mode, sum_mode=sum_mode)
+    cells = [model.new_01_var(decision=True) for _ in range(n)]
+    for kind, *args in cons:
+        if kind == "sum":
+            members, rel, c, pair_counted = args
+            post_bool_sum(model, [cells[i] for i in members], rel, c, pair_counted=pair_counted)
+        elif kind == "and":
+            post_bool_and(model, *(cells[i] for i in args))
+        else:
+            xs, ys, strict = args
+            post_lex_leq(model, [cells[i] for i in xs], [cells[i] for i in ys], strict)
+    return model
+
+
+def _holds(values, cons):
+    for kind, *args in cons:
+        if kind == "sum":
+            members, rel, c, _ = args
+            total = sum(values[i] for i in members)
+            if rel == EQ and total != c or rel == LEQ and total > c or rel == GEQ and total < c:
+                return False
+        elif kind == "and":
+            z, x, y = args
+            if values[z] != (values[x] & values[y]):
+                return False
+        else:
+            xs, ys, strict = args
+            left, right = [values[i] for i in xs], [values[i] for i in ys]
+            if left > right or strict and left == right:
+                return False
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(_bool_models())
+def test_boolean_modes_explore_one_tree(case):
+    """Native Booleans wake a one-sided sum or lex on one value only; {0..1}
+    integers wake everything on bounds events.  Under both Boolean modes,
+    both sum modes and every queue policy, ``all`` mode finds exactly the
+    brute-force solutions over the same tree: nodes, backtracks and
+    fingerprint agree."""
+    n, cons = case
+    brute = {v for v in itertools.product((0, 1), repeat=n) if _holds(v, cons)}
+    trees = set()
+    for bool_mode, sum_mode, queue in itertools.product(
+        (BOOL_NATIVE, BOOL_INT), (SUM_NATIVE, SUM_DECOMPOSED), Engine.POLICIES
+    ):
+        sols, stats = solve(_post_bool_model(n, cons, bool_mode, sum_mode), mode="all", queue=queue)
+        assert {s.values for s in sols} == brute and len(sols) == len(brute)
+        trees.add((stats.nodes, stats.backtracks, stats.fingerprint))
+    assert len(trees) == 1
