@@ -30,6 +30,9 @@ INT64_MAX = 2**63 - 1
 #: the last entry.
 _BOOL_BOUNDS = ((0, 0), (1, 1), (0, 1))
 
+#: The Boolean event a sum of each relation subscribes to.
+_SUM_EVENT = {LEQ: FIXED_TRUE, GEQ: FIXED_FALSE, EQ: INSTANTIATED}
+
 
 class PostError(ModelError):
     """Rejected constraint posting."""
@@ -243,8 +246,7 @@ class BoolSumProp(Propagator):
         self._read_cells = itemgetter(*cells)
 
     def subscriptions(self):
-        rel = self.rel
-        event = FIXED_TRUE if rel == LEQ else FIXED_FALSE if rel == GEQ else INSTANTIATED
+        event = _SUM_EVENT[self.rel]
         for var in self.vars:
             yield var, event
 
@@ -501,9 +503,10 @@ class LexLeqProp(Propagator):
             self._cells = ([~v for v in self.xs], [~v for v in self.ys])
 
     def subscriptions(self):
-        x_event, y_event = (
-            (BOUNDS_CHANGED, BOUNDS_CHANGED) if self._cells is None else (FIXED_TRUE, FIXED_FALSE)
-        )
+        if self._cells is None:
+            x_event = y_event = BOUNDS_CHANGED
+        else:
+            x_event, y_event = FIXED_TRUE, FIXED_FALSE
         for var in self.xs:
             yield var, x_event
         for var in self.ys:

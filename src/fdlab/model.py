@@ -84,8 +84,7 @@ class Model:
         An integer's (variable, event class) subscription is filed under
         that class and every stronger one.  A Boolean's subscription to
         ``FIXED_FALSE`` or ``FIXED_TRUE`` is filed under that value alone;
-        any other, of whatever event class, under both values.  (A value
-        subscription on an integer is filed as ``INSTANTIATED``.)
+        any other, of whatever event class, under both values.
         """
         pid = len(self.props)
         self.props.append(prop)
@@ -100,7 +99,7 @@ class Model:
                     subs[FIXED_TRUE].setdefault(var, []).append(pid)
                 continue
             subs[INSTANTIATED].setdefault(var, []).append(pid)
-            if klass < INSTANTIATED:
+            if klass != INSTANTIATED:
                 subs[BOUNDS_CHANGED].setdefault(var, []).append(pid)
                 if klass == DOMAIN_CHANGED:
                     subs[DOMAIN_CHANGED].setdefault(var, []).append(pid)

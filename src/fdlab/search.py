@@ -120,8 +120,7 @@ class _Search:
         ok = self.descend(actions)
         # The branching action is the last; prefix actions are not hashed.
         op, _, value = actions[-1]
-        h = ((stats.fingerprint ^ (self.cursor << 3 | op << 1 | ok)) * _FP_PRIME) & _FP_MASK
-        stats.fingerprint = ((h ^ value) * _FP_PRIME) & _FP_MASK
+        stats.fingerprint = _fold(stats.fingerprint, (self.cursor << 3 | op << 1 | ok, value))
         return ok
 
     def descend(self, actions):
