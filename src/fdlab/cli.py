@@ -54,9 +54,6 @@ def _add_run_options(parser):
         "--bool-vars", choices=[BOOL_NATIVE, BOOL_INT], default=BOOL_NATIVE
     )
     parser.add_argument("--bnb", choices=["post", "tighten"], default="tighten")
-    parser.add_argument(
-        "--ext", action="store_true", help="use the padded (extended) model"
-    )
     parser.add_argument("--runs", type=int, default=5, metavar="K")
 
 
@@ -75,11 +72,8 @@ def _emit(records, args):
 
 
 def cmd_run(args):
-    instance = parse_instance(args.model)
-    if args.ext:
-        instance = Instance(instance.problem, instance.params, extended=True)
     config = RunConfig(
-        instance,
+        parse_instance(args.model),
         bool_mode=args.bool_vars,
         sum_mode=args.sum_eq,
         restore=_restore_mode(args),
@@ -154,41 +148,39 @@ def cmd_table3(args):
     return EXIT_OK
 
 
-#: Small instances used by the preset sweeps so a full matrix stays fast.
-_SWEEP_INSTANCES = {
-    "boolint": ["golfers:2,3,3", "golfers:2,4,4", "bibd:7,3,2", "bibd:7,3,10"],
-    "copy": ["queens:8", "golomb:7", "magic:4", "golfers:2,4,4", "bibd:7,3,2"],
-    "trail": ["queens:8", "golomb:7", "magic:4", "golfers:2,4,4", "bibd:7,3,2"],
-    "manyvars": ["queens:8", "queens:10", "golfers:2,3,3", "golfers:2,4,4"],
+_SMALL = ["queens:8", "golomb:7", "magic:4", "golfers:2,4,4", "bibd:7,3,2"]
+_TRAIL_AND_COPY = [{"restore": RestoreMode.trail()}, {"restore": RestoreMode.copy()}]
+
+#: The preset sweeps: suite -> (instance specs, ``RunConfig`` overrides).
+#: Each instance runs under each override in turn.  The instances are small
+#: so that a full matrix stays fast.
+_SUITES = {
+    "boolint": (
+        ["golfers:2,3,3", "golfers:2,4,4", "bibd:7,3,2", "bibd:7,3,10"],
+        [{"bool_mode": BOOL_NATIVE}, {"bool_mode": BOOL_INT}],
+    ),
+    "copy": (
+        _SMALL,
+        [{"restore": RestoreMode.copy_recompute(d)} for d in (1, 2, 8, 16, 32)],
+    ),
+    "trail": (_SMALL, _TRAIL_AND_COPY),
+    "manyvars": (
+        [
+            "queens:8", "queens:8+ext", "queens:10", "queens:10+ext",
+            "golfers:2,3,3", "golfers:2,3,3+ext", "golfers:2,4,4", "golfers:2,4,4+ext",
+        ],
+        _TRAIL_AND_COPY,
+    ),
 }
 
 
 def _sweep_configs(suite, runs):
-    instances = [parse_instance(s) for s in _SWEEP_INSTANCES[suite]]
-    configs = []
-    if suite == "boolint":
-        for inst in instances:
-            for mode in (BOOL_NATIVE, BOOL_INT):
-                configs.append(RunConfig(inst, bool_mode=mode, runs=runs))
-    elif suite == "copy":
-        for inst in instances:
-            for dist in (1, 2, 8, 16, 32):
-                configs.append(
-                    RunConfig(
-                        inst, restore=RestoreMode.copy_recompute(dist), runs=runs
-                    )
-                )
-    elif suite == "trail":
-        for inst in instances:
-            for mode in (RestoreMode.trail(), RestoreMode.copy()):
-                configs.append(RunConfig(inst, restore=mode, runs=runs))
-    else:  # manyvars
-        for inst in instances:
-            for extended in (False, True):
-                variant = Instance(inst.problem, inst.params, extended)
-                for mode in (RestoreMode.trail(), RestoreMode.copy()):
-                    configs.append(RunConfig(variant, restore=mode, runs=runs))
-    return configs
+    specs, overrides = _SUITES[suite]
+    return [
+        RunConfig(parse_instance(spec), runs=runs, **override)
+        for spec in specs
+        for override in overrides
+    ]
 
 
 def cmd_sweep(args):
@@ -222,7 +214,7 @@ def build_parser():
     p_sweep.add_argument(
         "--suite",
         required=True,
-        choices=["boolint", "copy", "trail", "manyvars"],
+        choices=list(_SUITES),
     )
     p_sweep.add_argument("--runs", type=int, default=5, metavar="K")
     _add_output_options(p_sweep)

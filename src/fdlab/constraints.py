@@ -1,17 +1,19 @@
 """Constraint catalog: linear sums (with a kernel for the three-variable
-difference x = y + z + k), alldifferent, disequalities, Boolean
-conjunction, specialised Boolean sums, ordering and lex constraints.
+difference x = y + z + k), alldifferent, Boolean conjunction, specialised
+Boolean sums, ordering and lex constraints.  The unary constraints x != c
+and x = c have no propagator: posting one narrows the model's domain.
 
 Posting functions maintain two constraint counts on the model: the native
 count (sum-equals is one constraint) and the decomposed count (sum-equals
-is a less-equal plus a greater-equal pair, and sums a model class declares
-as pair-counted are counted the same way).  Which propagators actually get
-posted follows the model's sum and Boolean modes; the pruning reached at
-the fixpoint is identical in all modes.
+is a less-equal plus a greater-equal pair, and Boolean sums a model class
+declares as pair-counted are counted the same way).  Which propagators
+actually get posted follows the model's sum and Boolean modes; the pruning
+reached at the fixpoint is identical in all modes.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 
 from .domain import ASSIGN, BOUNDS_CHANGED, FAILED, INSTANTIATED, MAX, MIN, REMOVE
@@ -321,38 +323,6 @@ class AllDiffValueProp(Propagator):
                 return SUBSUMED if not free else AT_FIXPOINT
 
 
-class NeConstProp(Propagator):
-    """var != c; prunes once at posting time and is then entailed."""
-
-    __slots__ = ("var", "c")
-    priority = PRIORITY_CHEAP
-
-    def __init__(self, var, c):
-        self.var = var
-        self.c = c
-
-    def propagate(self, eng):
-        if eng.narrow(self.var, REMOVE, self.c) is FAILED:
-            return PROP_FAILED
-        return SUBSUMED
-
-
-class FixValueProp(Propagator):
-    """var = c; prunes once and is then entailed."""
-
-    __slots__ = ("var", "c")
-    priority = PRIORITY_CHEAP
-
-    def __init__(self, var, c):
-        self.var = var
-        self.c = c
-
-    def propagate(self, eng):
-        if eng.narrow(self.var, ASSIGN, self.c) is FAILED:
-            return PROP_FAILED
-        return SUBSUMED
-
-
 class LeProp(Propagator):
     """x <= y (or x < y) by bounds, over integer variables.
 
@@ -620,48 +590,32 @@ def _check_rel(rel):
         raise PostError(f"unknown relation {rel!r}")
 
 
-def _post_sum(model, rel, c, make, pair_counted):
+def _post_sum(model, rel, c, make):
     """Post the propagator(s) for one sum per the model's sum mode and
     return how many were posted."""
-    if rel == EQ:
-        if model.sum_mode == SUM_DECOMPOSED:
-            model.add(make(LEQ, c))
-            model.add(make(GEQ, c))
-            return 2
-        model.add(make(EQ, c))
-        return 1
-    model.add(make(rel, c))
-    if model.sum_mode == SUM_DECOMPOSED and pair_counted:
-        # The count-fidelity half: a trivially-true bound in the opposite
-        # direction (e.g. sum >= 0 next to sum <= 1).
-        model.add(make(GEQ if rel == LEQ else LEQ, None))
+    if rel == EQ and model.sum_mode == SUM_DECOMPOSED:
+        model.add(make(LEQ, c))
+        model.add(make(GEQ, c))
         return 2
+    model.add(make(rel, c))
     return 1
 
 
-def post_linear(model, terms, rel, c, *, pair_counted=False):
+def post_linear(model, terms, rel, c):
     """Post sum(coeff*var) rel c; returns the number of propagators posted."""
     _check_rel(rel)
     terms = [(int(a), v) for a, v in terms]
     _check_terms(model, terms)
-    model.count_constraint(
-        1, 2 if rel == EQ or pair_counted else 1
-    )
-    s = model.store
-    lo0 = sum(a * (s.min(v) if a > 0 else s.max(v)) for a, v in terms)
-    hi0 = sum(a * (s.max(v) if a > 0 else s.min(v)) for a, v in terms)
-
+    model.count_constraint(1, 2 if rel == EQ else 1)
     diff = _as_difference(terms)
 
     def make(r, bound):
         if r == EQ and diff is not None:
             x, y, z, sign = diff
             return DiffProp(x, y, z, sign * bound)
-        if bound is None:
-            bound = lo0 if r == GEQ else hi0
         return LinearProp(terms, r, bound)
 
-    return _post_sum(model, rel, c, make, pair_counted)
+    return _post_sum(model, rel, c, make)
 
 
 def _as_difference(terms):
@@ -682,11 +636,19 @@ def _as_difference(terms):
     return None
 
 
+def _all_01(store, vars):
+    """Whether every variable is an integer within {0..1}."""
+    return all(is_int_var(v) and store.min(v) >= 0 and store.max(v) <= 1 for v in vars)
+
+
 def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
     """Sum of Boolean variables rel c; counter-based over native Booleans,
     routed to the linear propagator over {0..1} integers (what the integer
-    Boolean mode builds).  The variables must all be of one kind.  Returns
-    the number of propagators posted."""
+    Boolean mode builds).  The variables must all be of one kind.  A
+    pair-counted ``<=`` or ``>=`` sum counts as two constraints under the
+    decomposed convention, and the decomposed sum mode posts the second: a
+    trivially-true bound in the opposite direction (``sum >= 0`` next to
+    ``sum <= 1``).  Returns the number of propagators posted."""
     _check_rel(rel)
     vars = list(vars)
     if not vars:
@@ -697,23 +659,19 @@ def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
     # end of the store's arrays.
     if is_int_var(min(vars)) != is_int_var(max(vars)):
         raise PostError("boolean sum mixes Boolean and integer variables")
-    model.count_constraint(1, 2 if rel == EQ or pair_counted else 1)
     if is_int_var(vars[0]):
-        terms = [(1, v) for v in vars]
-
-        def make(r, bound):
-            if bound is None:
-                bound = 0 if r == GEQ else len(vars)
-            return LinearProp(terms, r, bound)
-
+        # Over a wider integer the trivially-true half would prune.
+        if not _all_01(model.store, vars):
+            raise PostError("boolean sum takes Booleans or {0..1} integers")
+        make = partial(LinearProp, [(1, v) for v in vars])
     else:
-
-        def make(r, bound):
-            if bound is None:
-                bound = 0 if r == GEQ else len(vars)
-            return BoolSumProp(vars, r, bound)
-
-    return _post_sum(model, rel, c, make, pair_counted)
+        make = partial(BoolSumProp, vars)
+    model.count_constraint(1, 2 if rel == EQ or pair_counted else 1)
+    posted = _post_sum(model, rel, c, make)
+    if rel != EQ and pair_counted and model.sum_mode == SUM_DECOMPOSED:
+        model.add(make(GEQ, 0) if rel == LEQ else make(LEQ, len(vars)))
+        posted += 1
+    return posted
 
 
 def post_alldifferent(model, vars):
@@ -726,14 +684,22 @@ def post_alldifferent(model, vars):
     model.add(AllDiffValueProp(vars))
 
 
-def post_ne_const(model, var, c):
+def _post_unary(model, var, op, c):
+    """Post a unary constraint by narrowing the model's domain: the domain
+    is the constraint, so no propagator is posted."""
+    if model.store.narrow(var, op, c) is FAILED:
+        raise PostError(f"unary constraint on variable {var} empties its domain")
     model.count_constraint(1, 1)
-    model.add(NeConstProp(var, c))
+
+
+def post_ne_const(model, var, c):
+    """var != c, removed from the domain at posting."""
+    _post_unary(model, var, REMOVE, c)
 
 
 def post_fix(model, var, c):
-    model.count_constraint(1, 1)
-    model.add(FixValueProp(var, c))
+    """var = c, assigned in the domain at posting."""
+    _post_unary(model, var, ASSIGN, c)
 
 
 def post_le(model, x, y, strict=False):
@@ -747,8 +713,7 @@ def post_bool_and(model, z, x, y):
     """z = x and y over three Booleans or three integers within {0..1},
     the two cases the propagator's three-state read handles."""
     if is_int_var(z):
-        s = model.store
-        if not all(is_int_var(v) and s.min(v) >= 0 and s.max(v) <= 1 for v in (z, x, y)):
+        if not _all_01(model.store, (z, x, y)):
             raise PostError("boolean and takes three Booleans or three {0..1} integers")
     elif is_int_var(x) or is_int_var(y):
         raise PostError("boolean and mixes Boolean and integer variables")

@@ -27,7 +27,7 @@ PROP_FAILED = 1
 SUBSUMED = 2
 
 # Queue buckets, popped in this order under the ``priority`` policy.
-PRIORITY_CHEAP = 0  # arity <= 3: disequalities, orderings, conjunction
+PRIORITY_CHEAP = 0  # arity <= 3: orderings, conjunction, objective bound
 PRIORITY_LINEAR = 1  # linear and Boolean sums
 PRIORITY_GLOBAL = 2  # alldifferent, lex
 NUM_PRIORITIES = 3

@@ -19,7 +19,7 @@ from fdlab.bench import (
     emit,
     run_matrix,
 )
-from fdlab.cli import main
+from fdlab.cli import _sweep_configs, main
 from fdlab.problems import Instance, parse_instance
 from fdlab.restore import RestoreMode
 from fdlab.stats import cov, median, nodes_per_second
@@ -289,6 +289,50 @@ def test_cli_table3_marked_informational(capsys):
     out = capsys.readouterr().out
     assert "not asserted" in out
     assert "399498" in out  # golfers 2,10,4 reference row
+
+
+_SMALL = ["queens:8", "golomb:7", "magic:4", "golfers:2,4,4", "bibd:7,3,2"]
+_MANYVARS = ["queens:8", "queens:10", "golfers:2,3,3", "golfers:2,4,4"]
+
+
+@pytest.mark.parametrize(
+    "suite, expected",
+    [
+        (
+            "boolint",
+            [
+                (spec, "trail", 1, mode)
+                for spec in ["golfers:2,3,3", "golfers:2,4,4", "bibd:7,3,2", "bibd:7,3,10"]
+                for mode in ("native", "int")
+            ],
+        ),
+        (
+            "copy",
+            [(spec, "copy-recompute", d, "native") for spec in _SMALL for d in (1, 2, 8, 16, 32)],
+        ),
+        (
+            "trail",
+            [(spec, variant, 1, "native") for spec in _SMALL for variant in ("trail", "copy")],
+        ),
+        (
+            "manyvars",
+            [
+                (spec + ext, variant, 1, "native")
+                for spec in _MANYVARS
+                for ext in ("", "+ext")
+                for variant in ("trail", "copy")
+            ],
+        ),
+    ],
+)
+def test_sweep_suite_configs(suite, expected):
+    """Each preset suite's configurations, in order, as (instance, restore
+    variant, distance, Boolean mode); every other setting is the default."""
+    configs = _sweep_configs(suite, runs=2)
+    got = [(str(c.instance), c.restore.variant, c.restore.distance, c.bool_mode) for c in configs]
+    assert got == expected
+    for c in configs:
+        assert (c.sum_mode, c.queue, c.bnb, c.runs) == ("native", "fifo", "tighten", 2)
 
 
 def test_cli_sweep_runs_suite(capsys):

@@ -21,7 +21,7 @@ from fdlab.constraints import (
     post_ne_const,
 )
 from fdlab.domain import BOUNDS_CHANGED, FAILED, FIXED_FALSE, FIXED_TRUE, Op
-from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, Model
+from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model
 from fdlab.propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Engine
 from fdlab.propagate import PRIORITY_GLOBAL
 
@@ -111,11 +111,49 @@ def test_alldifferent_rejects_bools_and_singletons():
 
 
 def test_ne_const_and_fix():
+    """A unary constraint is posted as pruning of the model's domain, with
+    no propagator; one that would empty the domain is refused before it is
+    counted, and leaves the domain as it was."""
     model = Model()
     x = model.new_int_var(0, 3)
+    y = model.new_int_var(0, 3)
+    b = model.new_bool_var()
     post_ne_const(model, x, 2)
-    assert _fix(model)
+    post_fix(model, y, 1)
+    post_ne_const(model, b, 0)
+    assert not model.props
+    assert model.count_native == model.count_decomposed == 3
     assert model.store.domain_values(x) == [0, 1, 3]
+    assert model.store.value(y) == 1 and model.store.value(b) == 1
+    with pytest.raises(PostError):
+        post_fix(model, x, 2)
+    with pytest.raises(PostError):
+        post_fix(model, x, 7)
+    with pytest.raises(PostError):
+        post_ne_const(model, y, 1)
+    with pytest.raises(PostError):
+        post_fix(model, b, 0)
+    assert model.count_native == 3 and not model.props
+    assert model.store.domain_values(x) == [0, 1, 3]
+    assert model.store.value(y) == 1 and model.store.value(b) == 1
+    assert _fix(model)
+
+
+@pytest.mark.parametrize("sum_mode", [SUM_NATIVE, SUM_DECOMPOSED])
+@pytest.mark.parametrize("lo, hi", [(0, 5), (-1, 1)])
+def test_bool_sum_rejects_wide_integers(sum_mode, lo, hi):
+    """Over integers outside {0..1}, the decomposed mode's trivially-true
+    half of a pair-counted sum would prune: x, y in 0..5 with x + y >= 1
+    has 35 solutions, and its half x + y <= 2 leaves 5.  Such a sum is
+    refused before it is counted, as a Boolean and is."""
+    model = Model(sum_mode=sum_mode)
+    x = model.new_int_var(lo, hi)
+    y = model.new_int_var(0, 1)
+    with pytest.raises(PostError):
+        post_bool_sum(model, [x, y], GEQ, 1, pair_counted=True)
+    with pytest.raises(PostError):
+        post_bool_sum(model, [y, x], EQ, 1)
+    assert model.count_native == 0 and not model.props
 
 
 def test_le_rejects_bools():
