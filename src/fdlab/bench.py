@@ -9,9 +9,11 @@ counters) must agree across repetitions; only the timings vary.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import time
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .model import BOOL_NATIVE, SUM_NATIVE, ModelError
 from .problems import Instance, build, check_solution
@@ -19,16 +21,19 @@ from .restore import RestoreMode
 from .search import minimize, solve
 from .stats import cov, median, nodes_per_second
 
-_TRAJECTORY_FIELDS = (
-    "nodes",
-    "backtracks",
-    "solutions",
-    "fingerprint",
-    "bytes_copied",
-    "trail_entries",
-    "snapshots",
-    "recomputations",
-)
+#: The trajectory columns of a record, each with the ``SearchStats``
+#: attribute it is read from.
+_TRAJECTORY = {
+    "nodes": "nodes",
+    "backtracks": "backtracks",
+    "solutions": "solutions",
+    "fingerprint": "fingerprint",
+    "bytes_copied": "restore.bytes_copied",
+    "trail_entries": "restore.trail_entries",
+    "snapshots": "restore.snapshots_taken",
+    "recomputations": "restore.recomputations",
+}
+_trajectory = attrgetter(*_TRAJECTORY.values())
 
 
 @dataclass(frozen=True)
@@ -112,28 +117,15 @@ def run_once(config):
     t0 = time.perf_counter()
     model = build(inst, bool_mode=config.bool_mode, sum_mode=config.sum_mode)
     build_ms = (time.perf_counter() - t0) * 1e3
+    common = dict(restore=config.restore, queue=config.queue, build_ms=build_ms)
     if inst.is_optimization:
-        best, stats = minimize(
-            model,
-            bnb=config.bnb,
-            restore=config.restore,
-            queue=config.queue,
-            build_ms=build_ms,
-        )
-        if best is None:
-            return stats, "infeasible"
-        bad = check_solution(inst, best.values)
+        best, stats = minimize(model, bnb=config.bnb, **common)
     else:
-        sols, stats = solve(
-            model,
-            mode="first",
-            restore=config.restore,
-            queue=config.queue,
-            build_ms=build_ms,
-        )
-        if not sols:
-            return stats, "infeasible"
-        bad = check_solution(inst, sols[0].values)
+        sols, stats = solve(model, mode="first", **common)
+        best = sols[0] if sols else None
+    if best is None:
+        return stats, "infeasible"
+    bad = check_solution(inst, best.values)
     return stats, (f"checker rejected solution: {bad}" if bad else None)
 
 
@@ -156,22 +148,13 @@ def run_matrix(configs):
                 stats, failure = run_once(config)
                 if failure and failure != "infeasible":
                     raise ModelError(failure)
-                fields = (
-                    stats.nodes,
-                    stats.backtracks,
-                    stats.solutions,
-                    stats.fingerprint,
-                    stats.restore.bytes_copied,
-                    stats.restore.trail_entries,
-                    stats.restore.snapshots_taken,
-                    stats.restore.recomputations,
-                )
+                trajectory = _trajectory(stats)
                 if reference is None:
-                    reference = fields
-                elif fields != reference:
+                    reference = trajectory
+                elif trajectory != reference:
                     raise ModelError(
                         "non-deterministic trajectory for "
-                        f"{config.instance}: {fields} != {reference}"
+                        f"{config.instance}: {trajectory} != {reference}"
                     )
                 setup_times.append(stats.setup_ms)
                 solve_times.append(stats.solve_ms)
@@ -179,7 +162,7 @@ def run_matrix(configs):
             record.error = str(exc)
             records.append(record)
             continue
-        for name, value in zip(_TRAJECTORY_FIELDS, reference):
+        for name, value in zip(_TRAJECTORY, reference):
             setattr(record, name, value)
         record.setup_ms_median = median(setup_times)
         record.solve_ms_median = median(solve_times)
@@ -189,33 +172,18 @@ def run_matrix(configs):
     return records
 
 
-def _row(record):
-    return {col: getattr(record, col) for col in CSV_COLUMNS}
-
-
-def emit(records, format="csv", path=None, stream=None):
-    """Write records in deterministic (input) order as CSV or JSON."""
+def emit(records, format="csv"):
+    """The records as CSV or JSON text, in deterministic (input) order."""
     if not records:
         raise ValueError("no records to emit")
     if format not in ("csv", "json"):
         raise ValueError(f"unknown format {format!r}")
-    rows = [_row(r) for r in records]
+    rows = [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
     if format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        import io
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: ("" if v is None else v) for k, v in row.items()}
-            )
-        text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text)
-    if stream is not None:
-        stream.write(text)
-    return text
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
+    return buf.getvalue()

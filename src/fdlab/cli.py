@@ -31,19 +31,21 @@ EXIT_CONFIG = 2
 
 
 def _restore_mode(args):
-    if args.restore == "trail":
-        return RestoreMode.trail()
-    if args.restore == "copy":
-        return RestoreMode.copy()
-    return RestoreMode.copy_recompute(args.rec_dist, args.adapt_dist)
+    """The ``--restore`` mode with only the distances given on the command
+    line, so that ``RestoreMode`` rejects them for ``trail`` and ``copy``."""
+    given = {"distance": args.rec_dist, "adaptive": args.adapt_dist}
+    if args.restore == "copy-recompute" and args.rec_dist is None:
+        given["distance"] = 8
+    given = {name: value for name, value in given.items() if value is not None}
+    return RestoreMode(args.restore, **given)
 
 
 def _add_run_options(parser):
     parser.add_argument(
         "--restore", choices=["trail", "copy", "copy-recompute"], default="trail"
     )
-    parser.add_argument("--rec-dist", type=int, default=8, metavar="N")
-    parser.add_argument("--adapt-dist", type=int, default=2, metavar="N")
+    parser.add_argument("--rec-dist", type=int, metavar="N")
+    parser.add_argument("--adapt-dist", type=int, metavar="N")
     parser.add_argument(
         "--queue", choices=Engine.POLICIES, default="fifo"
     )
@@ -62,13 +64,15 @@ def _add_output_options(parser):
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+def _output(args, newline=None):
+    if args.out:
+        return open(args.out, "w", newline=newline)
+    return contextlib.nullcontext(sys.stdout)
+
+
 def _emit(records, args):
-    emit(
-        records,
-        format=args.format,
-        path=args.out,
-        stream=None if args.out else sys.stdout,
-    )
+    with _output(args, newline="") as out:
+        out.write(emit(records, args.format))
 
 
 def cmd_run(args):
@@ -88,12 +92,6 @@ def cmd_run(args):
         return EXIT_CONFIG
     _emit(records, args)
     return EXIT_OK if record.solutions > 0 else EXIT_INFEASIBLE
-
-
-def _output(args, newline=None):
-    if args.out:
-        return open(args.out, "w", newline=newline)
-    return contextlib.nullcontext(sys.stdout)
 
 
 def cmd_table2(args):

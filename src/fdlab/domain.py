@@ -4,6 +4,7 @@ Every domain mutation goes through :meth:`VariableStore.narrow`, which
 appends the old state to the store's trail (when a trailing backend gave it
 one) before the change becomes visible and reports its event: the strongest
 applicable event class for an integer, the value written for a Boolean.
+:meth:`VariableStore.undo` pops trailed states back, newest first.
 Integer domains are bitsets over the variable's original bounds with cached
 lo/hi/size; Boolean domains are three-state cells, signed bytes
 (``UNKNOWN``, 0 or 1) in one ``array("b")``, so a snapshot of all of them is
@@ -322,16 +323,23 @@ class VariableStore:
         self._size[:n] = size
         self._bstate[: len(bstates)] = bstates
 
-    def restore_raw(self, var, old):
-        """Undo hook for trailing: reinstate a recorded pre-change state."""
-        if var < 0:
-            self._bstate[~var] = old
-            return
-        base = self._base[var]
-        self._mask[var] = old
-        self._lo[var] = base + ((old & -old).bit_length() - 1)
-        self._hi[var] = base + old.bit_length() - 1
-        self._size[var] = old.bit_count()
+    def undo(self, mark):
+        """Pop the trail back to its first ``mark`` entries, reinstating each
+        popped pre-change state, newest first."""
+        trail = self.trail
+        undone = trail[mark:]
+        del trail[mark:]
+        mask, bstate, base = self._mask, self._bstate, self._base
+        lo, hi, size = self._lo, self._hi, self._size
+        for var, old in reversed(undone):
+            if var < 0:
+                bstate[~var] = old
+                continue
+            b = base[var]
+            mask[var] = old
+            lo[var] = b + ((old & -old).bit_length() - 1)
+            hi[var] = b + old.bit_length() - 1
+            size[var] = old.bit_count()
 
     def domains_equal(self, blob):
         masks, _, _, _, bstates = blob

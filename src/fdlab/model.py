@@ -57,6 +57,8 @@ class Model:
         self.count_decomposed = 0
 
     def new_int_var(self, lo, hi, decision=False):
+        if lo > hi:
+            raise ModelError(f"empty initial domain [{lo}..{hi}]")
         if hi - lo + 1 > MAX_DOMAIN_SPAN:
             raise ModelError(
                 f"domain [{lo}..{hi}] spans more than {MAX_DOMAIN_SPAN} values"

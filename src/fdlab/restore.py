@@ -45,7 +45,10 @@ class RestoreStats:
 
 @dataclass(frozen=True)
 class RestoreMode:
-    """Backend selector.  ``copy`` is ``copy-recompute`` at distance 1."""
+    """Backend selector.  ``copy`` is ``copy-recompute`` at distance 1.
+
+    ``distance`` and ``adaptive`` are the recomputation distances; only
+    ``copy-recompute`` takes values other than their defaults."""
 
     variant: str = "trail"
     distance: int = 1
@@ -56,8 +59,9 @@ class RestoreMode:
             raise ValueError(f"unknown restore mode {self.variant!r}")
         if self.distance < 1 or self.adaptive < 1:
             raise ValueError("recomputation distances must be positive")
-        if self.distance != 1 and self.variant != "copy-recompute":
-            raise ValueError(f"{self.variant} takes no recomputation distance")
+        recomputes = (self.distance, self.adaptive) != (1, 2)
+        if recomputes and self.variant != "copy-recompute":
+            raise ValueError(f"{self.variant} takes no recomputation distances")
 
     @staticmethod
     def trail():
@@ -100,13 +104,8 @@ class TrailBackend:
 
     def backtrack_to(self, target):
         mark = self.frames[target]
-        trail = self.trail
-        restore = self.store.restore_raw
-        for i in range(len(trail) - 1, mark - 1, -1):
-            var, old = trail[i]
-            restore(var, old)
-        self._undone += len(trail) - mark
-        del trail[mark:]
+        self._undone += len(self.trail) - mark
+        self.store.undo(mark)
         del self.frames[target:]
 
 

@@ -188,19 +188,14 @@ def _expected_rows(records):
     return [{col: getattr(r, col) for col in CSV_COLUMNS} for r in records]
 
 
-def test_json_round_trip(tmp_path):
+def test_json_round_trip():
     records = _sample_records()
-    path = tmp_path / "records.json"
-    emit(records, "json", path=str(path))
-    assert json.loads(path.read_text()) == _expected_rows(records)
+    assert json.loads(emit(records, "json")) == _expected_rows(records)
 
 
-def test_csv_round_trip(tmp_path):
+def test_csv_round_trip():
     records = _sample_records()
-    path = tmp_path / "records.csv"
-    emit(records, "csv", path=str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = list(csv.DictReader(io.StringIO(emit(records, "csv"), newline="")))
     assert rows == [
         {col: "" if v is None else str(v) for col, v in row.items()}
         for row in _expected_rows(records)
@@ -238,6 +233,18 @@ def test_cli_run_full_flags(capsys):
     assert row["bnb"] == "post"
 
 
+def test_cli_recomputation_flags_need_copy_recompute(capsys):
+    """A recomputation distance on ``trail`` or ``copy`` is a configuration
+    error, not a flag that is silently dropped."""
+    run = ["run", "--model", "queens:6", "--runs", "1"]
+    assert main([*run, "--restore", "trail", "--rec-dist", "4"]) == 2
+    assert main([*run, "--restore", "copy", "--adapt-dist", "7"]) == 2
+    assert "takes no recomputation distances" in capsys.readouterr().err
+    assert main([*run, "--restore", "copy-recompute", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    assert (row["restore"], row["rec_dist"], row["adapt_dist"]) == ("copy-recompute", 8, 2)
+
+
 def test_cli_infeasible_exit_code(capsys):
     assert main(["run", "--model", "queens:3", "--runs", "1"]) == 1
 
@@ -273,15 +280,33 @@ def test_cli_table2_matches_bundled_counts(capsys):
         ]
 
 
-@pytest.mark.parametrize("table", ["table2", "table3"])
+_OUT_COMMANDS = {
+    "table2": ["table2"],
+    "table3": ["table3"],
+    "run": ["run", "--model", "queens:6", "--runs", "1"],
+}
+_TIMINGS = {"setup_ms_median", "solve_ms_median", "cov", "nps"}
+
+
+def _untimed(command, text):
+    """The output with the timing columns of a ``run`` record dropped."""
+    if command != "run":
+        return text
+    rows = csv.DictReader(io.StringIO(text, newline=""))
+    return [{k: v for k, v in row.items() if k not in _TIMINGS} for row in rows]
+
+
+@pytest.mark.parametrize("table", list(_OUT_COMMANDS))
 def test_cli_table_out_closes_its_file(table, tmp_path, capsys):
+    argv = _OUT_COMMANDS[table]
     out = tmp_path / f"{table}.csv"
-    script = f"from fdlab.cli import main; raise SystemExit(main([{table!r}, '--out', {str(out)!r}]))"
+    script = f"from fdlab.cli import main; raise SystemExit(main({[*argv, '--out', str(out)]!r}))"
     result = _python("-W", "error::ResourceWarning", "-c", script)
     assert result.returncode == 0, result.stderr
     assert "ResourceWarning" not in result.stderr
-    assert main([table]) == 0
-    assert out.read_bytes().decode() == capsys.readouterr().out
+    assert main(argv) == 0
+    written = out.read_bytes().decode()
+    assert _untimed(table, written) == _untimed(table, capsys.readouterr().out)
 
 
 def test_cli_table3_marked_informational(capsys):

@@ -40,8 +40,8 @@ def test_empty_initial_domain_rejected():
 
 
 def test_model_caps_domain_span():
-    """A span past the cap fails as a model error before the store
-    allocates a mask for it."""
+    """A span past the cap, or an empty one, fails as a model error before
+    the store allocates a mask for it."""
     model = Model()
     model.new_int_var(0, MAX_DOMAIN_SPAN - 1)
     model.new_int_var(-5, MAX_DOMAIN_SPAN - 6)
@@ -49,6 +49,8 @@ def test_model_caps_domain_span():
         model.new_int_var(0, MAX_DOMAIN_SPAN)
     with pytest.raises(ModelError):
         model.new_int_var(0, 10**8, decision=True)
+    with pytest.raises(ModelError):
+        model.new_int_var(5, 1, decision=True)
     assert model.store.num_int_vars == 2
     assert model.store.region_bytes == 2 * 8 * (MAX_DOMAIN_SPAN // 64)
     assert model.decision_vars == []

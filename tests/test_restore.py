@@ -38,6 +38,8 @@ def test_restore_mode_constructors():
         ("trail", -3),
         ("copy-recompute", 4, 0),
         ("bogus",),
+        ("trail", 1, 9),
+        ("copy", 1, 7),
     ],
 )
 def test_restore_mode_rejects_bad_values_when_built(args):
