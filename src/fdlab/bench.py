@@ -32,6 +32,7 @@ _TRAJECTORY = {
     "trail_entries": "restore.trail_entries",
     "snapshots": "restore.snapshots_taken",
     "recomputations": "restore.recomputations",
+    "replayed_decisions": "restore.replayed_decisions",
 }
 _trajectory = attrgetter(*_TRAJECTORY.values())
 
@@ -80,6 +81,7 @@ class RunRecord:
     trail_entries: int = 0
     snapshots: int = 0
     recomputations: int = 0
+    replayed_decisions: int = 0
     error: str | None = None
 
     @classmethod

@@ -279,10 +279,21 @@ class BoolSumProp(Propagator):
 
 class AllDiffValueProp(Propagator):
     """Value-consistent alldifferent: an instantiated value is removed
-    from every other domain."""
+    from every other domain.
+
+    It takes deltas.  A run works its list in ``eng.deltas`` as a
+    worklist: it pops an instantiated variable and removes that one value
+    from every other variable, and a removal that instantiates another
+    variable appends it to the same list through ``Engine.narrow``.  The
+    engine empties the list in ``clear``, so an empty list at the start of
+    a run (at the root, or when pushed after a backtrack re-enabled it)
+    asks for a full pass: the list is filled with every instantiated
+    variable first.  Two variables fixed to one value fail at the removal.
+    """
 
     __slots__ = ("vars",)
     priority = PRIORITY_GLOBAL
+    takes_deltas = True
 
     def __init__(self, vars):
         self.vars = list(vars)
@@ -299,28 +310,21 @@ class AllDiffValueProp(Propagator):
         base = s._base
         mask = s._mask
         narrow = eng.narrow
-        while True:
-            assigned = set()
-            free = []
+        todo = eng.deltas[self]
+        if not todo:
+            todo.extend([v for v in vars if size[v] == 1])
+        while todo:
+            x = todo.pop()
+            val = lo[x]
             for v in vars:
-                if size[v] == 1:
-                    val = lo[v]
-                    if val in assigned:
+                off = val - base[v]
+                if off >= 0 and (mask[v] >> off) & 1 and v != x:
+                    if narrow(v, REMOVE, val) is FAILED:
                         return PROP_FAILED
-                    assigned.add(val)
-                else:
-                    free.append(v)
-            changed = False
-            for v in free:
-                b = base[v]
-                for val in assigned:
-                    off = val - b
-                    if off >= 0 and (mask[v] >> off) & 1:
-                        if narrow(v, REMOVE, val) is FAILED:
-                            return PROP_FAILED
-                        changed = True
-            if not changed:
-                return SUBSUMED if not free else AT_FIXPOINT
+        for v in vars:
+            if size[v] != 1:
+                return AT_FIXPOINT
+        return SUBSUMED
 
 
 class LeProp(Propagator):
@@ -680,6 +684,8 @@ def post_alldifferent(model, vars):
         raise PostError("alldifferent needs at least two variables")
     if not all(is_int_var(v) for v in vars):
         raise PostError("alldifferent takes integer variables only")
+    if len(set(vars)) < len(vars):
+        raise PostError("alldifferent over a repeated variable cannot hold")
     model.count_constraint(1, 1)
     model.add(AllDiffValueProp(vars))
 

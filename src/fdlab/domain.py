@@ -241,6 +241,15 @@ class VariableStore:
         variable; :meth:`fdlab.propagate.Engine.narrow` calls it once and
         then queues the propagators that the returned event wakes, so the
         Boolean branch's value report costs the integer path nothing.
+
+        The integer arms are specialised by op.  A ``MIN`` at or below the
+        base, or a ``MAX`` at or above the top of the span, returns ``None``
+        before any mask arithmetic.  A ``MIN`` that changes the mask writes
+        the mask, ``_lo`` and ``_size`` only, and a ``MAX`` the mask, ``_hi``
+        and ``_size``: a change by either always moves its own bound and
+        never the other, so neither reads the old bounds, and each returns
+        ``INSTANTIATED`` or ``BOUNDS_CHANGED``.  ``REMOVE`` and ``ASSIGN``
+        recompute lo, hi and size and compare the bounds with the old ones.
         """
         if var < 0:
             cur = self._bstate[~var]
@@ -266,25 +275,46 @@ class VariableStore:
             self._bstate[~var] = 1
             return FIXED_TRUE
         base = self._base[var]
-        span = self._span[var]
         mask = self._mask[var]
+        off = value - base
+        if op is MIN:
+            if off <= 0:
+                return None
+            new = (mask >> off) << off
+            if new == mask:
+                return None
+            if not new:
+                return FAILED
+            if self.trail is not None:
+                self.trail.append((var, mask))
+            self._mask[var] = new
+            self._lo[var] = base + (new & -new).bit_length() - 1
+            size = new.bit_count()
+            self._size[var] = size
+            return INSTANTIATED if size == 1 else BOUNDS_CHANGED
+        span = self._span[var]
+        if op is MAX:
+            if off >= span - 1:
+                return None
+            if off < 0:
+                return FAILED
+            new = mask & ((1 << (off + 1)) - 1)
+            if new == mask:
+                return None
+            if not new:
+                return FAILED
+            if self.trail is not None:
+                self.trail.append((var, mask))
+            self._mask[var] = new
+            self._hi[var] = base + new.bit_length() - 1
+            size = new.bit_count()
+            self._size[var] = size
+            return INSTANTIATED if size == 1 else BOUNDS_CHANGED
         if op is REMOVE:
-            off = value - base
             if not (0 <= off < span):
                 return None
             new = mask & ~(1 << off)
-        elif op is MIN:
-            off = value - base
-            if off <= 0:
-                off = 0
-            new = (mask >> off) << off
-        elif op is MAX:
-            off = value - base
-            if off >= span - 1:
-                off = span - 1
-            new = mask & ((1 << (off + 1)) - 1) if off >= 0 else 0
         else:  # ASSIGN
-            off = value - base
             new = mask & (1 << off) if 0 <= off < span else 0
         if new == mask:
             return None

@@ -13,6 +13,7 @@ from __future__ import annotations
 from .domain import BOUNDS_CHANGED, DOMAIN_CHANGED, EVENTS, FIXED_FALSE, FIXED_TRUE
 from .domain import INSTANTIATED
 from .domain import VariableStore
+from .propagate import DELTAS
 
 BOOL_NATIVE = "native"
 BOOL_INT = "int"
@@ -39,7 +40,10 @@ class Model:
     that it wakes.  An integer's events are the three event classes; a
     Boolean's are its two fixings, ``FIXED_FALSE`` and ``FIXED_TRUE``, so a
     propagator that can prune on one value only is not woken by the other.
-    It stays empty until a propagator subscribes."""
+    Under the key ``DELTAS`` it also holds the delta table, ``{variable:
+    [pid, ...]}``: the propagators that take deltas
+    (``Propagator.takes_deltas``), filed under each integer variable they
+    subscribe to.  It stays empty until a propagator subscribes."""
 
     def __init__(self, bool_mode=BOOL_NATIVE, sum_mode=SUM_NATIVE):
         if bool_mode not in (BOOL_NATIVE, BOOL_INT):
@@ -86,14 +90,18 @@ class Model:
         An integer's (variable, event class) subscription is filed under
         that class and every stronger one.  A Boolean's subscription to
         ``FIXED_FALSE`` or ``FIXED_TRUE`` is filed under that value alone;
-        any other, of whatever event class, under both values.
+        any other, of whatever event class, under both values.  A
+        propagator that takes deltas is also filed in the delta table under
+        each of its integer variables.
         """
         pid = len(self.props)
         self.props.append(prop)
         subs = self.subs
+        # Read with a default: a duck-typed propagator need not declare it.
+        takes_deltas = getattr(prop, "takes_deltas", False)
         for var, klass in prop.subscriptions():
             if not subs:
-                subs.update((k, {}) for k in EVENTS)
+                subs.update((k, {}) for k in (*EVENTS, DELTAS))
             if var < 0:
                 if klass != FIXED_TRUE:
                     subs[FIXED_FALSE].setdefault(var, []).append(pid)
@@ -101,6 +109,8 @@ class Model:
                     subs[FIXED_TRUE].setdefault(var, []).append(pid)
                 continue
             subs[INSTANTIATED].setdefault(var, []).append(pid)
+            if takes_deltas:
+                subs[DELTAS].setdefault(var, []).append(pid)
             if klass != INSTANTIATED:
                 subs[BOUNDS_CHANGED].setdefault(var, []).append(pid)
                 if klass == DOMAIN_CHANGED:

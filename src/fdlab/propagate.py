@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 
-from .domain import EVENTS, FAILED
+from .domain import EVENTS, FAILED, INSTANTIATED
 
 # Propagator outcomes.
 AT_FIXPOINT = 0
@@ -32,11 +32,21 @@ PRIORITY_LINEAR = 1  # linear and Boolean sums
 PRIORITY_GLOBAL = 2  # alldifferent, lex
 NUM_PRIORITIES = 3
 
+#: The key, in a model's ``subs``, of its delta table: variable -> the pids
+#: that take its instantiation as a delta.
+DELTAS = "deltas"
+
 
 class Propagator:
     """Monotone, contracting filtering function for one constraint."""
 
     priority = PRIORITY_LINEAR
+    #: A propagator that takes deltas is told which of its subscribed
+    #: integer variables were instantiated since its last run:
+    #: ``eng.deltas[self]`` lists them (see ``Engine``).  It may subsume
+    #: only once all of those are fixed, so that no entry reaches its list
+    #: while it sleeps.
+    takes_deltas = False
 
     def subscriptions(self):
         """Yield (variable, event) wake-up conditions: an ``EventClass``,
@@ -72,6 +82,15 @@ class Engine:
     order, so the running propagator never requeues itself and a subsumed
     one sleeps until a backtrack re-enables it.
 
+    ``deltas`` maps each propagator that takes deltas to its delta list,
+    built from the model's delta table (``subs[DELTAS]``): ``narrow``
+    appends the variable to the lists of its delta takers on an
+    ``INSTANTIATED`` change, and ``clear`` empties every list, so a
+    failed fixpoint leaves no stale entry behind a backtrack.  At a
+    fixpoint every list is empty again, because its propagator has run;
+    an empty list at the start of a run, as at the root, asks for a full
+    pass.
+
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
     first; ``reversed`` pops the highest first.  Within equal priority, FIFO
     order breaks ties.  Each propagator's bucket is resolved once, when it
@@ -103,6 +122,10 @@ class Engine:
         # which each became entailed (never decreasing, see backtrack).
         self._entailed = []
         self._entailed_at = []
+        # The model's delta table (var -> pids), and pid -> its delta list.
+        self._delta_subs = subs.get(DELTAS, {})
+        self._delta_of = {pid: [] for pids in self._delta_subs.values() for pid in pids}
+        self.deltas = {self.props[pid]: d for pid, d in self._delta_of.items()}
 
     def add(self, prop):
         """Add a propagator to this solve only (branch and bound's bound).
@@ -119,8 +142,9 @@ class Engine:
 
     def narrow(self, var, op, value):
         """Single mutation entry point for propagators: narrow the store,
-        then queue the idle pids that the change's event wakes on ``var``.
-        Returns the store's result."""
+        then queue the idle pids that the change's event wakes on ``var``,
+        and on an ``INSTANTIATED`` change append ``var`` to the delta lists
+        of its delta takers.  Returns the store's result."""
         r = self.store.narrow(var, op, value)
         if r is not None and r is not FAILED:
             pids = self._wake[r].get(var)
@@ -131,6 +155,12 @@ class Engine:
                     if not state[pid]:
                         state[pid] = QUEUED
                         bucket[pid].append(pid)
+            if r is INSTANTIATED:
+                pids = self._delta_subs.get(var)
+                if pids:
+                    lists = self._delta_of
+                    for pid in pids:
+                        lists[pid].append(var)
         return r
 
     def push(self, pid):
@@ -150,12 +180,14 @@ class Engine:
         return dict(zip(self._entailed, self._entailed_at))
 
     def clear(self):
-        """Empty the queue."""
+        """Empty the queue and the delta lists."""
         state = self._state
         for bucket in self._buckets:
             for pid in bucket:
                 state[pid] = IDLE
             bucket.clear()
+        for d in self._delta_of.values():
+            d.clear()
 
     def schedule_all(self):
         for pid in range(len(self.props)):

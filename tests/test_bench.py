@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from operator import attrgetter
 from pathlib import Path
 from unittest import mock
 
@@ -61,6 +62,7 @@ def test_matrix_restore_trajectory_invariance():
     assert records[0].trail_entries > 0
     assert records[1].bytes_copied > 0
     assert records[2].recomputations > 0
+    assert [r.replayed_decisions > 0 for r in records] == [False, False, True]
 
 
 def test_matrix_bool_mode_invariance():
@@ -86,16 +88,19 @@ def test_matrix_continues_past_build_failure():
     assert records[1].error is None and records[1].solutions == 1
 
 
-def drifting_matrix(configs):
+def drifting_matrix(configs, counter="nodes"):
     """``run_matrix`` with a ``run_once`` whose trajectory differs on every
-    run, as a non-deterministic solver's would."""
+    run, as a non-deterministic solver's would: the ``SearchStats``
+    attribute ``counter`` (a dotted path) grows by the run's number."""
     real_run_once = fdlab.bench.run_once
     runs = []
+    *owner, name = counter.split(".")
 
     def drifting(config):
         stats, failure = real_run_once(config)
         runs.append(config)
-        stats.nodes += len(runs)
+        target = attrgetter(*owner)(stats) if owner else stats
+        setattr(target, name, getattr(target, name) + len(runs))
         return stats, failure
 
     with mock.patch.object(fdlab.bench, "run_once", drifting):
@@ -111,6 +116,16 @@ def test_matrix_records_nondeterminism_and_continues():
     )
     assert "non-deterministic trajectory" in records[0].error
     assert records[1].error is None and records[1].solutions == 1
+
+
+def test_repeat_check_covers_replayed_decisions():
+    """Replayed decisions depend only on the tree and the distances, so a
+    drift in them alone fails the repeat check."""
+    config = RunConfig(
+        parse_instance("queens:6"), restore=RestoreMode.copy_recompute(4), runs=2
+    )
+    (record,) = drifting_matrix([config], counter="restore.replayed_decisions")
+    assert "non-deterministic trajectory" in record.error
 
 
 def _python(*args):
@@ -174,6 +189,13 @@ def test_emit_csv_columns_exact():
     text = emit(records, "csv")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == CSV_COLUMNS
+    assert CSV_COLUMNS == [
+        "model", "instance", "extended", "bool_mode", "sum_mode", "restore",
+        "rec_dist", "adapt_dist", "queue", "bnb", "runs", "nodes", "backtracks",
+        "solutions", "fingerprint", "setup_ms_median", "solve_ms_median", "cov",
+        "nps", "bytes_copied", "trail_entries", "snapshots", "recomputations",
+        "replayed_decisions",
+    ]
     assert len(rows) == 1 + len(records)
 
 

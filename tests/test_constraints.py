@@ -108,6 +108,102 @@ def test_alldifferent_rejects_bools_and_singletons():
         post_alldifferent(model, [model.new_int_var(0, 3)])
     with pytest.raises(PostError):
         post_alldifferent(model, [model.new_bool_var(), model.new_bool_var()])
+    x, y = model.new_int_var(0, 3), model.new_int_var(0, 3)
+    with pytest.raises(PostError):
+        post_alldifferent(model, [x, y, x])
+    assert model.props == [] and model.count_native == 0
+
+
+def _allowed(op, value, values):
+    """The values of ``values`` that an ``ASSIGN`` or ``REMOVE`` keeps."""
+    return values - {value} if op is Op.REMOVE else values & {value}
+
+
+def _value_closure(doms):
+    """Value-consistent alldifferent by brute force: remove every fixed
+    value from the other domains until nothing moves; None when a domain
+    empties."""
+    doms = [set(d) for d in doms]
+    moved = True
+    while moved:
+        moved = False
+        for i, d in enumerate(doms):
+            if len(d) != 1:
+                continue
+            (v,) = d
+            for j, other in enumerate(doms):
+                if j != i and v in other:
+                    other.discard(v)
+                    moved = True
+                    if not other:
+                        return None
+    return doms
+
+
+#: (op, variable index, value); the index is taken modulo the variable count.
+_ACTION = st.tuples(
+    st.sampled_from([Op.ASSIGN, Op.REMOVE]), st.integers(0, 5), st.integers(-1, 4)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-1, 1), st.integers(1, 4)), min_size=3, max_size=6),
+    st.lists(st.lists(_ACTION, min_size=1, max_size=3), max_size=6),
+    st.data(),
+)
+def test_alldifferent_deltas_reach_value_closure(spans, steps, data):
+    """Random narrowings through one engine, node by node as the search
+    applies them: after each fixpoint the domains are the brute-force
+    closure, and a failed node is undone on the trail and backtracked.
+    One forced clash (two variables fixed to one value) fails a fixpoint
+    halfway through, so a delta list that outlived ``Engine.clear`` would
+    leave stale variables to the nodes after it."""
+    model = Model()
+    xs = [model.new_int_var(lo, lo + w) for lo, w in spans]
+    post_alldifferent(model, xs)
+    store = model.store.fork()
+    store.trail = []
+    eng = Engine(store, model.props, model.subs)
+    domains = lambda: [set(store.domain_values(x)) for x in xs]  # noqa: E731
+    eng.schedule_all()
+    assert eng.fixpoint()
+    assert domains() == _value_closure([range(lo, lo + w + 1) for lo, w in spans])
+    steps = list(steps)
+    steps.insert(len(steps) // 2, None)
+    n = len(xs)
+    for step in steps:
+        before = domains()
+        if step is None:  # the clash: two variables sharing a value fixed to it
+            pairs = [(i, j, v) for i in range(n) for j in range(i + 1, n)
+                     for v in sorted(before[i] & before[j])]
+            if not pairs:
+                continue
+            i, j, v = data.draw(st.sampled_from(pairs))
+            step = [(Op.ASSIGN, i, v), (Op.ASSIGN, j, v)]
+        step = [(op, i % n, v) for op, i, v in step]
+        expected = [set(d) for d in before]
+        for op, i, v in step:
+            expected[i] = _allowed(op, v, expected[i])
+        expected = _value_closure(expected) if all(expected) else None
+        mark = len(store.trail)
+        eng.depth += 1
+        ok = True
+        for op, i, v in step:
+            if eng.narrow(xs[i], op, v) is FAILED:
+                eng.clear()
+                ok = False
+                break
+        else:
+            ok = eng.fixpoint()
+        if ok:
+            assert domains() == expected
+        else:
+            assert expected is None
+            store.undo(mark)
+            eng.depth -= 1
+            eng.backtrack(eng.depth)
+            assert domains() == before
 
 
 def test_ne_const_and_fix():

@@ -185,20 +185,57 @@ _OPS = st.tuples(
 )
 
 
-@given(st.lists(_OPS, max_size=30))
-def test_narrowing_never_grows_domain(ops):
+def _allowed(op, value, values):
+    """The values of ``values`` that the action keeps."""
+    if op is Op.REMOVE:
+        return values - {value}
+    if op is Op.MIN:
+        return {v for v in values if v >= value}
+    if op is Op.MAX:
+        return {v for v in values if v <= value}
+    return values & {value}
+
+
+def _reference_event(before, after):
+    """The event a narrowing from the value set ``before`` to ``after``
+    must report."""
+    if after == before:
+        return None
+    if not after:
+        return FAILED
+    if len(after) == 1:
+        return EventClass.INSTANTIATED
+    if min(after) != min(before) or max(after) != max(before):
+        return EventClass.BOUNDS_CHANGED
+    return EventClass.DOMAIN_CHANGED
+
+
+@given(
+    st.integers(-3, 8),
+    st.lists(st.tuples(st.sampled_from(list(Op)), st.integers(-7, 12)), max_size=30),
+)
+def test_narrowing_never_grows_domain(hole, ops):
+    """Every op on a domain with a negative base and a hole reports the
+    reference event, and a change trails exactly one (var, old mask)."""
     store = VariableStore()
-    x = store.new_int_var(0, 9)
+    store.trail = []
+    x = store.new_int_var(-4, 9)
+    assert store.narrow(x, Op.REMOVE, hole) is EventClass.DOMAIN_CHANGED
     for op, value in ops:
         before = set(store.domain_values(x))
         size = store.size(x)
+        old_mask = store._mask[x]
+        trail_len = len(store.trail)
         r = store.narrow(x, op, value)
         after = set(store.domain_values(x))
+        assert r is _reference_event(before, _allowed(op, value, before))
         if r is FAILED or r is None:
             assert after == before
+            assert len(store.trail) == trail_len
         else:
-            assert after < before
+            assert after == _allowed(op, value, before) < before
             assert store.size(x) < size
+            assert store.trail[trail_len:] == [(x, old_mask)]
         assert store.min(x) in after and store.max(x) in after
         assert store.size(x) == len(after)
 
