@@ -285,10 +285,11 @@ class AllDiffValueProp(Propagator):
     worklist: it pops an instantiated variable and removes that one value
     from every other variable, and a removal that instantiates another
     variable appends it to the same list through ``Engine.narrow``.  The
-    engine empties the list in ``clear``, so an empty list at the start of
-    a run (at the root, or when pushed after a backtrack re-enabled it)
-    asks for a full pass: the list is filled with every instantiated
-    variable first.  Two variables fixed to one value fail at the removal.
+    engine seeds the list with the variables fixed before the solve and
+    empties it in ``clear``, so the list always holds every instantiated
+    variable whose value is not yet removed, and an empty list means
+    there is nothing to do.  Two variables fixed to one value fail at the
+    removal.
     """
 
     __slots__ = ("vars",)
@@ -311,8 +312,6 @@ class AllDiffValueProp(Propagator):
         mask = s._mask
         narrow = eng.narrow
         todo = eng.deltas[self]
-        if not todo:
-            todo.extend([v for v in vars if size[v] == 1])
         while todo:
             x = todo.pop()
             val = lo[x]

@@ -41,7 +41,7 @@ class Model:
     Boolean's are its two fixings, ``FIXED_FALSE`` and ``FIXED_TRUE``, so a
     propagator that can prune on one value only is not woken by the other.
     Under the key ``DELTAS`` it also holds the delta table, ``{variable:
-    [pid, ...]}``: the propagators that take deltas
+    [propagator, ...]}``: the propagators that take deltas
     (``Propagator.takes_deltas``), filed under each integer variable they
     subscribe to.  It stays empty until a propagator subscribes."""
 
@@ -110,7 +110,7 @@ class Model:
                 continue
             subs[INSTANTIATED].setdefault(var, []).append(pid)
             if takes_deltas:
-                subs[DELTAS].setdefault(var, []).append(pid)
+                subs[DELTAS].setdefault(var, []).append(prop)
             if klass != INSTANTIATED:
                 subs[BOUNDS_CHANGED].setdefault(var, []).append(pid)
                 if klass == DOMAIN_CHANGED:

@@ -32,8 +32,8 @@ PRIORITY_LINEAR = 1  # linear and Boolean sums
 PRIORITY_GLOBAL = 2  # alldifferent, lex
 NUM_PRIORITIES = 3
 
-#: The key, in a model's ``subs``, of its delta table: variable -> the pids
-#: that take its instantiation as a delta.
+#: The key, in a model's ``subs``, of its delta table: variable -> the
+#: propagators that take its instantiation as a delta.
 DELTAS = "deltas"
 
 
@@ -42,10 +42,10 @@ class Propagator:
 
     priority = PRIORITY_LINEAR
     #: A propagator that takes deltas is told which of its subscribed
-    #: integer variables were instantiated since its last run:
-    #: ``eng.deltas[self]`` lists them (see ``Engine``).  It may subsume
-    #: only once all of those are fixed, so that no entry reaches its list
-    #: while it sleeps.
+    #: integer variables were instantiated since its last run, or before
+    #: its first run, fixed at all: ``eng.deltas[self]`` lists them (see
+    #: ``Engine``).  It may subsume only once all of those are fixed, so
+    #: that no entry reaches its list while it sleeps.
     takes_deltas = False
 
     def subscriptions(self):
@@ -83,13 +83,15 @@ class Engine:
     one sleeps until a backtrack re-enables it.
 
     ``deltas`` maps each propagator that takes deltas to its delta list,
-    built from the model's delta table (``subs[DELTAS]``): ``narrow``
-    appends the variable to the lists of its delta takers on an
-    ``INSTANTIATED`` change, and ``clear`` empties every list, so a
-    failed fixpoint leaves no stale entry behind a backtrack.  At a
-    fixpoint every list is empty again, because its propagator has run;
-    an empty list at the start of a run, as at the root, asks for a full
-    pass.
+    built from the model's delta table (``subs[DELTAS]``, variable -> its
+    delta takers).  A list holds the propagator's variables instantiated
+    since it last ran.  The engine seeds it with those already fixed in
+    the store, which no narrowing will report; ``narrow`` appends the
+    variable to the lists of its delta takers on an ``INSTANTIATED``
+    change; ``clear`` empties every list, so a failed fixpoint leaves no
+    stale entry behind a backtrack.  At a fixpoint every list is empty,
+    because its propagator has run, and a backtrack returns to a store at
+    such a fixpoint, so an empty list means there is nothing new.
 
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
     first; ``reversed`` pops the highest first.  Within equal priority, FIFO
@@ -122,10 +124,16 @@ class Engine:
         # which each became entailed (never decreasing, see backtrack).
         self._entailed = []
         self._entailed_at = []
-        # The model's delta table (var -> pids), and pid -> its delta list.
+        # The model's delta table (var -> delta takers), and each taker's
+        # delta list, seeded with its variables fixed before the solve.
         self._delta_subs = subs.get(DELTAS, {})
-        self._delta_of = {pid: [] for pids in self._delta_subs.values() for pid in pids}
-        self.deltas = {self.props[pid]: d for pid, d in self._delta_of.items()}
+        deltas = self.deltas = {}
+        for var, takers in self._delta_subs.items():
+            fixed = store.size(var) == 1
+            for prop in takers:
+                d = deltas.setdefault(prop, [])
+                if fixed:
+                    d.append(var)
 
     def add(self, prop):
         """Add a propagator to this solve only (branch and bound's bound).
@@ -156,11 +164,11 @@ class Engine:
                         state[pid] = QUEUED
                         bucket[pid].append(pid)
             if r is INSTANTIATED:
-                pids = self._delta_subs.get(var)
-                if pids:
-                    lists = self._delta_of
-                    for pid in pids:
-                        lists[pid].append(var)
+                takers = self._delta_subs.get(var)
+                if takers:
+                    deltas = self.deltas
+                    for prop in takers:
+                        deltas[prop].append(var)
         return r
 
     def push(self, pid):
@@ -186,7 +194,7 @@ class Engine:
             for pid in bucket:
                 state[pid] = IDLE
             bucket.clear()
-        for d in self._delta_of.values():
+        for d in self.deltas.values():
             d.clear()
 
     def schedule_all(self):

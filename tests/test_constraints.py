@@ -102,6 +102,28 @@ def test_alldifferent_duplicate_assignment_fails():
     assert not _fix(model)
 
 
+@pytest.mark.parametrize("policy", Engine.POLICIES)
+def test_alldifferent_sees_variables_fixed_before_the_solve(policy):
+    """Variables fixed when the model is built count as instantiated even
+    when another propagator runs first and fixes one more at the root:
+    two pre-fixed equal values fail the root, and a pre-fixed value is
+    removed from the others."""
+    for dup in (True, False):
+        model = Model()
+        x = model.new_int_var(1, 1)
+        y = model.new_int_var(1, 1) if dup else model.new_int_var(1, 2)
+        z = model.new_int_var(0, 5)
+        post_le(model, z, model.new_int_var(0, 0))  # fixes z at the root
+        post_alldifferent(model, [x, y, z])
+        eng = Engine(model.store.fork(), model.props, model.subs, policy)
+        eng.schedule_all()
+        if dup:
+            assert not eng.fixpoint()
+        else:
+            assert eng.fixpoint()
+            assert [eng.store.domain_values(v) for v in (x, y, z)] == [[1], [2], [0]]
+
+
 def test_alldifferent_rejects_bools_and_singletons():
     model = Model()
     with pytest.raises(PostError):
@@ -148,30 +170,44 @@ _ACTION = st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(st.tuples(st.integers(-1, 1), st.integers(1, 4)), min_size=3, max_size=6),
+    st.lists(st.tuples(st.integers(-1, 1), st.integers(0, 4)), min_size=3, max_size=6),
+    st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(-1, 4))),
+    st.sampled_from(Engine.POLICIES),
     st.lists(st.lists(_ACTION, min_size=1, max_size=3), max_size=6),
     st.data(),
 )
-def test_alldifferent_deltas_reach_value_closure(spans, steps, data):
+def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data):
     """Random narrowings through one engine, node by node as the search
     applies them: after each fixpoint the domains are the brute-force
     closure, and a failed node is undone on the trail and backtracked.
     One forced clash (two variables fixed to one value) fails a fixpoint
     halfway through, so a delta list that outlived ``Engine.clear`` would
-    leave stale variables to the nodes after it."""
+    leave stale variables to the nodes after it.  A variable drawn with
+    one value is fixed before the solve, and ``cap`` posts ``x <= c``
+    ahead of the alldifferent, which may fix ``x`` at the root before the
+    alldifferent first runs."""
     model = Model()
     xs = [model.new_int_var(lo, lo + w) for lo, w in spans]
+    n = len(xs)
+    root = [set(range(lo, lo + w + 1)) for lo, w in spans]
+    if cap is not None:
+        k, c = cap[0] % n, cap[1]
+        post_le(model, xs[k], model.new_int_var(c, c))
+        root[k] = {v for v in root[k] if v <= c}
     post_alldifferent(model, xs)
     store = model.store.fork()
     store.trail = []
-    eng = Engine(store, model.props, model.subs)
+    eng = Engine(store, model.props, model.subs, policy)
     domains = lambda: [set(store.domain_values(x)) for x in xs]  # noqa: E731
     eng.schedule_all()
+    expected = _value_closure(root) if all(root) else None
+    if expected is None:
+        assert not eng.fixpoint()
+        return
     assert eng.fixpoint()
-    assert domains() == _value_closure([range(lo, lo + w + 1) for lo, w in spans])
+    assert domains() == expected
     steps = list(steps)
     steps.insert(len(steps) // 2, None)
-    n = len(xs)
     for step in steps:
         before = domains()
         if step is None:  # the clash: two variables sharing a value fixed to it
