@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import statistics
 import time
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -18,8 +19,7 @@ from operator import attrgetter
 from .model import BOOL_NATIVE, SUM_NATIVE, ModelError
 from .problems import Instance, build, check_solution
 from .restore import RestoreMode
-from .search import minimize, solve
-from .stats import cov, median, nodes_per_second
+from .search import minimize, nodes_per_second, solve
 
 #: The trajectory columns of a record, each with the ``SearchStats``
 #: attribute it is read from.
@@ -166,12 +166,26 @@ def run_matrix(configs):
             continue
         for name, value in zip(_TRAJECTORY, reference):
             setattr(record, name, value)
-        record.setup_ms_median = median(setup_times)
-        record.solve_ms_median = median(solve_times)
+        record.setup_ms_median = statistics.median(setup_times)
+        record.solve_ms_median = statistics.median(solve_times)
         record.cov = cov(solve_times)
         record.nps = nodes_per_second(record.nodes, record.solve_ms_median)
         records.append(record)
     return records
+
+
+def cov(values):
+    """Coefficient of variation: population standard deviation over mean.
+
+    Zero for a single observation or a zero mean.
+    """
+    vals = list(values)
+    if len(vals) < 2:
+        return 0.0
+    mean = statistics.fmean(vals)
+    if mean == 0:
+        return 0.0
+    return statistics.pstdev(vals) / mean
 
 
 def emit(records, format="csv"):

@@ -14,7 +14,7 @@ reached at the fixpoint is identical in all modes.
 from __future__ import annotations
 
 from functools import partial
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .domain import ASSIGN, BOUNDS_CHANGED, FAILED, INSTANTIATED, MAX, MIN, REMOVE
 from .domain import FIXED_FALSE, FIXED_TRUE, UNKNOWN, is_int_var
@@ -285,7 +285,7 @@ class AllDiffValueProp(Propagator):
     worklist: it pops an instantiated variable and removes that one value
     from every other variable, and a removal that instantiates another
     variable appends it to the same list through ``Engine.narrow``.  The
-    engine seeds the list with the variables fixed before the solve and
+    engine seeds the list with the variables fixed when it joins and
     empties it in ``clear``, so the list always holds every instantiated
     variable whose value is not yet removed, and an empty list means
     there is nothing to do.  Two variables fixed to one value fail at the
@@ -573,16 +573,39 @@ class UpperBoundProp(Propagator):
 # -- posting API -------------------------------------------------------
 
 
+def _integer(value, what):
+    """``value`` as an int; a float or any other non-integral number is
+    refused rather than truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise PostError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _id_range(model, vars):
+    """The smallest and the largest id in ``vars``, once every id is known
+    to name a variable of the model.  Integer ids run 0, 1, 2, ... and
+    Boolean ids -1, -2, ..., so all are known exactly when these two are,
+    and the two also tell the kinds: all integers when the smallest is not
+    negative, all Booleans when the largest is negative."""
+    lo, hi = min(vars), max(vars)
+    s = model.store
+    if lo < -len(s._bstate) or hi >= len(s._mask):
+        raise PostError(f"unknown variable among {list(vars)}")
+    return lo, hi
+
+
 def _check_terms(model, terms):
     if not terms:
         raise PostError("linear constraint needs at least one term")
+    lo, _ = _id_range(model, [v for _, v in terms])
+    if lo < 0:
+        raise PostError("linear constraints take integer variables only")
     total = 0
     s = model.store
     for coeff, var in terms:
         if coeff == 0:
             raise PostError("zero coefficient in linear term")
-        if not is_int_var(var):
-            raise PostError("linear constraints take integer variables only")
         total += abs(coeff) * max(abs(s.min(var)), abs(s.max(var)))
     if total > INT64_MAX:
         raise PostError("linear constraint exceeds the 64-bit overflow contract")
@@ -607,7 +630,11 @@ def _post_sum(model, rel, c, make):
 def post_linear(model, terms, rel, c):
     """Post sum(coeff*var) rel c; returns the number of propagators posted."""
     _check_rel(rel)
-    terms = [(int(a), v) for a, v in terms]
+    try:
+        terms = [(index(a), v) for a, v in terms]
+    except TypeError:
+        raise PostError(f"coefficients must be integers, got {terms!r}") from None
+    c = _integer(c, "constant")
     _check_terms(model, terms)
     model.count_constraint(1, 2 if rel == EQ else 1)
     diff = _as_difference(terms)
@@ -656,13 +683,13 @@ def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
     vars = list(vars)
     if not vars:
         raise PostError("boolean sum needs at least one variable")
-    # Boolean ids are the negative ones, so the kinds mix exactly when the
-    # smallest and the largest id differ in kind.  A mix must not reach
-    # LinearProp, which would read a Boolean id's integer bounds from the
-    # end of the store's arrays.
-    if is_int_var(min(vars)) != is_int_var(max(vars)):
+    lo, hi = _id_range(model, vars)
+    c = _integer(c, "constant")
+    # A mix must not reach LinearProp, which would read a Boolean id's
+    # integer bounds from the end of the store's arrays.
+    if is_int_var(lo) != is_int_var(hi):
         raise PostError("boolean sum mixes Boolean and integer variables")
-    if is_int_var(vars[0]):
+    if is_int_var(lo):
         # Over a wider integer the trivially-true half would prune.
         if not _all_01(model.store, vars):
             raise PostError("boolean sum takes Booleans or {0..1} integers")
@@ -681,7 +708,7 @@ def post_alldifferent(model, vars):
     vars = list(vars)
     if len(vars) < 2:
         raise PostError("alldifferent needs at least two variables")
-    if not all(is_int_var(v) for v in vars):
+    if not is_int_var(_id_range(model, vars)[0]):
         raise PostError("alldifferent takes integer variables only")
     if len(set(vars)) < len(vars):
         raise PostError("alldifferent over a repeated variable cannot hold")
@@ -691,8 +718,17 @@ def post_alldifferent(model, vars):
 
 def _post_unary(model, var, op, c):
     """Post a unary constraint by narrowing the model's domain: the domain
-    is the constraint, so no propagator is posted."""
-    if model.store.narrow(var, op, c) is FAILED:
+    is the constraint, so no propagator is posted.  The narrowing reads the
+    variable's slot first, so an id that names no variable raises
+    ``IndexError`` there, before anything changes; catching it keeps the
+    check off the path of the many unary posts that name real variables."""
+    try:
+        r = model.store.narrow(var, op, index(c))
+    except TypeError:
+        raise PostError(f"constant must be an integer, got {c!r}") from None
+    except IndexError:
+        raise PostError(f"unknown variable {var!r}") from None
+    if r is FAILED:
         raise PostError(f"unary constraint on variable {var} empties its domain")
     model.count_constraint(1, 1)
 
@@ -708,7 +744,7 @@ def post_fix(model, var, c):
 
 
 def post_le(model, x, y, strict=False):
-    if not (is_int_var(x) and is_int_var(y)):
+    if not is_int_var(_id_range(model, (x, y))[0]):
         raise PostError("le takes integer variables only")
     model.count_constraint(1, 1)
     model.add(LeProp(x, y, strict))
@@ -717,11 +753,12 @@ def post_le(model, x, y, strict=False):
 def post_bool_and(model, z, x, y):
     """z = x and y over three Booleans or three integers within {0..1},
     the two cases the propagator's three-state read handles."""
-    if is_int_var(z):
+    lo, hi = _id_range(model, (z, x, y))
+    if hi >= 0:  # an integer among them; tested inline, as golfers posts 1,900
+        if lo < 0:
+            raise PostError("boolean and mixes Boolean and integer variables")
         if not _all_01(model.store, (z, x, y)):
             raise PostError("boolean and takes three Booleans or three {0..1} integers")
-    elif is_int_var(x) or is_int_var(y):
-        raise PostError("boolean and mixes Boolean and integer variables")
     model.count_constraint(1, 1)
     model.add(BoolAndProp(z, x, y))
 
@@ -732,8 +769,8 @@ def post_lex_leq(model, xs, ys, strict=False):
     xs, ys = list(xs), list(ys)
     if not xs or len(xs) != len(ys):
         raise PostError("lex needs two equal-length non-empty vectors")
-    both = xs + ys
-    if is_int_var(min(both)) != is_int_var(max(both)):
+    lo, hi = _id_range(model, xs + ys)
+    if is_int_var(lo) != is_int_var(hi):
         raise PostError("lex mixes Boolean and integer variables")
     model.count_constraint(1, 1)
     model.add(LexLeqProp(xs, ys, strict))

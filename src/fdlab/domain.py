@@ -61,8 +61,7 @@ REMOVE, MIN, MAX, ASSIGN = Op
 DOMAIN_CHANGED, BOUNDS_CHANGED, INSTANTIATED = EventClass
 FIXED_FALSE, FIXED_TRUE = BoolEvent
 
-#: Every event, in index order: the keys of ``Model.subs`` and the indices
-#: of ``Engine``'s wake tables.
+#: Every event, in index order: the indices of ``Engine``'s wake tables.
 EVENTS = (*EventClass, *BoolEvent)
 
 

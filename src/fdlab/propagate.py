@@ -1,17 +1,17 @@
 """Event-driven propagation engine with a policy-ordered queue.
 
 Propagators subscribe to (variable, event) pairs and are run to a
-fixpoint.  The model owns the propagators and files each subscription in
-one wake table per event (variable -> the pids that event wakes): an
-integer's events are its event classes, a Boolean's are its fixings to 0
-and to 1, so a propagator that can prune on one value only sleeps through
-the other.  Each solve builds one ``Engine`` for its queue and entailment
-state.  A propagator's domain change is one ``Engine.narrow`` call, which
-makes one store ``narrow`` and then walks the table of the change's own
-event only, queueing the idle pids there itself.  All propagators are
-monotone and contracting, and an event a propagator does not subscribe to
-cannot make it prune, so the fixpoint reached is unique regardless of the
-queue policy; only the amount of work to get there differs.
+fixpoint.  Each solve builds one ``Engine`` over the model's propagators,
+and the engine files every subscription in its own wake tables, one per
+event (variable -> the pids that event wakes): an integer's events are its
+event classes, a Boolean's are its fixings to 0 and to 1, so a propagator
+that can prune on one value only sleeps through the other.  A
+propagator's domain change is one ``Engine.narrow`` call, which makes one
+store ``narrow`` and then walks the table of the change's own event only,
+queueing the idle pids there itself.  All propagators are monotone and
+contracting, and an event a propagator does not subscribe to cannot make
+it prune, so the fixpoint reached is unique regardless of the queue
+policy; only the amount of work to get there differs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 
-from .domain import EVENTS, FAILED, INSTANTIATED
+from .domain import DOMAIN_CHANGED, EVENTS, FAILED, FIXED_FALSE, FIXED_TRUE
+from .domain import INSTANTIATED
 
 # Propagator outcomes.
 AT_FIXPOINT = 0
@@ -32,20 +33,17 @@ PRIORITY_LINEAR = 1  # linear and Boolean sums
 PRIORITY_GLOBAL = 2  # alldifferent, lex
 NUM_PRIORITIES = 3
 
-#: The key, in a model's ``subs``, of its delta table: variable -> the
-#: propagators that take its instantiation as a delta.
-DELTAS = "deltas"
-
 
 class Propagator:
     """Monotone, contracting filtering function for one constraint."""
 
     priority = PRIORITY_LINEAR
     #: A propagator that takes deltas is told which of its subscribed
-    #: integer variables were instantiated since its last run, or before
-    #: its first run, fixed at all: ``eng.deltas[self]`` lists them (see
-    #: ``Engine``).  It may subsume only once all of those are fixed, so
-    #: that no entry reaches its list while it sleeps.
+    #: integer variables were instantiated since its last run, or, before
+    #: its first run, were already fixed when it joined the engine:
+    #: ``eng.deltas[self]`` lists them (see ``Engine``).  It may subsume
+    #: only once all of those are fixed, so that no entry reaches its list
+    #: while it sleeps.
     takes_deltas = False
 
     def subscriptions(self):
@@ -68,11 +66,15 @@ ASLEEP = 2
 
 class Engine:
     """The propagation state of one solve, built by the solve over its fork
-    of the store and the model's propagators and wake tables (event ->
-    {variable -> pids}, see ``Model.add``).  It copies the propagator list,
-    so what the solve adds stays out of the model, reads the wake tables
-    without changing them, and owns the queue, the search depth and the
-    entailment record.
+    of the store and the model's propagators.  It copies the propagator
+    list, so what the solve adds stays out of the model, and owns the wake
+    tables, the queue, the search depth and the entailment record.
+
+    ``_file`` files each propagator's subscriptions, as it joins, in one
+    wake table per event, ``_wake[event]`` (variable -> pids): an
+    integer's subscription under its event class and every stronger one; a
+    Boolean's to ``FIXED_FALSE`` or ``FIXED_TRUE`` under that value alone,
+    and any other under both values.
 
     Each pid has one state byte: idle, queued, or asleep while it runs or
     stays subsumed.  ``narrow`` is the whole path of a propagator's domain
@@ -82,16 +84,16 @@ class Engine:
     order, so the running propagator never requeues itself and a subsumed
     one sleeps until a backtrack re-enables it.
 
-    ``deltas`` maps each propagator that takes deltas to its delta list,
-    built from the model's delta table (``subs[DELTAS]``, variable -> its
-    delta takers).  A list holds the propagator's variables instantiated
-    since it last ran.  The engine seeds it with those already fixed in
-    the store, which no narrowing will report; ``narrow`` appends the
-    variable to the lists of its delta takers on an ``INSTANTIATED``
-    change; ``clear`` empties every list, so a failed fixpoint leaves no
-    stale entry behind a backtrack.  At a fixpoint every list is empty,
-    because its propagator has run, and a backtrack returns to a store at
-    such a fixpoint, so an empty list means there is nothing new.
+    ``deltas`` maps each propagator that takes deltas to its delta list;
+    ``_delta_subs`` maps each of their integer variables to its delta
+    takers.  A list holds the propagator's variables instantiated since it
+    last ran.  ``_file`` seeds it with those already fixed in the store,
+    which no narrowing will report; ``narrow`` appends the variable to the
+    lists of its delta takers on an ``INSTANTIATED`` change; ``clear``
+    empties every list, so a failed fixpoint leaves no stale entry behind
+    a backtrack.  At a fixpoint every list is empty, because its
+    propagator has run, and a backtrack returns to a store at such a
+    fixpoint, so an empty list means there is nothing new.
 
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
     first; ``reversed`` pops the highest first.  Within equal priority, FIFO
@@ -104,7 +106,7 @@ class Engine:
     _BUCKET_OF = {"fifo": (0, 0, 0), "priority": (0, 1, 2), "reversed": (2, 1, 0)}
     POLICIES = tuple(_BUCKET_OF)
 
-    def __init__(self, store, props, subs, policy="fifo"):
+    def __init__(self, store, props, policy="fifo"):
         if policy not in self.POLICIES:
             raise ValueError(f"unknown queue policy {policy!r}")
         self.store = store
@@ -112,8 +114,6 @@ class Engine:
         # pid -> its bound propagate, bound here so that a propagate patched
         # on the class before the solve starts is the one that runs.
         self._run = [p.propagate for p in self.props]
-        # Indexed by event; a model without subscriptions has none.
-        self._wake = tuple(subs.get(k, {}) for k in EVENTS)
         bucket_of = self._BUCKET_OF[policy]
         buckets = self._buckets = [deque() for _ in range(max(bucket_of) + 1)]
         by_priority = self._by_priority = tuple(buckets[b] for b in bucket_of)
@@ -124,28 +124,52 @@ class Engine:
         # which each became entailed (never decreasing, see backtrack).
         self._entailed = []
         self._entailed_at = []
-        # The model's delta table (var -> delta takers), and each taker's
-        # delta list, seeded with its variables fixed before the solve.
-        self._delta_subs = subs.get(DELTAS, {})
-        deltas = self.deltas = {}
-        for var, takers in self._delta_subs.items():
-            fixed = store.size(var) == 1
-            for prop in takers:
-                d = deltas.setdefault(prop, [])
-                if fixed:
-                    d.append(var)
+        self._wake = tuple({} for _ in EVENTS)  # indexed by event
+        self._delta_subs = {}
+        self.deltas = {}
+        self._file(0)
+
+    def _file(self, first):
+        """File the subscriptions of the propagators from pid ``first`` on
+        in the wake tables, and those of a propagator that takes deltas,
+        under each of its integer variables, in the delta table, seeding
+        its delta list with those already fixed."""
+        # Unpacked in EVENTS order: indexing the tuple by an enum member
+        # would miss the interpreter's fast path for exact ints.
+        wake_dom, wake_bounds, wake_inst, wake_false, wake_true = self._wake
+        for pid in range(first, len(self.props)):
+            prop = self.props[pid]
+            # Read with a default: a duck-typed propagator need not declare it.
+            takes_deltas = getattr(prop, "takes_deltas", False)
+            if takes_deltas:
+                deltas = self.deltas.setdefault(prop, [])
+            for var, klass in prop.subscriptions():
+                if var < 0:
+                    if klass != FIXED_TRUE:
+                        wake_false.setdefault(var, []).append(pid)
+                    if klass != FIXED_FALSE:
+                        wake_true.setdefault(var, []).append(pid)
+                    continue
+                wake_inst.setdefault(var, []).append(pid)
+                if klass != INSTANTIATED:
+                    wake_bounds.setdefault(var, []).append(pid)
+                    if klass == DOMAIN_CHANGED:
+                        wake_dom.setdefault(var, []).append(pid)
+                if takes_deltas:
+                    self._delta_subs.setdefault(var, []).append(prop)
+                    if self.store.size(var) == 1:
+                        deltas.append(var)
 
     def add(self, prop):
-        """Add a propagator to this solve only (branch and bound's bound).
-        The wake tables are the model's, so it must subscribe to nothing;
-        it runs when scheduled by pid."""
-        if list(prop.subscriptions()):
-            raise ValueError("a propagator added during a solve must not subscribe")
+        """Add a propagator to this solve only (branch and bound's bound)
+        and return its pid.  It is filed like the model's propagators and
+        joins idle: it runs when an event wakes it or when it is pushed."""
         pid = len(self.props)
         self.props.append(prop)
         self._run.append(prop.propagate)
         self._bucket.append(self._by_priority[prop.priority])
         self._state.append(IDLE)
+        self._file(pid)
         return pid
 
     def narrow(self, var, op, value):

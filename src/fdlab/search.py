@@ -37,6 +37,11 @@ def _fold(h, words):
     return h
 
 
+def nodes_per_second(nodes, solve_ms):
+    """Search throughput; guards against a zero-duration measurement."""
+    return nodes / max(solve_ms / 1e3, 1e-9)
+
+
 @dataclass
 class SearchStats:
     """Counters of one solve.  ``fingerprint`` is a 64-bit hash of the tree:
@@ -82,7 +87,7 @@ class _Search:
         self.started = time.perf_counter()
         self.model = model
         self.store = model.store.fork()
-        self.eng = Engine(self.store, model.props, model.subs, queue)
+        self.eng = Engine(self.store, model.props, queue)
         make = backend or functools.partial(make_backend, restore)
         self.backend = make(self.store, self._replay)
         self.stats = SearchStats()
@@ -175,9 +180,8 @@ class _Search:
         if ok:
             while self.branch():
                 pass
-        solve_s = time.perf_counter() - t1
-        self.stats.solve_ms = solve_s * 1e3
-        self.stats.nps = self.stats.nodes / max(solve_s, 1e-9)
+        self.stats.solve_ms = (time.perf_counter() - t1) * 1e3
+        self.stats.nps = nodes_per_second(self.stats.nodes, self.stats.solve_ms)
         self.stats.restore = self.backend.stats
         return self.stats
 

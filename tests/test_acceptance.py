@@ -4,15 +4,16 @@ PASS/FAIL line with the measured evidence."""
 import itertools
 import random
 import time
+from statistics import median
 
 import pytest
 
+from fdlab.bench import cov
 from fdlab.cli import main
 from fdlab.data import table_rows
 from fdlab.problems import build, check_solution, counts, parse_instance
 from fdlab.restore import RestoreMode, ShadowBackend, make_backend
-from fdlab.search import minimize, solve
-from fdlab.stats import cov, median, nodes_per_second
+from fdlab.search import minimize, nodes_per_second, solve
 
 from test_search import golomb_oracle, magic_oracle, queens_oracle
 

@@ -9,6 +9,7 @@ import sys
 import textwrap
 from operator import attrgetter
 from pathlib import Path
+from statistics import median
 from unittest import mock
 
 import pytest
@@ -17,13 +18,14 @@ import fdlab.bench
 from fdlab.bench import (
     CSV_COLUMNS,
     RunConfig,
+    cov,
     emit,
     run_matrix,
 )
 from fdlab.cli import _sweep_configs, main
 from fdlab.problems import Instance, parse_instance
 from fdlab.restore import RestoreMode
-from fdlab.stats import cov, median, nodes_per_second
+from fdlab.search import nodes_per_second
 
 
 def test_median_example():

@@ -21,7 +21,7 @@ from fdlab.constraints import (
     post_ne_const,
 )
 from fdlab.domain import BOUNDS_CHANGED, FAILED, FIXED_FALSE, FIXED_TRUE, Op
-from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model
+from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model, ModelError
 from fdlab.propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Engine
 from fdlab.propagate import PRIORITY_GLOBAL
 
@@ -29,7 +29,7 @@ from fdlab.propagate import PRIORITY_GLOBAL
 def _fix(model):
     """Run the model's propagators to their fixpoint on the model's own
     store; returns whether the fixpoint was reached."""
-    eng = Engine(model.store, model.props, model.subs)
+    eng = Engine(model.store, model.props)
     eng.schedule_all()
     return eng.fixpoint()
 
@@ -78,6 +78,60 @@ def test_linear_rejects_bad_terms():
         post_linear(model, [(1, b)], EQ, 0)
 
 
+def test_posting_refuses_non_integral_numbers():
+    """A fractional coefficient, constant or bound is a model error at
+    posting: it is neither truncated nor left to fail inside a solve."""
+    model = Model()
+    x = model.new_int_var(0, 3)
+    y = model.new_int_var(0, 3)
+    with pytest.raises(PostError):
+        post_linear(model, [(1.5, x), (1, y)], EQ, 3)
+    with pytest.raises(PostError):
+        post_linear(model, [(2, x)], LEQ, 2.5)
+    with pytest.raises(PostError):
+        post_ne_const(model, x, 1.5)
+    with pytest.raises(PostError):
+        post_fix(model, x, 1.0)
+    with pytest.raises(PostError):
+        post_bool_sum(model, [model.new_bool_var()], LEQ, 0.5)
+    with pytest.raises(ModelError):
+        model.new_int_var(0.5, 3)
+    assert not model.props and model.store.num_int_vars == 2
+    assert model.store.domain_values(x) == [0, 1, 2, 3]
+
+
+def test_posting_refuses_unknown_variables():
+    """An id past the last integer or the last Boolean names no variable;
+    every posting function refuses it before it reaches a propagator."""
+    model = Model()
+    x = model.new_int_var(0, 9)
+    b = model.new_bool_var()
+    unknown_int, unknown_bool = x + 1, b - 1
+    posts = [
+        lambda v: post_le(model, x, v),
+        lambda v: post_alldifferent(model, [x, v]),
+        lambda v: post_linear(model, [(1, x), (2, v)], LEQ, 7),
+        lambda v: post_ne_const(model, v, 1),
+        lambda v: post_fix(model, v, 1),
+        lambda v: post_lex_leq(model, [x], [v]),
+    ]
+    for post in posts:
+        with pytest.raises(PostError):
+            post(unknown_int)
+    for post in (
+        lambda v: post_fix(model, v, 1),
+        lambda v: post_bool_sum(model, [b, v], LEQ, 1),
+        lambda v: post_bool_and(model, b, b, v),
+        lambda v: post_lex_leq(model, [b], [v]),
+    ):
+        with pytest.raises(PostError):
+            post(unknown_bool)
+    with pytest.raises(PostError):
+        post_le(model, x, 99)
+    assert not model.props
+    assert model.count_native == model.count_decomposed == 0
+
+
 def test_linear_overflow_contract():
     model = Model()
     x = model.new_int_var(0, 1000)
@@ -115,7 +169,7 @@ def test_alldifferent_sees_variables_fixed_before_the_solve(policy):
         z = model.new_int_var(0, 5)
         post_le(model, z, model.new_int_var(0, 0))  # fixes z at the root
         post_alldifferent(model, [x, y, z])
-        eng = Engine(model.store.fork(), model.props, model.subs, policy)
+        eng = Engine(model.store.fork(), model.props, policy)
         eng.schedule_all()
         if dup:
             assert not eng.fixpoint()
@@ -197,7 +251,7 @@ def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data
     post_alldifferent(model, xs)
     store = model.store.fork()
     store.trail = []
-    eng = Engine(store, model.props, model.subs, policy)
+    eng = Engine(store, model.props, policy)
     domains = lambda: [set(store.domain_values(x)) for x in xs]  # noqa: E731
     eng.schedule_all()
     expected = _value_closure(root) if all(root) else None
@@ -318,7 +372,7 @@ def test_le_matches_linear(xlo, xw, ylo, yw, strict):
         x = model.new_int_var(xlo, xlo + xw)
         y = model.new_int_var(ylo, ylo + yw)
         model.add(make(x, y))
-        eng = Engine(model.store, model.props, model.subs)
+        eng = Engine(model.store, model.props)
         eng.schedule_all()
         ok = eng.fixpoint()
         doms = [model.store.domain_values(v) for v in (x, y)] if ok else None
@@ -505,7 +559,7 @@ def test_bool_sum_native_matches_int_model(states, rel, c):
 def _fix_one(model):
     """Run the model's one propagator to its fixpoint; returns whether it
     was reached and whether the propagator ended subsumed."""
-    eng = Engine(model.store, model.props, model.subs)
+    eng = Engine(model.store, model.props)
     eng.schedule_all()
     return eng.fixpoint(), 0 in eng.subsumed
 
@@ -701,7 +755,7 @@ def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
         terms.append((coeff, var))
         domains.append(list(range(lo, lo + width + 1)))
     post_linear(model, terms, rel, c)
-    eng = Engine(model.store, model.props, model.subs)
+    eng = Engine(model.store, model.props)
     eng.schedule_all()
     ok = eng.fixpoint()
 
@@ -849,7 +903,7 @@ def test_diff_prop_matches_linear(xd, yd, zd, k):
             vs.append(v)
         prop = make(*vs)
         model.add(prop)
-        eng = Engine(model.store, model.props, model.subs)
+        eng = Engine(model.store, model.props)
         eng.schedule_all()
         ok = eng.fixpoint()
         if not ok:
@@ -1020,7 +1074,7 @@ def test_skipped_polarity_fixings_leave_the_fixpoint_alone(case):
         xi, yi = spec
         prop = LexLeqProp([pool[i] for i in xi], [pool[i] for i in yi], kind == "lex-strict")
     pid = model.add(prop)
-    eng = Engine(store, model.props, model.subs)
+    eng = Engine(store, model.props)
 
     def domains():
         return [store.domain_values(v) for v in pool]
@@ -1035,7 +1089,7 @@ def test_skipped_polarity_fixings_leave_the_fixpoint_alone(case):
         skipped = [
             value
             for value, event in ((0, FIXED_FALSE), (1, FIXED_TRUE))
-            if pid not in model.subs[event].get(v, ())
+            if pid not in eng._wake[event].get(v, ())
         ]
         if pick and skipped and store.size(v) == 2:
             store.narrow(v, Op.ASSIGN, skipped[0])

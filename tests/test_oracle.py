@@ -1,0 +1,141 @@
+"""Per-node fixpoint oracle: at the root and at every search node, the
+engine's fixpoint must equal the closure that ``NaiveEngine`` computes
+from the state before propagation.
+
+``NaiveEngine`` shares nothing with ``Engine`` but the propagators: it
+reads no wake table, honours no subsumption and rebuilds every delta list
+from scratch, so a subscription the engine failed to file, a delta it
+failed to seed or a propagator it left asleep too long shows up as a
+difference in the domains.
+"""
+
+import itertools
+
+import pytest
+
+from fdlab.constraints import post_alldifferent, post_fix, post_le
+from fdlab.domain import FAILED
+from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model
+from fdlab.problems import build, parse_instance
+from fdlab.propagate import PROP_FAILED, Engine
+from fdlab.restore import RestoreMode
+from fdlab.search import A_SCHED, _Search, minimize, solve
+
+#: The naive closure of a node whose own actions failed: nothing to compare.
+_SKIP = object()
+
+
+class NaiveEngine:
+    """Runs every propagator in turn, over and over, until a whole sweep
+    changes no domain.  Before each run a delta taker's list is set to all
+    of its fixed integer variables."""
+
+    def __init__(self, store, props):
+        self.store = store
+        self.props = props
+        self.deltas = {}
+
+    def narrow(self, var, op, value):
+        return self.store.narrow(var, op, value)
+
+    def closure(self):
+        """True at the closure, False when a propagator fails."""
+        store = self.store
+        while True:
+            before = store.snapshot_blob()
+            for prop in self.props:
+                if getattr(prop, "takes_deltas", False):
+                    self.deltas[prop] = [
+                        v for v, _ in prop.subscriptions() if v >= 0 and store.size(v) == 1
+                    ]
+                if prop.propagate(self) == PROP_FAILED:
+                    return False
+            if store.domains_equal(before):
+                return True
+
+
+def naive_closure(store, props, actions):
+    """The domains of the naive closure of ``store`` narrowed by a node's
+    ``actions``: a snapshot, None when the closure fails, or ``_SKIP`` when
+    an action fails."""
+    fork = store.fork()
+    for op, target, value in actions:
+        # A reschedule applies nothing: the naive engine runs everything.
+        if op is not A_SCHED and fork.narrow(target, op, value) is FAILED:
+            return _SKIP
+    if not NaiveEngine(fork, props).closure():
+        return None
+    return fork.snapshot_blob()
+
+
+class _Oracle:
+    """Compares the engine with the naive closure at the root and at every
+    node a search opens.  Replay inside a backtrack is not checked: it
+    rebuilds a historical state, which lacks the bounds that branch and
+    bound has added since."""
+
+    def __init__(self, monkeypatch):
+        self.checked = 0
+        self.mismatches = []
+        root, try_node = _Search.root, _Search.try_node
+        monkeypatch.setattr(_Search, "root", lambda s: self._check(s, (), root))
+        monkeypatch.setattr(
+            _Search, "try_node", lambda s, actions: self._check(s, actions, try_node, actions)
+        )
+
+    def _check(self, search, actions, step, *args):
+        expected = naive_closure(search.store, search.eng.props, actions)
+        ok = step(search, *args)
+        if expected is not _SKIP:
+            self.checked += 1
+            if ok != (expected is not None) or ok and not search.store.domains_equal(expected):
+                self.mismatches.append((search.stats.nodes, actions, ok))
+        return ok
+
+
+_INSTANCES = [
+    "queens:6", "queens:7", "golomb:5", "golomb:6", "magic:3",
+    "golfers:2,2,3", "bibd:7,3,1", "bibd:6,3,2",
+]
+
+
+@pytest.mark.parametrize("name", _INSTANCES)
+def test_fixpoint_equals_the_naive_closure_at_every_node(name, monkeypatch):
+    """Every Boolean mode, sum mode, queue policy and restore backend, all
+    solutions (both branch-and-bound modes for golomb).  A model without
+    Booleans is the same in both Boolean modes, so it runs in one."""
+    oracle = _Oracle(monkeypatch)
+    inst = parse_instance(name)
+    configs = list(itertools.product(
+        (BOOL_NATIVE, BOOL_INT) if inst.has_bool_vars else (BOOL_NATIVE,),
+        (SUM_NATIVE, SUM_DECOMPOSED),
+        Engine.POLICIES,
+        (RestoreMode.trail(), RestoreMode.copy_recompute(3)),
+    ))
+    for bool_mode, sum_mode, queue, restore in configs:
+        model = build(inst, bool_mode=bool_mode, sum_mode=sum_mode)
+        if inst.is_optimization:
+            for bnb in ("tighten", "post"):
+                minimize(model, bnb=bnb, restore=restore, queue=queue)
+        else:
+            solve(model, mode="all", restore=restore, queue=queue)
+    assert oracle.checked > len(configs)
+    assert oracle.mismatches == []
+
+
+def test_oracle_sees_an_alldifferent_variable_fixed_before_the_solve(monkeypatch):
+    """x = y = 1 is posted by narrowing the domains, so no narrowing during
+    the solve reports it: only the seeded delta lists make alldifferent
+    fail at the root."""
+    oracle = _Oracle(monkeypatch)
+    model = Model()
+    x, y, z, w = (model.new_int_var(0, 2, decision=True) for _ in range(4))
+    post_fix(model, x, 1)
+    post_fix(model, y, 1)
+    post_fix(model, w, 0)
+    post_alldifferent(model, [x, y, z])
+    post_le(model, z, w)
+    found = [solve(model, mode="all", queue=queue)[0] for queue in Engine.POLICIES]
+    assert oracle.mismatches == []
+    assert oracle.checked == len(Engine.POLICIES)
+    assert found == [[]] * len(Engine.POLICIES)

@@ -19,26 +19,28 @@ from fdlab.search import minimize
 
 
 def _engine(model, policy="fifo"):
-    return Engine(model.store, model.props, model.subs, policy)
+    return Engine(model.store, model.props, policy)
 
 
 def test_queue_rejects_unknown_policy():
     with pytest.raises(ValueError):
-        Engine(VariableStore(), [], {}, "lifo")
+        Engine(VariableStore(), [], "lifo")
     with pytest.raises(ValueError):
         minimize(build(parse_instance("golomb:4")), queue="lifo")
 
 
 class _Recorder:
-    """Subscribes to nothing and logs its pid each time it runs."""
+    """Subscribes to the (variable, event class) pairs it is given, if any,
+    and logs its pid each time it runs."""
 
-    def __init__(self, log, pid, priority):
+    def __init__(self, log, pid, priority, *subs):
         self.log = log
         self.pid = pid
         self.priority = priority
+        self.subs = subs
 
     def subscriptions(self):
-        return ()
+        return self.subs
 
     def propagate(self, eng):
         self.log.append(self.pid)
@@ -84,17 +86,36 @@ def test_queue_policies_order():
     )
 
 
-def test_engine_add_rejects_a_subscribing_propagator():
+def test_engine_add_files_a_subscribing_propagator():
+    """A propagator added to a live engine is filed like the model's: a
+    narrowing of its variable wakes it, and a delta taker's list is seeded
+    with its variables already fixed.  The model is left unchanged."""
+    from fdlab.constraints import AllDiffValueProp
+    from fdlab.domain import Op
+
     model = Model()
-    x = model.new_int_var(0, 5)
-    eng = _engine(model)
-    with pytest.raises(ValueError):
-        eng.add(LeProp(x, model.new_int_var(0, 5)))
-    assert not eng.props and not model.subs
-    assert eng.add(UpperBoundProp(x, 3)) == 0
-    eng.push(0)
-    assert eng.fixpoint() and model.store.max(x) == 3
-    assert not model.props
+    x, y, z = (model.new_int_var(0, 5) for _ in range(3))
+    eng = Engine(model.store.fork(), model.props)
+    store = eng.store
+    le = eng.add(LeProp(x, y))
+    assert le == 0 and le not in eng
+    eng.narrow(y, Op.MAX, 3)
+    assert le in eng
+    assert eng.fixpoint() and store.max(x) == 3
+    eng.narrow(z, Op.ASSIGN, 2)
+    alldiff = AllDiffValueProp([x, y, z])
+    pid = eng.add(alldiff)
+    assert eng.deltas[alldiff] == [z] and pid not in eng
+    eng.push(pid)
+    assert eng.fixpoint() and not eng.deltas[alldiff]
+    assert store.domain_values(x) == store.domain_values(y) == [0, 1, 3]
+    eng.narrow(x, Op.ASSIGN, 1)
+    assert le in eng and pid in eng and eng.deltas[alldiff] == [x]
+    assert eng.fixpoint() and store.domain_values(y) == [3]
+    bound = eng.add(UpperBoundProp(z, 1))
+    eng.push(bound)
+    assert not eng.fixpoint()
+    assert not model.props and model.store.domain_values(z) == list(range(6))
 
 
 @pytest.mark.parametrize("policy", Engine.POLICIES)
@@ -213,7 +234,7 @@ def _queued_after_fixing(model, pid, var, value, policy="fifo"):
     queues ``pid``."""
     from fdlab.domain import Op
 
-    eng = Engine(model.store.fork(), model.props, model.subs, policy)
+    eng = Engine(model.store.fork(), model.props, policy)
     eng.narrow(var, Op.ASSIGN, value)
     return pid in eng
 
@@ -228,9 +249,10 @@ def test_boolean_fix_wakes_every_subscriber(policy):
     model = Model()
     b = model.new_bool_var()
     pids = _wakers(model, b)
-    assert model.subs[FIXED_FALSE][b] == pids
-    assert model.subs[FIXED_TRUE][b] == pids
-    assert [e for e in EVENTS if b in model.subs[e]] == [FIXED_FALSE, FIXED_TRUE]
+    wake = _engine(model)._wake
+    assert wake[FIXED_FALSE][b] == pids
+    assert wake[FIXED_TRUE][b] == pids
+    assert [e for e in EVENTS if b in wake[e]] == [FIXED_FALSE, FIXED_TRUE]
     for value in (0, 1):
         assert all(_queued_after_fixing(model, pid, b, value, policy) for pid in pids)
 
@@ -423,31 +445,33 @@ class _Entailed(_Recorder):
 def test_narrow_queues_idle_pids_of_its_event_class_in_table_order(policy):
     """One Engine.narrow walks the wake table of the change's event class
     and queues its idle pids in table order, skipping a queued and a
-    subsumed one; other tables' pids stay idle."""
+    subsumed one; pids filed only in other tables stay idle."""
     from fdlab.domain import BOUNDS_CHANGED, DOMAIN_CHANGED, INSTANTIATED, Op
 
     log = []
-    store = VariableStore()
-    x = store.new_int_var(0, 9)
+    model = Model()
+    x = model.new_int_var(0, 9)
+    y = model.new_int_var(0, 9)
+    # x's bounds table gets every domain and bounds subscriber of x; pid 3
+    # waits for x's instantiation and pid 7 watches y, so neither is in it.
+    subs = [(x, DOMAIN_CHANGED), (x, BOUNDS_CHANGED), (x, BOUNDS_CHANGED), (x, INSTANTIATED),
+            (x, DOMAIN_CHANGED), (x, BOUNDS_CHANGED), (x, BOUNDS_CHANGED), (y, BOUNDS_CHANGED)]
     priorities = [PRIORITY_GLOBAL, PRIORITY_CHEAP, PRIORITY_LINEAR, PRIORITY_CHEAP,
-                  PRIORITY_LINEAR, PRIORITY_CHEAP, PRIORITY_GLOBAL]
-    props = [_Recorder(log, pid, p) for pid, p in enumerate(priorities)]
+                  PRIORITY_LINEAR, PRIORITY_CHEAP, PRIORITY_GLOBAL, PRIORITY_CHEAP]
     subsumed, queued = 2, 5
-    props[subsumed] = _Entailed(log, subsumed, priorities[subsumed])
-    table = [4, subsumed, 0, queued, 6, 1]  # not pid order
-    subs = {
-        DOMAIN_CHANGED: {x: [3]},
-        BOUNDS_CHANGED: {x: table},
-        INSTANTIATED: {x: [3] + table},
-    }
-    eng = Engine(store, props, subs, policy)
+    for pid, (priority, sub) in enumerate(zip(priorities, subs)):
+        kind = _Entailed if pid == subsumed else _Recorder
+        model.add(kind(log, pid, priority, sub))
+    eng = _engine(model, policy)
+    table = eng._wake[BOUNDS_CHANGED][x]
+    assert table == [0, 1, subsumed, 4, queued, 6]
     eng.push(subsumed)
     assert eng.fixpoint() and eng.subsumed == {subsumed: 0}
     eng.push(queued)
     log.clear()
     assert eng.narrow(x, Op.MAX, 7) is BOUNDS_CHANGED
-    assert [pid in eng for pid in range(len(props))] == [
-        True, True, False, False, True, True, True
+    assert [pid in eng for pid in range(len(subs))] == [
+        True, True, False, False, True, True, True, False
     ]
     assert eng.fixpoint()
     rank = {"fifo": lambda p: 0, "priority": lambda p: p, "reversed": lambda p: -p}
