@@ -284,8 +284,8 @@ class AllDiffValueProp(Propagator):
     It takes deltas.  A run works its list in ``eng.deltas`` as a
     worklist: it pops an instantiated variable and removes that one value
     from every other variable, and a removal that instantiates another
-    variable appends it to the same list through ``Engine.narrow``.  The
-    engine seeds the list with the variables fixed when it joins and
+    variable appends it to the same list through the store's ``narrow``.
+    The engine seeds the list with the variables fixed when it joins and
     empties it in ``clear``, so the list always holds every instantiated
     variable whose value is not yet removed, and an empty list means
     there is nothing to do.  Two variables fixed to one value fail at the
@@ -587,7 +587,14 @@ def _id_range(model, vars):
     to name a variable of the model.  Integer ids run 0, 1, 2, ... and
     Boolean ids -1, -2, ..., so all are known exactly when these two are,
     and the two also tell the kinds: all integers when the smallest is not
-    negative, all Booleans when the largest is negative."""
+    negative, all Booleans when the largest is negative.  That holds for
+    integral ids only; a sum over ints stays an int and any other number
+    makes it a non-int, so one ``index`` of the sum, computed in C,
+    refuses a float wherever it sits."""
+    try:
+        index(sum(vars))
+    except TypeError:
+        raise PostError(f"variable ids must be integers, got {list(vars)}") from None
     lo, hi = min(vars), max(vars)
     s = model.store
     if lo < -len(s._bstate) or hi >= len(s._mask):

@@ -1,10 +1,25 @@
 """Variable store with bitset integer domains and specialised Boolean domains.
 
-Every domain mutation goes through :meth:`VariableStore.narrow`, which
-appends the old state to the store's trail (when a trailing backend gave it
-one) before the change becomes visible and reports its event: the strongest
-applicable event class for an integer, the value written for a Boolean.
-:meth:`VariableStore.undo` pops trailed states back, newest first.
+Every domain change is one :meth:`VariableStore.narrow` call, the whole
+path of the change: it trails the old state (when a trailing backend gave
+the store a trail) before the change becomes visible, queues the
+propagators that the change's event wakes and, when an integer is
+instantiated, appends it to the delta lists of its delta takers.  The
+wake tables, the pid state bytes, the per-pid queue buckets and the delta
+lists belong to the solve's :class:`fdlab.propagate.Engine`, which
+installs them on its fork of the store; a model's own store keeps empty
+tables, so a narrowing made while posting wakes nothing.
+
+The trail holds an integer variable's whole state, ``(var, mask, lo, hi,
+size)``, at most once per frame: each integer variable carries the stamp
+of the frame that last trailed it, and a change trails only when that
+stamp is not the current frame.  :meth:`VariableStore.mark` and
+:meth:`VariableStore.undo` each start a new frame, so the first change
+after either is trailed; the oldest entry of a variable above a mark is
+then its state at that mark.  A Boolean cell changes at most once on a
+path, so its entry is ``(var, old cell)``.  :meth:`VariableStore.undo`
+writes trailed states back, newest first, with no bit arithmetic.
+
 Integer domains are bitsets over the variable's original bounds with cached
 lo/hi/size; Boolean domains are three-state cells, signed bytes
 (``UNKNOWN``, 0 or 1) in one ``array("b")``, so a snapshot of all of them is
@@ -64,6 +79,12 @@ FIXED_FALSE, FIXED_TRUE = BoolEvent
 #: Every event, in index order: the indices of ``Engine``'s wake tables.
 EVENTS = (*EventClass, *BoolEvent)
 
+# A propagator's state byte in ``Engine``'s pid states.  A change queues only
+# IDLE pids; ASLEEP covers the running propagator and the subsumed ones.
+IDLE = 0
+QUEUED = 1
+ASLEEP = 2
+
 
 class _Failed:
     __slots__ = ()
@@ -104,7 +125,10 @@ class VariableStore:
     """
 
     def __init__(self):
-        self.trail = None  # (var, old state) per change, kept while trailing
+        self.trail = None  # first changes per frame, kept while trailing
+        # Frame ids start above every stamp, so a change before the first
+        # mark is trailed too.
+        self._frame = 1
         # integer variables, indexed by id
         self._base = []
         self._span = []
@@ -112,9 +136,21 @@ class VariableStore:
         self._lo = []
         self._hi = []
         self._size = []
+        self._stamp = []  # frame that last trailed the variable
         # Boolean variables, indexed by ~id
         self._bstate = array("b")
         self._region_words = 0
+        # The wake path, installed by a solve's Engine: one wake table per
+        # event (variable -> pids), pid -> state byte, pid -> its queue
+        # bucket, and integer variable -> the delta lists of its takers.
+        self._wake_dom = {}
+        self._wake_bounds = {}
+        self._wake_inst = {}
+        self._wake_false = {}
+        self._wake_true = {}
+        self._state = bytearray()
+        self._bucket = []
+        self._delta_lists = {}
 
     # -- construction -------------------------------------------------
 
@@ -128,6 +164,7 @@ class VariableStore:
         self._lo.append(lo)
         self._hi.append(hi)
         self._size.append(span)
+        self._stamp.append(0)
         self._region_words += -(-span // 64)
         return len(self._mask) - 1
 
@@ -146,7 +183,8 @@ class VariableStore:
     def fork(self):
         """A store for one solve: it shares this store's variable layout
         (so variables are added to the original only) and owns a copy of
-        the domains, and no trail until a backend gives it one."""
+        the domains, fresh stamps, and no trail or wake tables until a
+        backend and an engine give it theirs."""
         # Built through __init__, not copy.copy: an instance whose __dict__
         # was filled by update loses the attribute layout that makes the
         # hot-path reads of self._mask, self._lo, ... fast.
@@ -155,6 +193,7 @@ class VariableStore:
             setattr(twin, name, getattr(self, name))
         for name in ("_mask", "_lo", "_hi", "_size", "_bstate"):
             setattr(twin, name, getattr(self, name)[:])
+        twin._stamp = [0] * len(self._mask)
         return twin
 
     @property
@@ -236,10 +275,14 @@ class VariableStore:
         ``EventClass.DOMAIN_CHANGED`` is 0 and therefore falsy, so callers
         must compare the result with ``is None`` or ``is FAILED``.
 
-        One call does the whole store side of a change, for either kind of
-        variable; :meth:`fdlab.propagate.Engine.narrow` calls it once and
-        then queues the propagators that the returned event wakes, so the
-        Boolean branch's value report costs the integer path nothing.
+        One call is the whole path of a change, for either kind of
+        variable: it trails, writes, and queues the idle pids of the
+        event's wake table in table order, so the running propagator never
+        requeues itself and a subsumed one sleeps until a backtrack
+        re-enables it.  The Boolean arm walks its value's table and
+        returns; only the integer arms feed the delta lists, on an
+        ``INSTANTIATED`` change.  An integer arm trails the whole state
+        only when the variable's stamp is not the current frame.
 
         The integer arms are specialised by op.  A ``MIN`` at or below the
         base, or a ``MAX`` at or above the top of the span, returns ``None``
@@ -270,9 +313,20 @@ class VariableStore:
                 self.trail.append((var, cur))
             if new == 1:
                 self._bstate[~var] = 0
-                return FIXED_FALSE
-            self._bstate[~var] = 1
-            return FIXED_TRUE
+                r = FIXED_FALSE
+                pids = self._wake_false.get(var)
+            else:
+                self._bstate[~var] = 1
+                r = FIXED_TRUE
+                pids = self._wake_true.get(var)
+            if pids:
+                state = self._state
+                bucket = self._bucket
+                for pid in pids:
+                    if not state[pid]:
+                        state[pid] = QUEUED
+                        bucket[pid].append(pid)
+            return r
         base = self._base[var]
         mask = self._mask[var]
         off = value - base
@@ -284,56 +338,83 @@ class VariableStore:
                 return None
             if not new:
                 return FAILED
-            if self.trail is not None:
-                self.trail.append((var, mask))
+            trail = self.trail
+            if trail is not None and self._stamp[var] != self._frame:
+                self._stamp[var] = self._frame
+                trail.append((var, mask, self._lo[var], self._hi[var], self._size[var]))
             self._mask[var] = new
             self._lo[var] = base + (new & -new).bit_length() - 1
             size = new.bit_count()
             self._size[var] = size
-            return INSTANTIATED if size == 1 else BOUNDS_CHANGED
-        span = self._span[var]
-        if op is MAX:
-            if off >= span - 1:
-                return None
-            if off < 0:
-                return FAILED
-            new = mask & ((1 << (off + 1)) - 1)
-            if new == mask:
-                return None
-            if not new:
-                return FAILED
-            if self.trail is not None:
-                self.trail.append((var, mask))
-            self._mask[var] = new
-            self._hi[var] = base + new.bit_length() - 1
-            size = new.bit_count()
-            self._size[var] = size
-            return INSTANTIATED if size == 1 else BOUNDS_CHANGED
-        if op is REMOVE:
-            if not (0 <= off < span):
-                return None
-            new = mask & ~(1 << off)
-        else:  # ASSIGN
-            new = mask & (1 << off) if 0 <= off < span else 0
-        if new == mask:
-            return None
-        if new == 0:
-            return FAILED
-        if self.trail is not None:
-            self.trail.append((var, mask))
-        self._mask[var] = new
-        old_lo, old_hi = self._lo[var], self._hi[var]
-        lo = base + ((new & -new).bit_length() - 1)
-        hi = base + new.bit_length() - 1
-        size = new.bit_count()
-        self._lo[var] = lo
-        self._hi[var] = hi
-        self._size[var] = size
-        if size == 1:
-            return INSTANTIATED
-        if lo != old_lo or hi != old_hi:
-            return BOUNDS_CHANGED
-        return DOMAIN_CHANGED
+            r = INSTANTIATED if size == 1 else BOUNDS_CHANGED
+        else:
+            span = self._span[var]
+            if op is MAX:
+                if off >= span - 1:
+                    return None
+                if off < 0:
+                    return FAILED
+                new = mask & ((1 << (off + 1)) - 1)
+                if new == mask:
+                    return None
+                if not new:
+                    return FAILED
+                trail = self.trail
+                if trail is not None and self._stamp[var] != self._frame:
+                    self._stamp[var] = self._frame
+                    trail.append((var, mask, self._lo[var], self._hi[var], self._size[var]))
+                self._mask[var] = new
+                self._hi[var] = base + new.bit_length() - 1
+                size = new.bit_count()
+                self._size[var] = size
+                r = INSTANTIATED if size == 1 else BOUNDS_CHANGED
+            else:
+                if op is REMOVE:
+                    if not (0 <= off < span):
+                        return None
+                    new = mask & ~(1 << off)
+                else:  # ASSIGN
+                    new = mask & (1 << off) if 0 <= off < span else 0
+                if new == mask:
+                    return None
+                if new == 0:
+                    return FAILED
+                old_lo, old_hi = self._lo[var], self._hi[var]
+                trail = self.trail
+                if trail is not None and self._stamp[var] != self._frame:
+                    self._stamp[var] = self._frame
+                    trail.append((var, mask, old_lo, old_hi, self._size[var]))
+                self._mask[var] = new
+                lo = base + ((new & -new).bit_length() - 1)
+                hi = base + new.bit_length() - 1
+                size = new.bit_count()
+                self._lo[var] = lo
+                self._hi[var] = hi
+                self._size[var] = size
+                if size == 1:
+                    r = INSTANTIATED
+                elif lo != old_lo or hi != old_hi:
+                    r = BOUNDS_CHANGED
+                else:
+                    r = DOMAIN_CHANGED
+        if r is INSTANTIATED:
+            pids = self._wake_inst.get(var)
+            lists = self._delta_lists.get(var)
+            if lists:
+                for deltas in lists:
+                    deltas.append(var)
+        elif r is BOUNDS_CHANGED:
+            pids = self._wake_bounds.get(var)
+        else:
+            pids = self._wake_dom.get(var)
+        if pids:
+            state = self._state
+            bucket = self._bucket
+            for pid in pids:
+                if not state[pid]:
+                    state[pid] = QUEUED
+                    bucket[pid].append(pid)
+        return r
 
     # -- restoration support -------------------------------------------
 
@@ -352,23 +433,30 @@ class VariableStore:
         self._size[:n] = size
         self._bstate[: len(bstates)] = bstates
 
+    def mark(self):
+        """Start a new frame and return the trail's length, the mark that
+        ``undo`` pops back to.  Frame ids come from a counter, never from
+        the trail's length: a node reopened at an undone node's length
+        would otherwise share its id, skip trailing and keep its changes
+        past the backtrack."""
+        self._frame += 1
+        return len(self.trail)
+
     def undo(self, mark):
-        """Pop the trail back to its first ``mark`` entries, reinstating each
-        popped pre-change state, newest first."""
+        """Pop the trail back to its first ``mark`` entries, writing each
+        popped state back, newest first, and start a new frame, so that a
+        change made before the next ``mark`` is trailed again."""
+        self._frame += 1
         trail = self.trail
         undone = trail[mark:]
         del trail[mark:]
-        mask, bstate, base = self._mask, self._bstate, self._base
-        lo, hi, size = self._lo, self._hi, self._size
-        for var, old in reversed(undone):
+        mask, lo, hi, size, bstate = self._mask, self._lo, self._hi, self._size, self._bstate
+        for entry in reversed(undone):
+            var = entry[0]
             if var < 0:
-                bstate[~var] = old
-                continue
-            b = base[var]
-            mask[var] = old
-            lo[var] = b + ((old & -old).bit_length() - 1)
-            hi[var] = b + old.bit_length() - 1
-            size[var] = old.bit_count()
+                bstate[~var] = entry[1]
+            else:
+                _, mask[var], lo[var], hi[var], size[var] = entry
 
     def domains_equal(self, blob):
         masks, _, _, _, bstates = blob

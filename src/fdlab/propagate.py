@@ -5,13 +5,15 @@ fixpoint.  Each solve builds one ``Engine`` over the model's propagators,
 and the engine files every subscription in its own wake tables, one per
 event (variable -> the pids that event wakes): an integer's events are its
 event classes, a Boolean's are its fixings to 0 and to 1, so a propagator
-that can prune on one value only sleeps through the other.  A
-propagator's domain change is one ``Engine.narrow`` call, which makes one
-store ``narrow`` and then walks the table of the change's own event only,
-queueing the idle pids there itself.  All propagators are monotone and
-contracting, and an event a propagator does not subscribe to cannot make
-it prune, so the fixpoint reached is unique regardless of the queue
-policy; only the amount of work to get there differs.
+that can prune on one value only sleeps through the other.  The engine
+installs the tables, with its pid states, queue buckets and delta lists,
+on its fork of the store, so a propagator's domain change is one store
+``narrow`` call (``eng.narrow`` is that bound method), which walks the
+table of the change's own event only and queues the idle pids there
+itself.  All propagators are monotone and contracting, and an event a
+propagator does not subscribe to cannot make it prune, so the fixpoint
+reached is unique regardless of the queue policy; only the amount of work
+to get there differs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 
-from .domain import DOMAIN_CHANGED, EVENTS, FAILED, FIXED_FALSE, FIXED_TRUE
-from .domain import INSTANTIATED
+from .domain import ASLEEP, DOMAIN_CHANGED, EVENTS, FIXED_FALSE, FIXED_TRUE
+from .domain import IDLE, INSTANTIATED, QUEUED
 
 # Propagator outcomes.
 AT_FIXPOINT = 0
@@ -41,9 +43,9 @@ class Propagator:
     #: A propagator that takes deltas is told which of its subscribed
     #: integer variables were instantiated since its last run, or, before
     #: its first run, were already fixed when it joined the engine:
-    #: ``eng.deltas[self]`` lists them (see ``Engine``).  It may subsume
-    #: only once all of those are fixed, so that no entry reaches its list
-    #: while it sleeps.
+    #: ``eng.deltas[self]`` lists them (see ``Engine``), and the store's
+    #: ``narrow`` appends to that list.  It may subsume only once all of
+    #: those are fixed, so that no entry reaches its list while it sleeps.
     takes_deltas = False
 
     def subscriptions(self):
@@ -57,18 +59,15 @@ class Propagator:
         raise NotImplementedError
 
 
-# A propagator's state in ``Engine._state``.  ASLEEP covers the running
-# propagator and the subsumed ones: an event wakes neither.
-IDLE = 0
-QUEUED = 1
-ASLEEP = 2
-
-
 class Engine:
     """The propagation state of one solve, built by the solve over its fork
     of the store and the model's propagators.  It copies the propagator
     list, so what the solve adds stays out of the model, and owns the wake
-    tables, the queue, the search depth and the entailment record.
+    tables, the queue, the search depth and the entailment record.  It
+    installs the wake tables, the pid state bytes, the per-pid buckets and
+    the delta lists on the store, whose ``narrow`` does the whole of a
+    domain change; ``narrow`` here is the store's bound method, so
+    propagators call ``eng.narrow``.
 
     ``_file`` files each propagator's subscriptions, as it joins, in one
     wake table per event, ``_wake[event]`` (variable -> pids): an
@@ -77,23 +76,23 @@ class Engine:
     and any other under both values.
 
     Each pid has one state byte: idle, queued, or asleep while it runs or
-    stays subsumed.  ``narrow`` is the whole path of a propagator's domain
-    change: one store ``narrow``, whose result is the change's event (an
-    integer's event class, or the value a Boolean took), then a walk of
-    that event's one wake table that queues the idle pids there in table
-    order, so the running propagator never requeues itself and a subsumed
-    one sleeps until a backtrack re-enables it.
+    stays subsumed.  A domain change walks the one wake table of its event
+    (an integer's event class, or the value a Boolean took) and queues the
+    idle pids there in table order, so the running propagator never
+    requeues itself and a subsumed one sleeps until a backtrack re-enables
+    it.
 
     ``deltas`` maps each propagator that takes deltas to its delta list;
-    ``_delta_subs`` maps each of their integer variables to its delta
-    takers.  A list holds the propagator's variables instantiated since it
-    last ran.  ``_file`` seeds it with those already fixed in the store,
-    which no narrowing will report; ``narrow`` appends the variable to the
-    lists of its delta takers on an ``INSTANTIATED`` change; ``clear``
-    empties every list, so a failed fixpoint leaves no stale entry behind
-    a backtrack.  At a fixpoint every list is empty, because its
-    propagator has run, and a backtrack returns to a store at such a
-    fixpoint, so an empty list means there is nothing new.
+    the store's ``_delta_lists`` maps each of their integer variables to
+    the lists of its delta takers.  A list holds the propagator's variables
+    instantiated since it last ran.  ``_file`` seeds it with those already
+    fixed in the store, which no narrowing will report; the store's
+    ``narrow`` appends the variable to its takers' lists on an
+    ``INSTANTIATED`` change; ``clear`` empties every list, so a failed
+    fixpoint leaves no stale entry behind a backtrack.  At a fixpoint every
+    list is empty, because its propagator has run, and a backtrack returns
+    to a store at such a fixpoint, so an empty list means there is nothing
+    new.
 
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
     first; ``reversed`` pops the highest first.  Within equal priority, FIFO
@@ -125,18 +124,24 @@ class Engine:
         self._entailed = []
         self._entailed_at = []
         self._wake = tuple({} for _ in EVENTS)  # indexed by event
-        self._delta_subs = {}
         self.deltas = {}
+        (store._wake_dom, store._wake_bounds, store._wake_inst,
+         store._wake_false, store._wake_true) = self._wake
+        store._state = self._state
+        store._bucket = self._bucket
+        store._delta_lists = {}
+        self.narrow = store.narrow
         self._file(0)
 
     def _file(self, first):
         """File the subscriptions of the propagators from pid ``first`` on
-        in the wake tables, and those of a propagator that takes deltas,
-        under each of its integer variables, in the delta table, seeding
-        its delta list with those already fixed."""
+        in the wake tables, and file the delta list of a propagator that
+        takes deltas under each of its integer variables in the store's
+        ``_delta_lists``, seeding the list with those already fixed."""
         # Unpacked in EVENTS order: indexing the tuple by an enum member
         # would miss the interpreter's fast path for exact ints.
         wake_dom, wake_bounds, wake_inst, wake_false, wake_true = self._wake
+        delta_lists = self.store._delta_lists
         for pid in range(first, len(self.props)):
             prop = self.props[pid]
             # Read with a default: a duck-typed propagator need not declare it.
@@ -156,7 +161,7 @@ class Engine:
                     if klass == DOMAIN_CHANGED:
                         wake_dom.setdefault(var, []).append(pid)
                 if takes_deltas:
-                    self._delta_subs.setdefault(var, []).append(prop)
+                    delta_lists.setdefault(var, []).append(deltas)
                     if self.store.size(var) == 1:
                         deltas.append(var)
 
@@ -171,29 +176,6 @@ class Engine:
         self._state.append(IDLE)
         self._file(pid)
         return pid
-
-    def narrow(self, var, op, value):
-        """Single mutation entry point for propagators: narrow the store,
-        then queue the idle pids that the change's event wakes on ``var``,
-        and on an ``INSTANTIATED`` change append ``var`` to the delta lists
-        of its delta takers.  Returns the store's result."""
-        r = self.store.narrow(var, op, value)
-        if r is not None and r is not FAILED:
-            pids = self._wake[r].get(var)
-            if pids:
-                state = self._state
-                bucket = self._bucket
-                for pid in pids:
-                    if not state[pid]:
-                        state[pid] = QUEUED
-                        bucket[pid].append(pid)
-            if r is INSTANTIATED:
-                takers = self._delta_subs.get(var)
-                if takers:
-                    deltas = self.deltas
-                    for prop in takers:
-                        deltas[prop].append(var)
-        return r
 
     def push(self, pid):
         """Queue ``pid`` if it is idle: not queued, running or subsumed."""

@@ -4,12 +4,12 @@ All backends maintain the stack of node frames and restore the variable
 store's domains to the exact state they had when a frame was opened.  The
 search depth and the entailment record belong to the engine; the search
 resets them after each backtrack and before each replayed frame.  Trailing
-has the store append every domain change to a trail and undoes them in
-reverse; copy-with-recomputation snapshots the whole contiguous domain
-region every ``distance`` nodes and otherwise replays the recorded per-node
-actions with full propagation from the nearest snapshot.  Copying is
-recomputation at distance 1: a snapshot at every node and nothing to
-replay.
+has the store trail each variable's state at most once per node and writes
+those states back in reverse; copy-with-recomputation snapshots the whole
+contiguous domain region every ``distance`` nodes and otherwise replays the
+recorded per-node actions with full propagation from the nearest snapshot.
+Copying is recomputation at distance 1: a snapshot at every node and
+nothing to replay.
 """
 
 from __future__ import annotations
@@ -28,12 +28,14 @@ class RestoreStats:
     ``bytes_copied`` is ``snapshots_taken`` times the store's modelled
     region, so it holds while the model's variables stay the same.
 
-    ``trail_entries`` counts domain changes, and a propagator may reach the
-    same fixpoint in more or fewer steps.  It holds across repetitions of
-    one version (and across its ``+ext`` padding), not across versions:
-    when the difference constraints moved from ``LinearProp`` to
-    ``DiffProp``, golomb:7 under ``trail`` went from 81,406 to 81,393
-    entries over the same 2,966 nodes.
+    ``trail_entries`` counts first changes per node: the store trails an
+    integer variable at most once per frame, and a Boolean changes at most
+    once on a path.  Which variables a node changes depends on how its
+    propagators reach the fixpoint, so the count holds across repetitions
+    of one version (and across its ``+ext`` padding), not across
+    versions: when the trail began to skip a variable already trailed in
+    the same node, queens:14 under ``trail`` went from 55,700 to 30,520
+    entries and golomb:8 from 828,643 to 495,198, over the same trees.
     """
 
     bytes_copied: int = 0
@@ -85,9 +87,11 @@ class _Frame:
 
 
 class TrailBackend:
-    """Trailing: the store appends every domain change to ``trail``, and a
-    backtrack undoes the changes made since the target frame opened, in
-    reverse.  A frame is the trail's length when its node opened."""
+    """Trailing: the store appends the state of each variable a node first
+    changes to ``trail``, and a backtrack writes back the states trailed
+    since the target frame opened, in reverse.  A frame is the mark that
+    ``VariableStore.mark`` returned when its node opened: the trail's
+    length, at the start of a new store frame."""
 
     def __init__(self, store):
         self.store = store
@@ -100,7 +104,7 @@ class TrailBackend:
         return RestoreStats(trail_entries=self._undone + len(self.trail))
 
     def open_node(self, actions):
-        self.frames.append(len(self.trail))
+        self.frames.append(self.store.mark())
 
     def backtrack_to(self, target):
         mark = self.frames[target]

@@ -146,32 +146,53 @@ def test_criterion_3_trajectory_invariance(report):
     )
 
 
-def _shadow_run(name, primary_mode):
+def _shadow_run(name, primary_mode, bnb=None):
+    """Mismatches and backtracks of one shadowed run: ``solve`` when
+    ``bnb`` is None, else ``minimize`` in that branch-and-bound mode."""
     shadows = []
 
     def shadowed(store, replay):
         shadows.append(ShadowBackend(make_backend(primary_mode, store, replay)))
         return shadows[-1]
 
-    mode = "all" if name == "queens:6" else "first"
-    _, stats = solve(build(parse_instance(name)), mode=mode, backend=shadowed)
+    model = build(parse_instance(name))
+    if bnb is None:
+        mode = "all" if name == "queens:6" else "first"
+        _, stats = solve(model, mode=mode, backend=shadowed)
+    else:
+        best, stats = minimize(model, bnb=bnb, backend=shadowed)
+        assert best is not None
     return shadows[0].mismatches, stats.backtracks
 
 
 def test_criterion_4_restoration_oracle(report):
-    results = []
-    for name in ("queens:6", "golfers:2,3,3"):
+    """Every backtrack restores the domains bit for bit.  Branch and bound
+    is covered too: its prefix actions narrow the objective, or wake the
+    bound, inside a node that may already have changed it."""
+    runs = [
+        (name, primary, None)
+        for name in ("queens:6", "golfers:2,3,3")
         for primary in (
             RestoreMode.trail(),
             RestoreMode.copy(),
             RestoreMode.copy_recompute(3),
             RestoreMode.copy_recompute(8),
-        ):
-            mismatches, backtracks = _shadow_run(name, primary)
-            label = primary.variant
-            if label == "copy-recompute":
-                label += f":{primary.distance}"
-            results.append((name, label, mismatches, backtracks))
+        )
+    ]
+    runs += [
+        ("golomb:6", primary, bnb)
+        for primary in (RestoreMode.trail(), RestoreMode.copy_recompute(3))
+        for bnb in ("tighten", "post")
+    ]
+    results = []
+    for name, primary, bnb in runs:
+        mismatches, backtracks = _shadow_run(name, primary, bnb)
+        label = primary.variant
+        if label == "copy-recompute":
+            label += f":{primary.distance}"
+        if bnb is not None:
+            label += f"/{bnb}"
+        results.append((name, label, mismatches, backtracks))
     ok = all(m == 0 for _, _, m, _ in results)
     exercised = all(b > 0 for _, _, _, b in results)
     report(

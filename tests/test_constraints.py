@@ -132,6 +132,34 @@ def test_posting_refuses_unknown_variables():
     assert model.count_native == model.count_decomposed == 0
 
 
+@pytest.mark.parametrize("where", ["first", "middle"])
+def test_posting_refuses_non_integral_ids(where):
+    """A float id lies within the range of known ids, so a range check of
+    the smallest and largest id alone would pass it; posting refuses it
+    wherever it sits in the list, before anything is counted or posted."""
+    model = Model()
+    x, y = model.new_int_var(0, 9), model.new_int_var(0, 9)
+    b, c = model.new_bool_var(), model.new_bool_var()
+    f, g = 0.5, -1.5  # between integer ids, between Boolean ids
+
+    def at(v, *rest):
+        return [v, *rest] if where == "first" else [rest[0], v, *rest[1:]]
+
+    posts = [
+        lambda: post_le(model, f, y) if where == "first" else post_le(model, x, f),
+        lambda: post_alldifferent(model, at(f, x, y)),
+        lambda: post_linear(model, [(1, v) for v in at(f, x, y)], LEQ, 7),
+        lambda: post_bool_sum(model, at(g, b, c), LEQ, 1),
+        lambda: post_bool_and(model, *at(g, b, c)),
+        lambda: post_lex_leq(model, at(f, x, y), [y, x, x]),
+    ]
+    for post in posts:
+        with pytest.raises(PostError):
+            post()
+    assert not model.props
+    assert model.count_native == model.count_decomposed == 0
+
+
 def test_linear_overflow_contract():
     model = Model()
     x = model.new_int_var(0, 1000)
@@ -276,7 +304,7 @@ def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data
         for op, i, v in step:
             expected[i] = _allowed(op, v, expected[i])
         expected = _value_closure(expected) if all(expected) else None
-        mark = len(store.trail)
+        mark = store.mark()
         eng.depth += 1
         ok = True
         for op, i, v in step:

@@ -212,19 +212,30 @@ def _reference_event(before, after):
 
 @given(
     st.integers(-3, 8),
-    st.lists(st.tuples(st.sampled_from(list(Op)), st.integers(-7, 12)), max_size=30),
+    st.lists(
+        st.tuples(st.sampled_from(list(Op)), st.integers(-7, 12), st.booleans()), max_size=30
+    ),
 )
 def test_narrowing_never_grows_domain(hole, ops):
     """Every op on a domain with a negative base and a hole reports the
-    reference event, and a change trails exactly one (var, old mask)."""
+    reference event, and the first change in a frame trails the whole old
+    state, (var, mask, lo, hi, size), while later changes in that frame
+    trail nothing.  A step may first open a frame with ``mark``; undoing
+    the marks newest first restores each frame's domain exactly."""
     store = VariableStore()
     store.trail = []
     x = store.new_int_var(-4, 9)
+    state = lambda: (store._mask[x], store.min(x), store.max(x), store.size(x))  # noqa: E731
     assert store.narrow(x, Op.REMOVE, hole) is EventClass.DOMAIN_CHANGED
-    for op, value in ops:
+    marks = []
+    trailed = True  # the root change above was this frame's first
+    for op, value, opens in ops:
+        if opens:
+            marks.append((store.mark(), state()))
+            trailed = False
         before = set(store.domain_values(x))
         size = store.size(x)
-        old_mask = store._mask[x]
+        old = (x, *state())
         trail_len = len(store.trail)
         r = store.narrow(x, op, value)
         after = set(store.domain_values(x))
@@ -235,9 +246,14 @@ def test_narrowing_never_grows_domain(hole, ops):
         else:
             assert after == _allowed(op, value, before) < before
             assert store.size(x) < size
-            assert store.trail[trail_len:] == [(x, old_mask)]
+            assert store.trail[trail_len:] == ([] if trailed else [old])
+            trailed = True
         assert store.min(x) in after and store.max(x) in after
         assert store.size(x) == len(after)
+    for mark, at_mark in reversed(marks):
+        store.undo(mark)
+        assert state() == at_mark
+        assert len(store.trail) == mark
 
 
 @given(st.lists(st.tuples(_OPS, st.booleans()), max_size=30))

@@ -86,6 +86,33 @@ def test_queue_policies_order():
     )
 
 
+def test_engine_installs_its_wake_path_on_its_fork_only():
+    """The engine's narrow is its store's: a change made through either
+    wakes the engine's subscribers and feeds its delta lists, while the
+    model's own store keeps empty tables, so a change there wakes
+    nothing."""
+    from fdlab.constraints import AllDiffValueProp
+    from fdlab.domain import Op
+
+    model = Model()
+    x, y, z = (model.new_int_var(0, 5) for _ in range(3))
+    post_le(model, x, y)
+    alldiff = model.add(AllDiffValueProp([x, y, z]))
+    store = model.store.fork()
+    eng = Engine(store, model.props)
+    assert not hasattr(Engine, "narrow") and eng.narrow == store.narrow
+    model.store.narrow(y, Op.MAX, 4)
+    model.store.narrow(z, Op.ASSIGN, 1)
+    assert 0 not in eng and alldiff not in eng
+    assert not model.store._state and not model.store._wake_inst
+    store.narrow(z, Op.ASSIGN, 2)
+    assert alldiff in eng and eng.deltas[eng.props[alldiff]] == [z]
+    store.narrow(y, Op.MAX, 3)
+    assert 0 in eng
+    assert eng.fixpoint() and store.domain_values(x) == [0, 1, 3]
+    assert model.store.domain_values(z) == [1]
+
+
 def test_engine_add_files_a_subscribing_propagator():
     """A propagator added to a live engine is filed like the model's: a
     narrowing of its variable wakes it, and a delta taker's list is seeded
@@ -443,7 +470,7 @@ class _Entailed(_Recorder):
 
 @pytest.mark.parametrize("policy", Engine.POLICIES)
 def test_narrow_queues_idle_pids_of_its_event_class_in_table_order(policy):
-    """One Engine.narrow walks the wake table of the change's event class
+    """One ``eng.narrow`` walks the wake table of the change's event class
     and queues its idle pids in table order, skipping a queued and a
     subsumed one; pids filed only in other tables stay idle."""
     from fdlab.domain import BOUNDS_CHANGED, DOMAIN_CHANGED, INSTANTIATED, Op

@@ -9,7 +9,7 @@ from fdlab.restore import (
     TrailBackend,
     make_backend,
 )
-from fdlab.search import solve
+from fdlab.search import minimize, solve
 
 
 def _store_with_vars():
@@ -48,6 +48,8 @@ def test_restore_mode_rejects_bad_values_when_built(args):
 
 
 def test_trail_restores_exact_state():
+    """A node trails each variable it changes once: xs[1], narrowed twice,
+    takes one entry."""
     store, xs, b = _store_with_vars()
     backend = TrailBackend(store)
     before = store.snapshot_blob()
@@ -56,13 +58,118 @@ def test_trail_restores_exact_state():
     store.narrow(xs[1], Op.REMOVE, 5)
     store.narrow(xs[1], Op.MAX, 7)
     store.narrow(b, Op.ASSIGN, 1)
-    assert backend.stats.trail_entries == 4
+    assert backend.stats.trail_entries == 3
     backend.backtrack_to(0)
     assert store.domains_equal(before)
+    assert store.snapshot_blob() == before  # the cached bounds and sizes too
     # undone changes still count, and later ones add to them
-    assert backend.stats.trail_entries == 4
+    assert backend.stats.trail_entries == 3
     store.narrow(xs[2], Op.MIN, 2)
-    assert backend.stats.trail_entries == 5
+    assert backend.stats.trail_entries == 4
+
+
+def test_trail_takes_whole_state_once_per_frame():
+    """The first change of an integer variable in a frame trails its whole
+    state; a later one in the same frame trails nothing, and the next frame
+    trails it again."""
+    store, xs, _ = _store_with_vars()
+    store.trail = []
+    x, y = xs[0], xs[1]
+    store.narrow(y, Op.REMOVE, 4)  # before any mark: trailed too
+    mark = store.mark()
+    store.narrow(x, Op.REMOVE, 5)
+    store.narrow(x, Op.MAX, 7)
+    store.narrow(y, Op.MIN, 2)
+    store.narrow(x, Op.ASSIGN, 3)
+    assert store.trail == [(y, 0b1111111111, 0, 9, 10),
+                           (x, 0b1111111111, 0, 9, 10), (y, 0b1111101111, 0, 9, 9)]
+    store.mark()
+    store.narrow(x, Op.ASSIGN, 3)  # no change: nothing trailed
+    store.narrow(y, Op.MAX, 6)
+    assert store.trail[3:] == [(y, 0b1111101100, 2, 9, 7)]
+    store.undo(mark)
+    assert store.trail == [(y, 0b1111111111, 0, 9, 10)]
+    assert store.domain_values(x) == list(range(10))
+    assert store.domain_values(y) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
+    assert (store.min(y), store.max(y), store.size(y)) == (0, 9, 9)
+
+
+def test_reopened_node_at_an_undone_length_restores_its_changes():
+    """A node that opens at the trail length of a node just undone must
+    trail its own first changes, so that its backtrack restores them; a
+    frame id taken from the trail's length would skip them."""
+    store, xs, _ = _store_with_vars()
+    backend = TrailBackend(store)
+    store.narrow(xs[2], Op.MAX, 8)  # the root's change
+    before = store.snapshot_blob()
+    backend.open_node([])
+    store.narrow(xs[0], Op.MAX, 5)
+    backend.backtrack_to(0)
+    assert store.domains_equal(before)
+    backend.open_node([])
+    assert backend.frames == [1]  # the undone node's mark
+    store.narrow(xs[0], Op.MAX, 4)
+    store.narrow(xs[2], Op.MAX, 7)
+    backend.backtrack_to(0)
+    assert store.snapshot_blob() == before
+
+
+def test_change_after_undo_before_next_mark_is_undone():
+    """``undo`` starts a new frame: a variable trailed in the undone frame
+    and changed again before the next ``mark`` is trailed again, so an
+    outer undo restores it."""
+    store, xs, _ = _store_with_vars()
+    store.trail = []
+    before = store.snapshot_blob()
+    outer = store.mark()
+    inner = store.mark()
+    store.narrow(xs[0], Op.MAX, 8)
+    store.undo(inner)
+    store.narrow(xs[0], Op.MAX, 6)
+    assert store.trail == [(xs[0], 0b1111111111, 0, 9, 10)]
+    store.undo(outer)
+    assert store.snapshot_blob() == before
+
+
+class _FrameChecked(TrailBackend):
+    """Trailing that asserts, whenever a node opens or a backtrack starts,
+    that the frame just closed trailed no integer variable twice."""
+
+    def __init__(self, store):
+        super().__init__(store)
+        self.frames_checked = 0
+
+    def _check(self):
+        start = self.frames[-1] if self.frames else 0
+        ints = [entry[0] for entry in self.trail[start:] if entry[0] >= 0]
+        assert len(ints) == len(set(ints))
+        self.frames_checked += 1
+
+    def open_node(self, actions):
+        self._check()
+        super().open_node(actions)
+
+    def backtrack_to(self, target):
+        self._check()
+        super().backtrack_to(target)
+
+
+@pytest.mark.parametrize("name", ["queens:8", "golomb:6", "magic:3"])
+def test_no_frame_trails_an_integer_variable_twice(name):
+    backends = []
+
+    def checked(store, replay):
+        backends.append(_FrameChecked(store))
+        return backends[-1]
+
+    model = build(parse_instance(name))
+    if name.startswith("golomb"):
+        best, stats = minimize(model, backend=checked)
+        assert best is not None
+    else:
+        _, stats = solve(model, mode="all", backend=checked)
+    assert stats.backtracks > 0
+    assert backends[0].frames_checked > stats.nodes
 
 
 def test_trail_restores_multiple_levels():
