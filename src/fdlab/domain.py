@@ -17,8 +17,12 @@ stamp is not the current frame.  :meth:`VariableStore.mark` and
 :meth:`VariableStore.undo` each start a new frame, so the first change
 after either is trailed; the oldest entry of a variable above a mark is
 then its state at that mark.  A Boolean cell changes at most once on a
-path, so its entry is ``(var, old cell)``.  :meth:`VariableStore.undo`
-writes trailed states back, newest first, with no bit arithmetic.
+path, and so does a pid's state byte, which stays ``ASLEEP`` from the
+fixpoint that finds the pid subsumed on.  Both trail an ``(array, index,
+old)`` entry: the Boolean cells with the old cell, the engine's pid
+states with ``IDLE``.  :meth:`VariableStore.undo` tells these 3-tuples
+from an integer's 5-tuple by length and writes trailed states back,
+newest first, with no bit arithmetic.
 
 Integer domains are bitsets over the variable's original bounds with cached
 lo/hi/size; Boolean domains are three-state cells, signed bytes
@@ -112,16 +116,17 @@ class DomainError(ValueError):
 class VariableStore:
     """All variable domains of one solver instance, indexed by variable.
 
-    The restorable state is the integer bitset masks plus the Boolean
-    cells; cached bounds and sizes are derived.  A copy backend snapshots
-    that state as one region (``snapshot_blob``): the masks stay a list of
-    Python ints, and the Boolean cells, signed bytes in one ``array("b")``,
-    are copied as one block.  The snapshot also copies the cached bounds
-    and sizes, so ``load_blob`` restores every list by slice assignment;
-    they are derived, so they count in neither ``region_bytes`` nor
-    ``domains_equal``.  ``region_bytes`` is the modelled region, one
-    64-bit word per Boolean and per 64 values of an integer domain, not the
-    Python footprint.
+    The restorable state is the integer bitset masks, the Boolean cells
+    and the engine's pid state bytes, which at a fixpoint say which pids
+    are subsumed; cached bounds and sizes are derived.  A copy backend
+    snapshots that state as one region (``snapshot_blob``): the masks stay
+    a list of Python ints, and the Boolean cells, signed bytes in one
+    ``array("b")``, are copied as one block, as are the state bytes.  The
+    snapshot also copies the cached bounds and sizes, so ``load_blob``
+    restores every list by slice assignment.  ``region_bytes`` is the
+    modelled domain region, one 64-bit word per Boolean and per 64 values
+    of an integer domain, not the Python footprint; neither it nor
+    ``domains_equal`` counts the derived lists or the state bytes.
     """
 
     def __init__(self):
@@ -279,10 +284,10 @@ class VariableStore:
         variable: it trails, writes, and queues the idle pids of the
         event's wake table in table order, so the running propagator never
         requeues itself and a subsumed one sleeps until a backtrack
-        re-enables it.  The Boolean arm walks its value's table and
-        returns; only the integer arms feed the delta lists, on an
-        ``INSTANTIATED`` change.  An integer arm trails the whole state
-        only when the variable's stamp is not the current frame.
+        re-enables it.  Both arms end in one wake loop; only the integer
+        arms feed the delta lists, on an ``INSTANTIATED`` change.  An
+        integer arm trails the whole state only when the variable's stamp
+        is not the current frame.
 
         The integer arms are specialised by op.  A ``MIN`` at or below the
         base, or a ``MAX`` at or above the top of the span, returns ``None``
@@ -294,7 +299,9 @@ class VariableStore:
         recompute lo, hi and size and compare the bounds with the old ones.
         """
         if var < 0:
-            cur = self._bstate[~var]
+            cells = self._bstate
+            cell = ~var
+            cur = cells[cell]
             if op is ASSIGN:
                 allowed = 1 << value if value in (0, 1) else 0
             elif op is REMOVE:
@@ -310,51 +317,23 @@ class VariableStore:
             if new == 0:
                 return FAILED
             if self.trail is not None:
-                self.trail.append((var, cur))
+                self.trail.append((cells, cell, cur))
             if new == 1:
-                self._bstate[~var] = 0
+                cells[cell] = 0
                 r = FIXED_FALSE
                 pids = self._wake_false.get(var)
             else:
-                self._bstate[~var] = 1
+                cells[cell] = 1
                 r = FIXED_TRUE
                 pids = self._wake_true.get(var)
-            if pids:
-                state = self._state
-                bucket = self._bucket
-                for pid in pids:
-                    if not state[pid]:
-                        state[pid] = QUEUED
-                        bucket[pid].append(pid)
-            return r
-        base = self._base[var]
-        mask = self._mask[var]
-        off = value - base
-        if op is MIN:
-            if off <= 0:
-                return None
-            new = (mask >> off) << off
-            if new == mask:
-                return None
-            if not new:
-                return FAILED
-            trail = self.trail
-            if trail is not None and self._stamp[var] != self._frame:
-                self._stamp[var] = self._frame
-                trail.append((var, mask, self._lo[var], self._hi[var], self._size[var]))
-            self._mask[var] = new
-            self._lo[var] = base + (new & -new).bit_length() - 1
-            size = new.bit_count()
-            self._size[var] = size
-            r = INSTANTIATED if size == 1 else BOUNDS_CHANGED
         else:
-            span = self._span[var]
-            if op is MAX:
-                if off >= span - 1:
+            base = self._base[var]
+            mask = self._mask[var]
+            off = value - base
+            if op is MIN:
+                if off <= 0:
                     return None
-                if off < 0:
-                    return FAILED
-                new = mask & ((1 << (off + 1)) - 1)
+                new = (mask >> off) << off
                 if new == mask:
                     return None
                 if not new:
@@ -364,49 +343,70 @@ class VariableStore:
                     self._stamp[var] = self._frame
                     trail.append((var, mask, self._lo[var], self._hi[var], self._size[var]))
                 self._mask[var] = new
-                self._hi[var] = base + new.bit_length() - 1
+                self._lo[var] = base + (new & -new).bit_length() - 1
                 size = new.bit_count()
                 self._size[var] = size
                 r = INSTANTIATED if size == 1 else BOUNDS_CHANGED
             else:
-                if op is REMOVE:
-                    if not (0 <= off < span):
+                span = self._span[var]
+                if op is MAX:
+                    if off >= span - 1:
                         return None
-                    new = mask & ~(1 << off)
-                else:  # ASSIGN
-                    new = mask & (1 << off) if 0 <= off < span else 0
-                if new == mask:
-                    return None
-                if new == 0:
-                    return FAILED
-                old_lo, old_hi = self._lo[var], self._hi[var]
-                trail = self.trail
-                if trail is not None and self._stamp[var] != self._frame:
-                    self._stamp[var] = self._frame
-                    trail.append((var, mask, old_lo, old_hi, self._size[var]))
-                self._mask[var] = new
-                lo = base + ((new & -new).bit_length() - 1)
-                hi = base + new.bit_length() - 1
-                size = new.bit_count()
-                self._lo[var] = lo
-                self._hi[var] = hi
-                self._size[var] = size
-                if size == 1:
-                    r = INSTANTIATED
-                elif lo != old_lo or hi != old_hi:
-                    r = BOUNDS_CHANGED
+                    if off < 0:
+                        return FAILED
+                    new = mask & ((1 << (off + 1)) - 1)
+                    if new == mask:
+                        return None
+                    if not new:
+                        return FAILED
+                    trail = self.trail
+                    if trail is not None and self._stamp[var] != self._frame:
+                        self._stamp[var] = self._frame
+                        trail.append((var, mask, self._lo[var], self._hi[var], self._size[var]))
+                    self._mask[var] = new
+                    self._hi[var] = base + new.bit_length() - 1
+                    size = new.bit_count()
+                    self._size[var] = size
+                    r = INSTANTIATED if size == 1 else BOUNDS_CHANGED
                 else:
-                    r = DOMAIN_CHANGED
-        if r is INSTANTIATED:
-            pids = self._wake_inst.get(var)
-            lists = self._delta_lists.get(var)
-            if lists:
-                for deltas in lists:
-                    deltas.append(var)
-        elif r is BOUNDS_CHANGED:
-            pids = self._wake_bounds.get(var)
-        else:
-            pids = self._wake_dom.get(var)
+                    if op is REMOVE:
+                        if not (0 <= off < span):
+                            return None
+                        new = mask & ~(1 << off)
+                    else:  # ASSIGN
+                        new = mask & (1 << off) if 0 <= off < span else 0
+                    if new == mask:
+                        return None
+                    if new == 0:
+                        return FAILED
+                    old_lo, old_hi = self._lo[var], self._hi[var]
+                    trail = self.trail
+                    if trail is not None and self._stamp[var] != self._frame:
+                        self._stamp[var] = self._frame
+                        trail.append((var, mask, old_lo, old_hi, self._size[var]))
+                    self._mask[var] = new
+                    lo = base + ((new & -new).bit_length() - 1)
+                    hi = base + new.bit_length() - 1
+                    size = new.bit_count()
+                    self._lo[var] = lo
+                    self._hi[var] = hi
+                    self._size[var] = size
+                    if size == 1:
+                        r = INSTANTIATED
+                    elif lo != old_lo or hi != old_hi:
+                        r = BOUNDS_CHANGED
+                    else:
+                        r = DOMAIN_CHANGED
+            if r is INSTANTIATED:
+                pids = self._wake_inst.get(var)
+                lists = self._delta_lists.get(var)
+                if lists:
+                    for deltas in lists:
+                        deltas.append(var)
+            elif r is BOUNDS_CHANGED:
+                pids = self._wake_bounds.get(var)
+            else:
+                pids = self._wake_dom.get(var)
         if pids:
             state = self._state
             bucket = self._bucket
@@ -419,19 +419,23 @@ class VariableStore:
     # -- restoration support -------------------------------------------
 
     def snapshot_blob(self):
-        """Copy of the restorable domain region (masks + Boolean cells),
-        with the masks' cached bounds and sizes so that a load recomputes
-        nothing."""
-        return (self._mask[:], self._lo[:], self._hi[:], self._size[:], self._bstate[:])
+        """Copy of the restorable region (masks, Boolean cells and pid
+        states), with the masks' cached bounds and sizes so that a load
+        recomputes nothing."""
+        return (self._mask[:], self._lo[:], self._hi[:], self._size[:], self._bstate[:],
+                self._state[:])
 
     def load_blob(self, blob):
-        masks, lo, hi, size, bstates = blob
+        """Restore the region ``blob`` copied; pids that joined the engine
+        after the copy become idle."""
+        masks, lo, hi, size, bstates, states = blob
         n = len(masks)
         self._mask[:n] = masks
         self._lo[:n] = lo
         self._hi[:n] = hi
         self._size[:n] = size
         self._bstate[: len(bstates)] = bstates
+        self._state[:] = states + bytes(len(self._state) - len(states))
 
     def mark(self):
         """Start a new frame and return the trail's length, the mark that
@@ -450,14 +454,21 @@ class VariableStore:
         trail = self.trail
         undone = trail[mark:]
         del trail[mark:]
-        mask, lo, hi, size, bstate = self._mask, self._lo, self._hi, self._size, self._bstate
+        mask, lo, hi, size = self._mask, self._lo, self._hi, self._size
         for entry in reversed(undone):
-            var = entry[0]
-            if var < 0:
-                bstate[~var] = entry[1]
+            if len(entry) == 3:
+                cells, i, old = entry
+                cells[i] = old
             else:
-                _, mask[var], lo[var], hi[var], size[var] = entry
+                # Targets bind left to right: var is set before it indexes.
+                var, mask[var], lo[var], hi[var], size[var] = entry
 
     def domains_equal(self, blob):
-        masks, _, _, _, bstates = blob
+        masks, _, _, _, bstates, _ = blob
         return self._mask == masks and self._bstate == bstates
+
+    def states_equal(self, blob):
+        """True when the pid states are those ``blob`` copied and every pid
+        that joined after the copy is idle."""
+        n = len(blob[-1])
+        return self._state[:n] == blob[-1] and not any(self._state[n:])

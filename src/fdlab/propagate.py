@@ -18,7 +18,6 @@ to get there differs.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 
 from .domain import ASLEEP, DOMAIN_CHANGED, EVENTS, FIXED_FALSE, FIXED_TRUE
@@ -63,11 +62,10 @@ class Engine:
     """The propagation state of one solve, built by the solve over its fork
     of the store and the model's propagators.  It copies the propagator
     list, so what the solve adds stays out of the model, and owns the wake
-    tables, the queue, the search depth and the entailment record.  It
-    installs the wake tables, the pid state bytes, the per-pid buckets and
-    the delta lists on the store, whose ``narrow`` does the whole of a
-    domain change; ``narrow`` here is the store's bound method, so
-    propagators call ``eng.narrow``.
+    tables and the queue.  It installs the wake tables, the pid state
+    bytes, the per-pid buckets and the delta lists on the store, whose
+    ``narrow`` does the whole of a domain change; ``narrow`` here is the
+    store's bound method, so propagators call ``eng.narrow``.
 
     ``_file`` files each propagator's subscriptions, as it joins, in one
     wake table per event, ``_wake[event]`` (variable -> pids): an
@@ -80,7 +78,10 @@ class Engine:
     (an integer's event class, or the value a Boolean took) and queues the
     idle pids there in table order, so the running propagator never
     requeues itself and a subsumed one sleeps until a backtrack re-enables
-    it.
+    it.  The state bytes are part of the store's restorable state: the
+    fixpoint trails a subsumption when the store has a trail, and a
+    snapshot copies the bytes, so the backend that restores the domains
+    also restores which pids are subsumed.
 
     ``deltas`` maps each propagator that takes deltas to its delta list;
     the store's ``_delta_lists`` maps each of their integer variables to
@@ -118,11 +119,6 @@ class Engine:
         by_priority = self._by_priority = tuple(buckets[b] for b in bucket_of)
         self._bucket = [by_priority[p.priority] for p in self.props]  # pid -> its deque
         self._state = bytearray(len(self.props))  # pid -> IDLE, QUEUED or ASLEEP
-        self.depth = 0  # search depth, the number of open nodes
-        # The subsumed pids in the order marked, and the search depth at
-        # which each became entailed (never decreasing, see backtrack).
-        self._entailed = []
-        self._entailed_at = []
         self._wake = tuple({} for _ in EVENTS)  # indexed by event
         self.deltas = {}
         (store._wake_dom, store._wake_bounds, store._wake_inst,
@@ -190,8 +186,8 @@ class Engine:
 
     @property
     def subsumed(self):
-        """{pid: search depth at which it became entailed}, a copy."""
-        return dict(zip(self._entailed, self._entailed_at))
+        """The set of asleep pids: at a fixpoint, the subsumed ones."""
+        return {pid for pid, s in enumerate(self._state) if s == ASLEEP}
 
     def clear(self):
         """Empty the queue and the delta lists."""
@@ -207,26 +203,6 @@ class Engine:
         for pid in range(len(self.props)):
             self.push(pid)
 
-    def backtrack(self, depth):
-        """Return to search depth ``depth``: re-enable the propagators
-        subsumed deeper than it.
-
-        Entailment is recorded at the current depth, and every backtrack or
-        replay returns to its target depth before it records anything
-        deeper, so ``_entailed_at`` never decreases and the stale pids are
-        the tail that follows its last depth not above ``depth``.
-        """
-        self.depth = depth
-        at = self._entailed_at
-        if at and at[-1] > depth:
-            cut = bisect_right(at, depth)
-            entailed = self._entailed
-            state = self._state
-            for pid in entailed[cut:]:
-                state[pid] = IDLE
-            del entailed[cut:]
-            del at[cut:]
-
     def fixpoint(self):
         """Run pending propagators until quiescence.
 
@@ -238,6 +214,7 @@ class Engine:
         rest = buckets[1:]
         state = self._state
         run = self._run
+        trail = self.store.trail
         while True:
             if first:
                 pid = first.popleft()
@@ -257,6 +234,6 @@ class Engine:
                 state[pid] = IDLE
                 self.clear()
                 return False
-            # SUBSUMED: it sleeps until a backtrack re-enables it.
-            self._entailed.append(pid)
-            self._entailed_at.append(self.depth)
+            # SUBSUMED: it sleeps until a backtrack restores it to IDLE.
+            if trail is not None:
+                trail.append((state, pid, IDLE))

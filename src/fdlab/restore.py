@@ -1,13 +1,12 @@
 """Pluggable backtrack-memory backends: trailing, copying, recomputation.
 
 All backends maintain the stack of node frames and restore the variable
-store's domains to the exact state they had when a frame was opened.  The
-search depth and the entailment record belong to the engine; the search
-resets them after each backtrack and before each replayed frame.  Trailing
-has the store trail each variable's state at most once per node and writes
-those states back in reverse; copy-with-recomputation snapshots the whole
-contiguous domain region every ``distance`` nodes and otherwise replays the
-recorded per-node actions with full propagation from the nearest snapshot.
+store's domains and pid states, which say what is subsumed, to the exact
+state they had when a frame was opened.  Trailing trails each variable's
+state at most once per node, and each subsumption, and writes those
+states back in reverse; copy-with-recomputation snapshots the whole
+region every ``distance`` nodes and otherwise replays the recorded
+per-node actions with full propagation from the nearest snapshot.
 Copying is recomputation at distance 1: a snapshot at every node and
 nothing to replay.
 """
@@ -28,14 +27,16 @@ class RestoreStats:
     ``bytes_copied`` is ``snapshots_taken`` times the store's modelled
     region, so it holds while the model's variables stay the same.
 
-    ``trail_entries`` counts first changes per node: the store trails an
-    integer variable at most once per frame, and a Boolean changes at most
-    once on a path.  Which variables a node changes depends on how its
+    ``trail_entries`` counts first changes per node and subsumptions: the
+    store trails an integer variable at most once per frame, a Boolean
+    changes at most once on a path, and a subsumed propagator sleeps for
+    the rest of the path.  Which of them a node changes depends on how its
     propagators reach the fixpoint, so the count holds across repetitions
     of one version (and across its ``+ext`` padding), not across
-    versions: when the trail began to skip a variable already trailed in
-    the same node, queens:14 under ``trail`` went from 55,700 to 30,520
-    entries and golomb:8 from 828,643 to 495,198, over the same trees.
+    versions: over the same trees, queens:14 under ``trail`` went from
+    55,700 to 30,520 entries when the trail began to skip a variable
+    already trailed in the same node, and to 38,992 when subsumptions
+    joined the trail.  ``bytes_copied`` leaves the pid states out.
     """
 
     bytes_copied: int = 0
@@ -117,10 +118,9 @@ class RecomputeBackend:
     """Copying every ``distance`` nodes, otherwise replay with propagation.
 
     A backtrack loads the nearest snapshot at or above the target frame and
-    replays the frames in between with ``replay(depth, actions)``, where
-    ``depth`` is the depth the frame was opened at.  The adaptive rule
-    places one extra snapshot at the midpoint of the replayed path whenever
-    the path length reaches ``adaptive``.
+    replays the frames in between, oldest first, with ``replay(actions)``.
+    The adaptive rule places one extra snapshot at the midpoint of the
+    replayed path whenever the path length reaches ``adaptive``.
     """
 
     def __init__(self, store, replay, distance, adaptive=2):
@@ -155,14 +155,14 @@ class RecomputeBackend:
         for m in range(k, target):
             if m == mid and frames[m].snapshot is None:
                 self._snap(frames[m])
-            self._replay(m, frames[m].actions)
+            self._replay(frames[m].actions)
         del frames[target:]
 
 
 class ShadowBackend:
-    """Testing aid: runs a primary backend, snapshots the domains at every
-    node it opens and verifies bit-identical restoration after every
-    backtrack."""
+    """Testing aid: runs a primary backend, snapshots the store at every
+    node it opens and verifies bit-identical domains and pid states after
+    every backtrack."""
 
     def __init__(self, primary):
         self.primary = primary
@@ -181,7 +181,8 @@ class ShadowBackend:
         expected = self.expected[target]
         del self.expected[target:]
         self.primary.backtrack_to(target)
-        if not self.primary.store.domains_equal(expected):
+        store = self.primary.store
+        if not (store.domains_equal(expected) and store.states_equal(expected)):
             self.mismatches += 1
 
 

@@ -92,12 +92,12 @@ class _Search:
         self.backend = make(self.store, self._replay)
         self.stats = SearchStats()
         self.alts = []  # (depth, cursor, actions) of each open alternative
+        self.depth = 0  # open nodes: the frames the backend holds
         self.cursor = 0  # index in decision_vars of the last branching variable
 
-    def _replay(self, depth, actions):
+    def _replay(self, actions):
         # Replaying a previously consistent path with monotone propagators
         # cannot fail; if it does, a backend restored the wrong state.
-        self.eng.backtrack(depth)
         if not self.descend(actions):
             raise RuntimeError("recomputation replay failed")
 
@@ -120,6 +120,7 @@ class _Search:
 
     def try_node(self, actions):
         self.backend.open_node(actions)
+        self.depth += 1
         stats = self.stats
         stats.nodes += 1
         ok = self.descend(actions)
@@ -129,9 +130,8 @@ class _Search:
         return ok
 
     def descend(self, actions):
-        """Apply a node's actions one level deeper and propagate."""
+        """Apply a node's actions and propagate."""
         eng = self.eng
-        eng.depth += 1
         if not _apply_actions(eng, actions):
             eng.clear()
             return False
@@ -141,9 +141,8 @@ class _Search:
         """Retreat to the nearest open alternative and take it.  Returns
         False when the tree is exhausted."""
         while self.alts:
-            depth, self.cursor, actions = self.alts.pop()
-            self.backend.backtrack_to(depth)
-            self.eng.backtrack(depth)
+            self.depth, self.cursor, actions = self.alts.pop()
+            self.backend.backtrack_to(self.depth)
             if self.try_node(self.prefix_actions() + actions):
                 return True
             self.stats.backtracks += 1
@@ -160,7 +159,7 @@ class _Search:
         if var is None:
             return self.on_solution()
         v = self.store.min(var)
-        self.alts.append((self.eng.depth, self.cursor, [(REMOVE, var, v)]))
+        self.alts.append((self.depth, self.cursor, [(REMOVE, var, v)]))
         if self.try_node(self.prefix_actions() + [(ASSIGN, var, v)]):
             return True
         self.stats.backtracks += 1

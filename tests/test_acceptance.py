@@ -166,9 +166,11 @@ def _shadow_run(name, primary_mode, bnb=None):
 
 
 def test_criterion_4_restoration_oracle(report):
-    """Every backtrack restores the domains bit for bit.  Branch and bound
+    """Every backtrack restores the domains bit for bit and the pid states
+    of its frame, with the pids that joined since idle.  Branch and bound
     is covered too: its prefix actions narrow the objective, or wake the
-    bound, inside a node that may already have changed it."""
+    bound, inside a node that may already have changed it, and under
+    ``post`` each incumbent adds a bound that joins after older frames."""
     runs = [
         (name, primary, None)
         for name in ("queens:6", "golfers:2,3,3")
@@ -181,7 +183,7 @@ def test_criterion_4_restoration_oracle(report):
     ]
     runs += [
         ("golomb:6", primary, bnb)
-        for primary in (RestoreMode.trail(), RestoreMode.copy_recompute(3))
+        for primary in (RestoreMode.trail(), RestoreMode.copy(), RestoreMode.copy_recompute(3))
         for bnb in ("tighten", "post")
     ]
     results = []

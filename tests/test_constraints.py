@@ -261,7 +261,7 @@ _ACTION = st.tuples(
 def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data):
     """Random narrowings through one engine, node by node as the search
     applies them: after each fixpoint the domains are the brute-force
-    closure, and a failed node is undone on the trail and backtracked.
+    closure, and a failed node is undone on the trail.
     One forced clash (two variables fixed to one value) fails a fixpoint
     halfway through, so a delta list that outlived ``Engine.clear`` would
     leave stale variables to the nodes after it.  A variable drawn with
@@ -305,7 +305,6 @@ def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data
             expected[i] = _allowed(op, v, expected[i])
         expected = _value_closure(expected) if all(expected) else None
         mark = store.mark()
-        eng.depth += 1
         ok = True
         for op, i, v in step:
             if eng.narrow(xs[i], op, v) is FAILED:
@@ -319,8 +318,6 @@ def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data
         else:
             assert expected is None
             store.undo(mark)
-            eng.depth -= 1
-            eng.backtrack(eng.depth)
             assert domains() == before
 
 

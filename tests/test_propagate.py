@@ -15,6 +15,7 @@ from fdlab.propagate import (
     SUBSUMED,
     Engine,
 )
+from fdlab.restore import RestoreMode, make_backend
 from fdlab.search import minimize
 
 
@@ -372,62 +373,72 @@ def test_running_propagator_not_rescheduled_by_own_narrow():
     assert store.max(x) == 8
 
 
-def _entailable(n):
+#: How a test returns to an earlier level: through the trail (the store's
+#: ``mark``/``undo``) or through copies (``snapshot_blob``/``load_blob``).
+_RESTORES = [RestoreMode.trail(), RestoreMode.copy()]
+
+
+def _entailable(n, restore):
     """An engine over ``n`` posts of x <= y over x in 0..2, y in 5..9, each
-    entailed as soon as it runs, and their pids."""
+    entailed as soon as it runs, their pids, and a ``restore`` backend
+    whose open frames are the levels."""
     model = Model()
     pids = [
         model.add(LeProp(model.new_int_var(0, 2), model.new_int_var(5, 9)))
         for _ in range(n)
     ]
-    return _engine(model), pids
+    eng = _engine(model)
+    return eng, pids, make_backend(restore, eng.store, replay=None)
 
 
-def _entailed_at(depths):
-    """Run one entailed x <= y per depth to its subsumption at that search
-    depth."""
-    eng, pids = _entailable(len(depths))
+def _entailed_at(depths, restore):
+    """Run one entailed x <= y per depth, in order, to its subsumption with
+    that many levels open."""
+    eng, pids, backend = _entailable(len(depths), restore)
     for pid, depth in zip(pids, depths):
-        eng.depth = depth
+        while len(backend.frames) < depth:
+            backend.open_node([])
         eng.push(pid)
         assert eng.fixpoint()
-    return eng, pids
+    return eng, pids, backend
 
 
 def test_subsumed_propagator_skipped_until_unsubsumed():
-    eng, (pid,) = _entailed_at([5])
-    assert eng.subsumed == {pid: 5}
-    eng.push(pid)
-    assert pid not in eng
-    eng.backtrack(4)
-    assert pid not in eng.subsumed and eng.depth == 4
-    eng.push(pid)
-    assert pid in eng
+    for restore in _RESTORES:
+        eng, (pid,), backend = _entailed_at([5], restore)
+        assert eng.subsumed == {pid}
+        eng.push(pid)
+        assert pid not in eng
+        backend.backtrack_to(4)
+        assert pid not in eng.subsumed
+        eng.push(pid)
+        assert pid in eng
 
 
 def test_unsubsume_above_reenables_only_deeper_entailments():
-    eng, pids = _entailed_at(range(4))
+    for restore in _RESTORES:
+        eng, pids, backend = _entailed_at(range(4), restore)
 
-    def reenabled():
-        for pid in pids:
-            eng.push(pid)
-        out = [pid in eng for pid in pids]
-        eng.clear()
-        return out
+        def reenabled():
+            for pid in pids:
+                eng.push(pid)
+            out = [pid in eng for pid in pids]
+            eng.clear()
+            return out
 
-    eng.backtrack(2)
-    assert reenabled() == [False, False, False, True]
-    assert eng.subsumed == {pids[0]: 0, pids[1]: 1, pids[2]: 2}
-    eng.backtrack(0)
-    assert reenabled() == [False, True, True, True]
-    assert eng.subsumed == {pids[0]: 0}
+        backend.backtrack_to(2)
+        assert reenabled() == [False, False, False, True]
+        assert eng.subsumed == {pids[0], pids[1], pids[2]}
+        backend.backtrack_to(0)
+        assert reenabled() == [False, True, True, True]
+        assert eng.subsumed == {pids[0]}
 
 
 _UNDO_STEPS = st.lists(
     st.one_of(
-        # Go 0-2 levels deeper, then run pid there (it becomes entailed).
+        # Open 0-2 levels more, then run pid there (it becomes entailed).
         st.tuples(st.just("subsume"), st.integers(0, 5), st.integers(0, 2)),
-        # Return to this depth, or stay at the current one if it is lower.
+        # Return to this level, or stay at the current one if it is lower.
         st.tuples(st.just("backtrack"), st.integers(0, 12), st.none()),
     ),
     max_size=40,
@@ -437,27 +448,32 @@ _UNDO_STEPS = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(_UNDO_STEPS)
 def test_entailment_undo_matches_dict_reference(steps):
-    """Random interleavings of entailments and backtracks: the engine's
-    record equals a {pid: depth} dict cut by depth, and a push queues
-    exactly the pids that dict does not hold."""
-    eng, pids = _entailable(6)
-    reference = {}
-    for kind, a, b in steps:
-        if kind == "subsume":
-            eng.depth += b
-            eng.push(pids[a])
-            assert eng.fixpoint()
-            reference.setdefault(pids[a], eng.depth)
-        else:
-            depth = min(a, eng.depth)
-            eng.backtrack(depth)
-            reference = {pid: d for pid, d in reference.items() if d <= depth}
-            assert eng.depth == depth
-        assert eng.subsumed == reference
-        for pid in pids:
-            eng.push(pid)
-        assert [pid in eng for pid in pids] == [pid not in reference for pid in pids]
-        eng.clear()
+    """Random interleavings of entailments and backtracks, through the
+    trail and through copies: the subsumed pids equal a {pid: levels open
+    when it was entailed} dict cut by level, and a push queues exactly the
+    pids that dict does not hold."""
+    for restore in _RESTORES:
+        eng, pids, backend = _entailable(6, restore)
+        frames = backend.frames
+        reference = {}
+        for kind, a, b in steps:
+            if kind == "subsume":
+                for _ in range(b):
+                    backend.open_node([])
+                eng.push(pids[a])
+                assert eng.fixpoint()
+                reference.setdefault(pids[a], len(frames))
+            else:
+                depth = min(a, len(frames))
+                if depth < len(frames):
+                    backend.backtrack_to(depth)
+                reference = {pid: d for pid, d in reference.items() if d <= depth}
+                assert len(frames) == depth
+            assert eng.subsumed == set(reference)
+            for pid in pids:
+                eng.push(pid)
+            assert [pid in eng for pid in pids] == [pid not in reference for pid in pids]
+            eng.clear()
 
 
 class _Entailed(_Recorder):
@@ -493,7 +509,7 @@ def test_narrow_queues_idle_pids_of_its_event_class_in_table_order(policy):
     table = eng._wake[BOUNDS_CHANGED][x]
     assert table == [0, 1, subsumed, 4, queued, 6]
     eng.push(subsumed)
-    assert eng.fixpoint() and eng.subsumed == {subsumed: 0}
+    assert eng.fixpoint() and eng.subsumed == {subsumed}
     eng.push(queued)
     log.clear()
     assert eng.narrow(x, Op.MAX, 7) is BOUNDS_CHANGED

@@ -141,7 +141,7 @@ class _FrameChecked(TrailBackend):
 
     def _check(self):
         start = self.frames[-1] if self.frames else 0
-        ints = [entry[0] for entry in self.trail[start:] if entry[0] >= 0]
+        ints = [entry[0] for entry in self.trail[start:] if len(entry) == 5]
         assert len(ints) == len(set(ints))
         self.frames_checked += 1
 
@@ -205,7 +205,7 @@ def test_copy_bytes_accounting():
 
 def test_recompute_snapshot_cadence():
     store, xs, _ = _store_with_vars()
-    backend = RecomputeBackend(store, replay=lambda depth, actions: None, distance=8)
+    backend = RecomputeBackend(store, replay=lambda actions: None, distance=8)
     for _ in range(16):
         backend.open_node([])
     # snapshots at depths 0 and 8 only

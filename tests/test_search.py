@@ -251,7 +251,7 @@ def replay_error():
     model = build(parse_instance("queens:4"))
     search = _EnumerateSearch(model, RestoreMode.copy_recompute(2), "fifo", "first")
     try:
-        search._replay(0, [(Op.ASSIGN, model.decision_vars[0], 99)])
+        search._replay([(Op.ASSIGN, model.decision_vars[0], 99)])
     except Exception as exc:
         return exc
     return None
