@@ -3,12 +3,12 @@ difference x = y + z + k), alldifferent, Boolean conjunction, specialised
 Boolean sums, ordering and lex constraints.  The unary constraints x != c
 and x = c have no propagator: posting one narrows the model's domain.
 
-Posting functions maintain two constraint counts on the model: the native
-count (sum-equals is one constraint) and the decomposed count (sum-equals
-is a less-equal plus a greater-equal pair, and Boolean sums a model class
-declares as pair-counted are counted the same way).  Which propagators
-actually get posted follows the model's sum and Boolean modes; the pruning
-reached at the fixpoint is identical in all modes.
+Posting functions return None; what a model posted is its size.  Which
+propagators get posted follows the model's sum and Boolean modes: the
+native sum mode posts one propagator per sum, and the decomposed mode posts
+a sum-equals, or a Boolean sum a model class declares as pair-counted, as a
+less-equal plus a greater-equal pair.  The pruning reached at the fixpoint
+is identical in all modes.
 """
 
 from __future__ import annotations
@@ -555,7 +555,8 @@ class LexLeqProp(Propagator):
 
 
 class UpperBoundProp(Propagator):
-    """objective <= bound; posted by branch-and-bound, never counted."""
+    """objective <= bound; posted by branch and bound into its solve's
+    engine, never into the model."""
 
     __slots__ = ("var", "bound")
     priority = PRIORITY_CHEAP
@@ -624,18 +625,17 @@ def _check_rel(rel):
 
 
 def _post_sum(model, rel, c, make):
-    """Post the propagator(s) for one sum per the model's sum mode and
-    return how many were posted."""
+    """Post the propagator(s) for one sum per the model's sum mode."""
     if rel == EQ and model.sum_mode == SUM_DECOMPOSED:
         model.add(make(LEQ, c))
         model.add(make(GEQ, c))
-        return 2
-    model.add(make(rel, c))
-    return 1
+    else:
+        model.add(make(rel, c))
 
 
 def post_linear(model, terms, rel, c):
-    """Post sum(coeff*var) rel c; returns the number of propagators posted."""
+    """Post sum(coeff*var) rel c: one propagator, or under the decomposed
+    sum mode a ``<=`` and ``>=`` pair for ``=``."""
     _check_rel(rel)
     try:
         terms = [(index(a), v) for a, v in terms]
@@ -643,7 +643,6 @@ def post_linear(model, terms, rel, c):
         raise PostError(f"coefficients must be integers, got {terms!r}") from None
     c = _integer(c, "constant")
     _check_terms(model, terms)
-    model.count_constraint(1, 2 if rel == EQ else 1)
     diff = _as_difference(terms)
 
     def make(r, bound):
@@ -652,7 +651,7 @@ def post_linear(model, terms, rel, c):
             return DiffProp(x, y, z, sign * bound)
         return LinearProp(terms, r, bound)
 
-    return _post_sum(model, rel, c, make)
+    _post_sum(model, rel, c, make)
 
 
 def _as_difference(terms):
@@ -681,11 +680,10 @@ def _all_01(store, vars):
 def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
     """Sum of Boolean variables rel c; counter-based over native Booleans,
     routed to the linear propagator over {0..1} integers (what the integer
-    Boolean mode builds).  The variables must all be of one kind.  A
-    pair-counted ``<=`` or ``>=`` sum counts as two constraints under the
-    decomposed convention, and the decomposed sum mode posts the second: a
-    trivially-true bound in the opposite direction (``sum >= 0`` next to
-    ``sum <= 1``).  Returns the number of propagators posted."""
+    Boolean mode builds).  The variables must all be of one kind.  The
+    decomposed sum mode posts an ``=`` sum as a ``<=`` and ``>=`` pair, and
+    a pair-counted ``<=`` or ``>=`` sum with a second, trivially-true bound
+    in the opposite direction (``sum >= 0`` next to ``sum <= 1``)."""
     _check_rel(rel)
     vars = list(vars)
     if not vars:
@@ -703,12 +701,9 @@ def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
         make = partial(LinearProp, [(1, v) for v in vars])
     else:
         make = partial(BoolSumProp, vars)
-    model.count_constraint(1, 2 if rel == EQ or pair_counted else 1)
-    posted = _post_sum(model, rel, c, make)
+    _post_sum(model, rel, c, make)
     if rel != EQ and pair_counted and model.sum_mode == SUM_DECOMPOSED:
         model.add(make(GEQ, 0) if rel == LEQ else make(LEQ, len(vars)))
-        posted += 1
-    return posted
 
 
 def post_alldifferent(model, vars):
@@ -719,25 +714,27 @@ def post_alldifferent(model, vars):
         raise PostError("alldifferent takes integer variables only")
     if len(set(vars)) < len(vars):
         raise PostError("alldifferent over a repeated variable cannot hold")
-    model.count_constraint(1, 1)
     model.add(AllDiffValueProp(vars))
 
 
 def _post_unary(model, var, op, c):
     """Post a unary constraint by narrowing the model's domain: the domain
-    is the constraint, so no propagator is posted.  The narrowing reads the
-    variable's slot first, so an id that names no variable raises
-    ``IndexError`` there, before anything changes; catching it keeps the
+    is the constraint, so no propagator is posted, and ``model.unaries``
+    counts it.  The narrowing reads the variable's slot first, so an id
+    that names no variable raises ``IndexError`` there, and one that is no
+    integer ``TypeError``, before anything changes; catching them keeps the
     check off the path of the many unary posts that name real variables."""
     try:
-        r = model.store.narrow(var, op, index(c))
+        c = index(c)
     except TypeError:
         raise PostError(f"constant must be an integer, got {c!r}") from None
-    except IndexError:
+    try:
+        r = model.store.narrow(var, op, c)
+    except (TypeError, IndexError):
         raise PostError(f"unknown variable {var!r}") from None
     if r is FAILED:
         raise PostError(f"unary constraint on variable {var} empties its domain")
-    model.count_constraint(1, 1)
+    model.unaries += 1
 
 
 def post_ne_const(model, var, c):
@@ -753,7 +750,10 @@ def post_fix(model, var, c):
 def post_le(model, x, y, strict=False):
     if not is_int_var(_id_range(model, (x, y))[0]):
         raise PostError("le takes integer variables only")
-    model.count_constraint(1, 1)
+    # Over x < x, LeProp moves each bound one step per run and its own
+    # narrowing does not wake it, so it would stop short of failing.
+    if strict and x == y:
+        raise PostError(f"strict le of variable {x} with itself cannot hold")
     model.add(LeProp(x, y, strict))
 
 
@@ -766,7 +766,6 @@ def post_bool_and(model, z, x, y):
             raise PostError("boolean and mixes Boolean and integer variables")
         if not _all_01(model.store, (z, x, y)):
             raise PostError("boolean and takes three Booleans or three {0..1} integers")
-    model.count_constraint(1, 1)
     model.add(BoolAndProp(z, x, y))
 
 
@@ -779,5 +778,4 @@ def post_lex_leq(model, xs, ys, strict=False):
     lo, hi = _id_range(model, xs + ys)
     if is_int_var(lo) != is_int_var(hi):
         raise PostError("lex mixes Boolean and integer variables")
-    model.count_constraint(1, 1)
     model.add(LexLeqProp(xs, ys, strict))

@@ -186,17 +186,15 @@ class VariableStore:
         return range(~first, ~(first + n), -1)
 
     def fork(self):
-        """A store for one solve: it shares this store's variable layout
-        (so variables are added to the original only) and owns a copy of
-        the domains, fresh stamps, and no trail or wake tables until a
+        """A store for one solve: it owns a copy of the variable layout and
+        of the domains, fresh stamps, and no trail or wake tables until a
         backend and an engine give it theirs."""
         # Built through __init__, not copy.copy: an instance whose __dict__
         # was filled by update loses the attribute layout that makes the
         # hot-path reads of self._mask, self._lo, ... fast.
         twin = VariableStore()
-        for name in ("_base", "_span", "_region_words"):
-            setattr(twin, name, getattr(self, name))
-        for name in ("_mask", "_lo", "_hi", "_size", "_bstate"):
+        twin._region_words = self._region_words
+        for name in ("_base", "_span", "_mask", "_lo", "_hi", "_size", "_bstate"):
             setattr(twin, name, getattr(self, name)[:])
         twin._stamp = [0] * len(self._mask)
         return twin

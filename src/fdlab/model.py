@@ -4,9 +4,10 @@ solve works on a fork of the store and builds its own ``Engine`` over the
 propagators, which files their subscriptions, so it leaves the model
 unchanged.
 
-The model also keeps the declared constraint counts for both sum-constraint
-accounting conventions (native sum-equals vs. the decomposed less-equal /
-greater-equal pair), independently of which convention is actually posted.
+A model's size is what it posted: its variables, its propagators and the
+unary constraints it posted as domain pruning (``unaries``), which have no
+propagator.  Its constraint count is ``len(props) + unaries``, so the model
+built in each sum mode counts its sums by the convention it posts.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ class Model:
         self.props = []
         self.decision_vars = []
         self.objective = None
-        self.count_native = 0
-        self.count_decomposed = 0
+        self.unaries = 0  # unary constraints posted as domain pruning
 
     def new_int_var(self, lo, hi, decision=False):
         try:
@@ -81,7 +81,3 @@ class Model:
         """Post a propagator; returns its pid."""
         self.props.append(prop)
         return len(self.props) - 1
-
-    def count_constraint(self, native=1, decomposed=1):
-        self.count_native += native
-        self.count_decomposed += decomposed

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import index
 
 from .constraints import (
     EQ,
@@ -33,7 +34,7 @@ from .constraints import (
     post_linear,
     post_ne_const,
 )
-from .model import Model, ModelError
+from .model import SUM_DECOMPOSED, Model, ModelError
 
 PROBLEMS = ("queens", "golomb", "magic", "golfers", "bibd")
 
@@ -54,11 +55,16 @@ class Instance:
         if self.problem not in PROBLEMS:
             raise ModelError(f"unknown problem class {self.problem!r}")
         want = 3 if self.problem in ("golfers", "bibd") else 1
-        if len(self.params) != want or any(p <= 0 for p in self.params):
+        try:
+            params = tuple(map(index, self.params))
+        except TypeError:
+            params = ()
+        if len(params) != want or any(p <= 0 for p in params):
             raise ModelError(
-                f"{self.problem} expects {want} positive parameter(s), "
-                f"got {self.params}"
+                f"{self.problem} expects {want} positive integer parameter(s), "
+                f"got {self.params!r}"
             )
+        object.__setattr__(self, "params", params)
         if self.extended and self.problem not in ("queens", "golfers"):
             raise ModelError(f"no extended variant for {self.problem}")
 
@@ -114,17 +120,14 @@ def bibd_params(v, k, lam):
 
 def _build_queens(model, n):
     queens = [model.new_int_var(0, n - 1, decision=True) for _ in range(n)]
-    aux = 0
     for i, j in combinations(range(n), 2):
         d = model.new_int_var(-(n - 1), n - 1)
-        aux += 1
         # d = x_i - x_j, and the diagonal exclusions on the difference
         post_linear(model, [(1, d), (-1, queens[i]), (1, queens[j])], EQ, 0)
         post_ne_const(model, d, j - i)
         post_ne_const(model, d, -(j - i))
     if n > 1:
         post_alldifferent(model, queens)
-    return aux
 
 
 def _build_golomb(model, m):
@@ -141,7 +144,6 @@ def _build_golomb(model, m):
     if len(diffs) > 1:
         post_alldifferent(model, diffs)
     model.objective = ticks[-1]
-    return len(diffs)
 
 
 def _build_magic(model, n):
@@ -161,7 +163,6 @@ def _build_magic(model, n):
     post_le(model, cells[0][0], cells[n - 1][0])
     post_le(model, cells[0][0], cells[n - 1][n - 1])
     post_le(model, cells[0][n - 1], cells[n - 1][0])
-    return 0
 
 
 def _build_golfers(model, p, m, n):
@@ -175,7 +176,6 @@ def _build_golfers(model, p, m, n):
             post_bool_sum(model, [g[w][gr][pl] for gr in range(m)], EQ, 1)
         for gr in range(m):
             post_bool_sum(model, g[w][gr], EQ, n)
-    aux = 0
     for a, b in combinations(range(players), 2):
         meets = []
         for w in range(p):
@@ -183,7 +183,6 @@ def _build_golfers(model, p, m, n):
                 y = model.new_01_var()
                 post_bool_and(model, y, g[w][gr][a], g[w][gr][b])
                 meets.append(y)
-        aux += len(meets)
         post_bool_sum(model, meets, LEQ, 1, pair_counted=True)
     # symmetry: order the weeks and the groups within each week
     flat = [[v for gr in range(m) for v in g[w][gr]] for w in range(p)]
@@ -192,7 +191,6 @@ def _build_golfers(model, p, m, n):
     for w in range(p):
         for a, b in combinations(range(m), 2):
             post_lex_leq(model, g[w][a], g[w][b])
-    return aux
 
 
 def _build_bibd(model, v, k, lam):
@@ -215,7 +213,6 @@ def _build_bibd(model, v, k, lam):
         post_lex_leq(
             model, [x[i][j] for i in range(v)], [x[i][j + 1] for i in range(v)]
         )
-    return v * (v - 1) // 2 * b
 
 
 _BUILDERS = {
@@ -229,22 +226,28 @@ _BUILDERS = {
 
 def build(instance, *, bool_mode="native", sum_mode="native"):
     """Build the posted model for an instance.  The Boolean-representation
-    mode only matters for the golfers and bibd classes."""
+    mode only matters for the golfers and bibd classes.  An extended model
+    gets ``PADDING_PER_AUX`` padding Booleans per auxiliary variable, that
+    is per variable that is not a decision variable."""
     model = Model(bool_mode=bool_mode, sum_mode=sum_mode)
-    aux = _BUILDERS[instance.problem](model, *instance.params)
+    _BUILDERS[instance.problem](model, *instance.params)
     if instance.extended:
+        aux = model.store.num_vars - len(model.decision_vars)
         model.store.new_bool_vars(PADDING_PER_AUX * aux)
     return model
 
 
 def counts(instance):
-    """Variable and constraint counts obtained by building the model and
-    enumerating what was posted (not by closed-form arithmetic)."""
-    model = build(instance)
+    """Variable and constraint counts read off what the model posts: the
+    instance is built once per sum mode, and each constraint count is that
+    model's propagators plus its unary constraints (not closed-form
+    arithmetic)."""
+    native = build(instance)
+    decomposed = build(instance, sum_mode=SUM_DECOMPOSED)
     return ModelCounts(
-        variables=model.store.num_vars,
-        constraints_native=model.count_native,
-        constraints_decomposed=model.count_decomposed,
+        variables=native.store.num_vars,
+        constraints_native=len(native.props) + native.unaries,
+        constraints_decomposed=len(decomposed.props) + decomposed.unaries,
     )
 
 

@@ -129,7 +129,7 @@ def test_posting_refuses_unknown_variables():
     with pytest.raises(PostError):
         post_le(model, x, 99)
     assert not model.props
-    assert model.count_native == model.count_decomposed == 0
+    assert model.unaries == 0
 
 
 @pytest.mark.parametrize("where", ["first", "middle"])
@@ -157,7 +157,7 @@ def test_posting_refuses_non_integral_ids(where):
         with pytest.raises(PostError):
             post()
     assert not model.props
-    assert model.count_native == model.count_decomposed == 0
+    assert model.unaries == 0
 
 
 def test_linear_overflow_contract():
@@ -215,7 +215,7 @@ def test_alldifferent_rejects_bools_and_singletons():
     x, y = model.new_int_var(0, 3), model.new_int_var(0, 3)
     with pytest.raises(PostError):
         post_alldifferent(model, [x, y, x])
-    assert model.props == [] and model.count_native == 0
+    assert model.props == [] and model.unaries == 0
 
 
 def _allowed(op, value, values):
@@ -333,7 +333,7 @@ def test_ne_const_and_fix():
     post_fix(model, y, 1)
     post_ne_const(model, b, 0)
     assert not model.props
-    assert model.count_native == model.count_decomposed == 3
+    assert model.unaries == 3
     assert model.store.domain_values(x) == [0, 1, 3]
     assert model.store.value(y) == 1 and model.store.value(b) == 1
     with pytest.raises(PostError):
@@ -344,10 +344,34 @@ def test_ne_const_and_fix():
         post_ne_const(model, y, 1)
     with pytest.raises(PostError):
         post_fix(model, b, 0)
-    assert model.count_native == 3 and not model.props
+    assert model.unaries == 3 and not model.props
     assert model.store.domain_values(x) == [0, 1, 3]
     assert model.store.value(y) == 1 and model.store.value(b) == 1
     assert _fix(model)
+
+
+@pytest.mark.parametrize("post", [post_ne_const, post_fix])
+@pytest.mark.parametrize(
+    "var, c, message",
+    [
+        (1.5, 2, "unknown variable 1.5"),
+        ("x", 2, "unknown variable 'x'"),
+        (None, 2, "unknown variable None"),
+        (0, 2.5, "constant must be an integer, got 2.5"),
+        (1.5, 2.5, "constant must be an integer, got 2.5"),
+    ],
+)
+def test_unary_post_blames_the_bad_argument(post, var, c, message):
+    """A bad variable id is reported as an unknown variable, and a
+    non-integral constant as such; neither is counted or pruned."""
+    model = Model()
+    x = model.new_int_var(0, 3)
+    b = model.new_bool_var()
+    with pytest.raises(PostError, match=f"^{message}$"):
+        post(model, var, c)
+    assert model.unaries == 0 and not model.props
+    assert model.store.domain_values(x) == [0, 1, 2, 3]
+    assert model.store.domain_values(b) == [0, 1]
 
 
 @pytest.mark.parametrize("sum_mode", [SUM_NATIVE, SUM_DECOMPOSED])
@@ -364,7 +388,7 @@ def test_bool_sum_rejects_wide_integers(sum_mode, lo, hi):
         post_bool_sum(model, [x, y], GEQ, 1, pair_counted=True)
     with pytest.raises(PostError):
         post_bool_sum(model, [y, x], EQ, 1)
-    assert model.count_native == 0 and not model.props
+    assert model.unaries == 0 and not model.props
 
 
 def test_le_rejects_bools():
@@ -377,7 +401,19 @@ def test_le_rejects_bools():
         post_le(model, x, b)
     with pytest.raises(PostError):
         post_le(model, b, x, strict=True)
-    assert model.count_native == 0 and not model.props
+    assert model.unaries == 0 and not model.props
+
+
+def test_le_refuses_a_variable_strictly_below_itself():
+    """x < x cannot hold; a propagator would narrow it one step per run and
+    stop at x = max - 1, so posting refuses it.  x <= x holds."""
+    model = Model()
+    x = model.new_int_var(0, 2)
+    with pytest.raises(PostError, match="cannot hold"):
+        post_le(model, x, x, strict=True)
+    assert not model.props
+    post_le(model, x, x)
+    assert _fix(model) and model.store.domain_values(x) == [0, 1, 2]
 
 
 @settings(max_examples=60)
@@ -506,7 +542,7 @@ def test_bool_and_rejects_mixed_kinds_and_wide_integers():
         post_bool_and(model, i, i, model.new_int_var(0, 2))
     with pytest.raises(PostError):
         post_bool_and(model, model.new_int_var(-1, 0), i, i)
-    assert model.count_native == 0 and not model.props
+    assert model.unaries == 0 and not model.props
     post_bool_and(model, i, model.new_int_var(1, 1), model.new_int_var(0, 0))
     assert _fix(model) and model.store.value(i) == 0
 
@@ -520,7 +556,7 @@ def test_bool_sum_rejects_mixed_kinds():
         post_bool_sum(model, [x, y], EQ, 1)
     with pytest.raises(PostError):
         post_bool_sum(model, [y, x], LEQ, 1)
-    assert model.count_native == 0 and not model.props
+    assert model.unaries == 0 and not model.props
 
 
 def test_bool_sum_routes_by_variable_kind_not_model_mode():
@@ -713,15 +749,14 @@ def test_lex_rejects_mixed_kinds():
         post_lex_leq(model, [b], [x])
     with pytest.raises(PostError):
         post_lex_leq(model, [x], [b], strict=True)
-    assert model.count_native == 0 and not model.props
+    assert model.unaries == 0 and not model.props
 
 
 def test_sum_mode_posts_decomposed_pair():
     model = Model(sum_mode=SUM_DECOMPOSED)
     x = model.new_int_var(0, 5)
     y = model.new_int_var(0, 5)
-    n = post_linear(model, [(1, x), (1, y)], EQ, 5)
-    assert n == 2
+    post_linear(model, [(1, x), (1, y)], EQ, 5)
     assert len(model.props) == 2
     assert _fix(model)
     assert model.store.max(x) == 5 and model.store.min(x) == 0
@@ -740,17 +775,23 @@ def test_decomposed_fixpoint_matches_native():
 
 
 def test_constraint_counting_conventions():
-    model = Model()
-    x = model.new_int_var(0, 5)
-    y = model.new_int_var(0, 5)
-    post_linear(model, [(1, x), (1, y)], EQ, 5)  # 1 native / 2 decomposed
-    post_linear(model, [(1, x)], LEQ, 4)  # 1 / 1
-    post_bool_sum(
-        model, [model.new_01_var(), model.new_01_var()], LEQ, 1, pair_counted=True
-    )  # 1 / 2
-    post_ne_const(model, y, 3)  # 1 / 1
-    assert model.count_native == 4
-    assert model.count_decomposed == 6
+    """A model's size is what it posted: its propagators plus its unary
+    constraints, and each sum mode posts its own convention."""
+
+    def size(sum_mode):
+        model = Model(sum_mode=sum_mode)
+        x = model.new_int_var(0, 5)
+        y = model.new_int_var(0, 5)
+        post_linear(model, [(1, x), (1, y)], EQ, 5)  # 1 native / 2 decomposed
+        post_linear(model, [(1, x)], LEQ, 4)  # 1 / 1
+        post_bool_sum(
+            model, [model.new_01_var(), model.new_01_var()], LEQ, 1, pair_counted=True
+        )  # 1 / 2
+        post_ne_const(model, y, 3)  # 1 / 1
+        return len(model.props) + model.unaries
+
+    assert size(SUM_NATIVE) == 4
+    assert size(SUM_DECOMPOSED) == 6
 
 
 @given(

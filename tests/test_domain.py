@@ -179,6 +179,24 @@ def test_snapshot_blob_round_trip():
     assert store.size(b) == 2
 
 
+def test_fork_and_original_add_variables_independently():
+    """A fork owns its variable layout: a variable added to one store
+    leaves the other's next variable with its own domain."""
+    store = VariableStore()
+    store.new_int_var(0, 1)
+    twin = store.fork()
+    t = twin.new_int_var(5, 9)
+    b = store.new_int_var(0, 3)
+    assert b == t
+    assert store.domain_values(b) == [0, 1, 2, 3]
+    assert (store.min(b), store.max(b), store.size(b)) == (0, 3, 4)
+    assert twin.domain_values(t) == [5, 6, 7, 8, 9]
+    assert (twin.min(t), twin.max(t), twin.size(t)) == (5, 9, 5)
+    assert store.narrow(b, Op.REMOVE, 2) is not FAILED
+    assert store.domain_values(b) == [0, 1, 3]
+    assert twin.domain_values(t) == [5, 6, 7, 8, 9]
+
+
 _OPS = st.tuples(
     st.sampled_from([Op.REMOVE, Op.MIN, Op.MAX, Op.ASSIGN]),
     st.integers(-3, 12),

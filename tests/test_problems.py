@@ -28,6 +28,23 @@ def test_parse_instance_rejects_malformed(text):
         parse_instance(text)
 
 
+@pytest.mark.parametrize(
+    "problem, params",
+    [
+        ("queens", (8.5,)),
+        ("queens", (8.0,)),
+        ("queens", ("8",)),
+        ("queens", (None,)),
+        ("bibd", (7, 3, 1.0)),
+        ("golfers", (2, "4", 4)),
+        ("queens", 8),
+    ],
+)
+def test_instance_rejects_non_integral_parameters(problem, params):
+    with pytest.raises(ModelError, match="positive integer parameter"):
+        Instance(problem, params)
+
+
 def test_bibd_params():
     assert bibd_params(7, 3, 1) == (7, 3)
     assert bibd_params(7, 3, 10) == (70, 30)
