@@ -3,6 +3,11 @@ difference x = y + z + k), alldifferent, Boolean conjunction, specialised
 Boolean sums, ordering and lex constraints.  The unary constraints x != c
 and x = c have no propagator: posting one narrows the model's domain.
 
+The two sum propagators hold ``sum rel c`` as an interval,
+cmin <= sum <= cmax: ``=`` closes both sides, and ``<=`` or ``>=`` leaves
+one side open, at a bound no sum reaches.  So one path fails, prunes and
+subsumes for all three relations.
+
 Posting functions return None; what a model posted is its size.  Which
 propagators get posted follows the model's sum and Boolean modes: the
 native sum mode posts one propagator per sum, and the decomposed mode posts
@@ -28,6 +33,11 @@ GEQ = "geq"
 
 INT64_MAX = 2**63 - 1
 
+#: The open side of a ``<=`` or ``>=`` sum's interval: no sum reaches it,
+#: as the overflow contract of ``_check_terms`` bounds a linear sum by
+#: ``INT64_MAX`` and a Boolean count is at most its length.
+_OPEN = INT64_MAX + 1
+
 #: (min, max) of a Boolean by its cell's state; ``UNKNOWN`` (-1) indexes
 #: the last entry.
 _BOOL_BOUNDS = ((0, 0), (1, 1), (0, 1))
@@ -40,25 +50,31 @@ class PostError(ModelError):
     """Rejected constraint posting."""
 
 
+def _interval(rel, c):
+    """(cmin, cmax) such that ``sum rel c`` reads cmin <= sum <= cmax."""
+    return (-_OPEN if rel == LEQ else c, _OPEN if rel == GEQ else c)
+
+
 class LinearProp(Propagator):
-    """Bounds-consistent propagation of sum(coeff * var) rel c.
+    """Bounds-consistent propagation of cmin <= sum(coeff * var) <= cmax,
+    the interval that ``_interval`` reads ``sum rel c`` as.
 
     Only integer variables participate (Boolean sums route here after
     being remodelled as {0..1} integers).  The terms are split by sign once,
     at construction, into ``pos`` and ``neg`` (the latter with negated,
-    positive coefficients).  A pass over one side of the relation reads each
-    term's bound straight from the store's ``_lo``/``_hi`` arrays once for
-    the sum and once to narrow, with no store query and no per-term sign
-    test.
+    positive coefficients).  A pass sweeps ``_lo``/``_hi`` once for the
+    least and the greatest sum, fails or subsumes on those two, and narrows
+    each term into the room they leave.  A new bound lies between the
+    term's current bounds, so a narrowing keeps the opposite bound and
+    cannot fail; a sum left with no room shows in the next pass's sums.
     """
 
-    __slots__ = ("terms", "rel", "c", "pos", "neg")
+    __slots__ = ("terms", "cmin", "cmax", "pos", "neg")
     priority = PRIORITY_LINEAR
 
     def __init__(self, terms, rel, c):
         self.terms = terms
-        self.rel = rel
-        self.c = c
+        self.cmin, self.cmax = _interval(rel, c)
         self.pos = [(a, v) for a, v in terms if a > 0]
         self.neg = [(-a, v) for a, v in terms if a < 0]
 
@@ -72,64 +88,45 @@ class LinearProp(Propagator):
         hi = s._hi
         pos = self.pos
         neg = self.neg
-        c = self.c
-        rel = self.rel
+        cmin, cmax = self.cmin, self.cmax
         narrow = eng.narrow
         while True:
+            lb = ub = 0
+            for a, v in pos:
+                lb += a * lo[v]
+                ub += a * hi[v]
+            for a, v in neg:
+                lb -= a * hi[v]
+                ub -= a * lo[v]
+            if lb > cmax or ub < cmin:
+                return PROP_FAILED
+            if cmin <= lb and ub <= cmax:
+                return SUBSUMED
+            # A term may rise ``up`` above its least contribution and fall
+            # ``down`` below its greatest.
+            up = cmax - lb
+            down = ub - cmin
             changed = False
-            if rel != GEQ:
-                lb = 0
-                for a, v in pos:
-                    lb += a * lo[v]
-                for a, v in neg:
-                    lb -= a * hi[v]
-                slack = c - lb
-                if slack < 0:
-                    return PROP_FAILED
-                for a, v in pos:
-                    bound = lo[v] + slack // a
-                    if bound < hi[v]:
-                        if narrow(v, MAX, bound) is FAILED:
-                            return PROP_FAILED
-                        changed = True
-                for a, v in neg:
-                    bound = hi[v] - slack // a
-                    if bound > lo[v]:
-                        if narrow(v, MIN, bound) is FAILED:
-                            return PROP_FAILED
-                        changed = True
-            if rel != LEQ:
-                ub = 0
-                for a, v in pos:
-                    ub += a * hi[v]
-                for a, v in neg:
-                    ub -= a * lo[v]
-                slack = ub - c
-                if slack < 0:
-                    return PROP_FAILED
-                for a, v in pos:
-                    bound = hi[v] - slack // a
-                    if bound > lo[v]:
-                        if narrow(v, MIN, bound) is FAILED:
-                            return PROP_FAILED
-                        changed = True
-                for a, v in neg:
-                    bound = lo[v] + slack // a
-                    if bound < hi[v]:
-                        if narrow(v, MAX, bound) is FAILED:
-                            return PROP_FAILED
-                        changed = True
+            for a, v in pos:
+                bound = lo[v] + up // a
+                if bound < hi[v]:
+                    narrow(v, MAX, bound)
+                    changed = True
+                bound = hi[v] - down // a
+                if bound > lo[v]:
+                    narrow(v, MIN, bound)
+                    changed = True
+            for a, v in neg:
+                bound = hi[v] - up // a
+                if bound > lo[v]:
+                    narrow(v, MIN, bound)
+                    changed = True
+                bound = lo[v] + down // a
+                if bound < hi[v]:
+                    narrow(v, MAX, bound)
+                    changed = True
             if not changed:
-                break
-        if rel == EQ:
-            # ub - lb is sum(|a| * (hi - lo)), so they meet only when every
-            # variable is fixed.
-            return SUBSUMED if lb == ub else AT_FIXPOINT
-        if rel == LEQ:
-            ub = sum(a * hi[v] for a, v in pos) - sum(a * lo[v] for a, v in neg)
-            return SUBSUMED if ub <= c else AT_FIXPOINT
-        lb = sum(a * lo[v] for a, v in pos) - sum(a * hi[v] for a, v in neg)
-        return SUBSUMED if lb >= c else AT_FIXPOINT
+                return AT_FIXPOINT
 
 
 class DiffProp(Propagator):
@@ -143,7 +140,8 @@ class DiffProp(Propagator):
     opposite bound stays in the domain.  After narrowing, only the moved
     bound is read back (holes can move it further).  The x rules read y and
     z, so a pass repeats only when y or z moved.  It subsumes exactly when
-    all three variables are fixed, as ``LinearProp`` does for ``EQ``.
+    all three variables are fixed, as ``LinearProp`` does for a closed
+    interval.
     """
 
     __slots__ = ("x", "y", "z", "k")
@@ -222,24 +220,25 @@ class DiffProp(Propagator):
 
 
 class BoolSumProp(Propagator):
-    """Counter-based sum over Boolean variables.  A run gathers the
-    variables' three-state cells (``UNKNOWN``, 0 or 1) from ``_bstate`` in
-    one C-level call and counts the true and the unknown ones with
-    ``count``.  When the count forces every unknown cell to one value, it
-    fixes them and the sum is entailed.
+    """Counter-based sum over Boolean variables, held as an interval as in
+    ``LinearProp``.  A run gathers the variables' three-state cells
+    (``UNKNOWN``, 0 or 1) from ``_bstate`` in one C-level call and counts
+    the true ones, the least sum, and the unknown ones, which added give the
+    greatest.  When one of the two meets the side it must not cross, it
+    fixes every unknown cell and the sum is entailed.
 
     A cell turning false leaves the true count alone, so a ``<=`` sum
     subscribes to ``FIXED_TRUE`` only; a cell turning true leaves the
     count of possible trues alone, so a ``>=`` sum subscribes to
     ``FIXED_FALSE`` only.  A ``=`` sum subscribes to both."""
 
-    __slots__ = ("vars", "rel", "c", "_read_cells")
+    __slots__ = ("vars", "cmin", "cmax", "_event", "_read_cells")
     priority = PRIORITY_LINEAR
 
     def __init__(self, vars, rel, c):
         self.vars = list(vars)
-        self.rel = rel
-        self.c = c
+        self.cmin, self.cmax = _interval(rel, c)
+        self._event = _SUM_EVENT[rel]
         cells = [~v for v in self.vars]
         # itemgetter of one index returns that item, not a sequence; a
         # one-cell slice of the array has ``count`` too.
@@ -248,33 +247,31 @@ class BoolSumProp(Propagator):
         self._read_cells = itemgetter(*cells)
 
     def subscriptions(self):
-        event = _SUM_EVENT[self.rel]
         for var in self.vars:
-            yield var, event
+            yield var, self._event
 
     def propagate(self, eng):
         states = self._read_cells(eng.store._bstate)
         n_true = states.count(1)
         n_unknown = states.count(UNKNOWN)
         ub = n_true + n_unknown
-        c = self.c
-        rel = self.rel
-        if rel != GEQ and n_true > c or rel != LEQ and ub < c:
+        cmin, cmax = self.cmin, self.cmax
+        if n_true > cmax or ub < cmin:
             return PROP_FAILED
-        zeros = rel != GEQ and n_true == c
-        if n_unknown and (zeros or rel != LEQ and ub == c):
-            # The count forces every unknown cell; fixing one cannot fail.
-            value = 0 if zeros else 1
-            narrow = eng.narrow
-            for v, st in zip(self.vars, states):
-                if st == UNKNOWN:
-                    narrow(v, ASSIGN, value)
+        if cmin <= n_true and ub <= cmax:
             return SUBSUMED
-        if rel == LEQ:
-            return SUBSUMED if ub <= c else AT_FIXPOINT
-        if rel == GEQ:
-            return SUBSUMED if n_true >= c else AT_FIXPOINT
-        return SUBSUMED if n_unknown == 0 else AT_FIXPOINT
+        # Not entailed, so some cell is unknown; fixing one cannot fail.
+        if n_true == cmax:
+            value = 0
+        elif ub == cmin:
+            value = 1
+        else:
+            return AT_FIXPOINT
+        narrow = eng.narrow
+        for v, st in zip(self.vars, states):
+            if st == UNKNOWN:
+                narrow(v, ASSIGN, value)
+        return SUBSUMED
 
 
 class AllDiffValueProp(Propagator):
@@ -438,6 +435,9 @@ class BoolAndProp(Propagator):
             if ys == 1:
                 if narrow(x, ASSIGN, 0) is FAILED:
                     return PROP_FAILED
+                return SUBSUMED
+            if x == y:  # z = x and x: a false z makes the unknown x false
+                narrow(x, ASSIGN, 0)
                 return SUBSUMED
         return AT_FIXPOINT
 
@@ -635,7 +635,11 @@ def _post_sum(model, rel, c, make):
 
 def post_linear(model, terms, rel, c):
     """Post sum(coeff*var) rel c: one propagator, or under the decomposed
-    sum mode a ``<=`` and ``>=`` pair for ``=``."""
+    sum mode a ``<=`` and ``>=`` pair for ``=``.  A repeated variable's
+    coefficients are added into one term, in order of first occurrence,
+    and the terms whose coefficients cancel are dropped, so the bounds
+    reasoning sees each variable once.  When none remains, ``0 rel c`` is
+    decided here: it posts nothing or raises ``PostError``."""
     _check_rel(rel)
     try:
         terms = [(index(a), v) for a, v in terms]
@@ -643,6 +647,16 @@ def post_linear(model, terms, rel, c):
         raise PostError(f"coefficients must be integers, got {terms!r}") from None
     c = _integer(c, "constant")
     _check_terms(model, terms)
+    if len({v for _, v in terms}) < len(terms):
+        merged = {}
+        for a, v in terms:
+            merged[v] = merged.get(v, 0) + a
+        terms = [(a, v) for v, a in merged.items() if a]
+        if not terms:
+            cmin, cmax = _interval(rel, c)
+            if cmin <= 0 <= cmax:
+                return
+            raise PostError(f"linear constraint reads 0 {rel} {c}, which cannot hold")
     diff = _as_difference(terms)
 
     def make(r, bound):
@@ -655,11 +669,11 @@ def post_linear(model, terms, rel, c):
 
 
 def _as_difference(terms):
-    """(x, y, z, sign) when the terms are three distinct variables with unit
-    coefficients of mixed sign, so that ``terms = c`` reads
+    """(x, y, z, sign) when the terms, each on its own variable, are three
+    with unit coefficients of mixed sign, so that ``terms = c`` reads
     x = y + z + sign * c; otherwise None.  x is the variable whose sign is
     in the minority and sign is its coefficient."""
-    if len(terms) != 3 or len({v for _, v in terms}) != 3:
+    if len(terms) != 3:
         return None
     if any(a not in (1, -1) for a, _ in terms):
         return None

@@ -181,7 +181,9 @@ class Engine:
             self._bucket[pid].append(pid)
 
     def __contains__(self, pid):
-        """True while ``pid`` is queued."""
+        """True while ``pid`` is queued.  Besides the tests, perfbench's
+        tracer reads it: ``_push_wrapper`` tests ``pid in eng`` to count
+        pushes of a pid already queued."""
         return self._state[pid] == QUEUED
 
     @property

@@ -33,10 +33,7 @@ class RestoreStats:
     the rest of the path.  Which of them a node changes depends on how its
     propagators reach the fixpoint, so the count holds across repetitions
     of one version (and across its ``+ext`` padding), not across
-    versions: over the same trees, queens:14 under ``trail`` went from
-    55,700 to 30,520 entries when the trail began to skip a variable
-    already trailed in the same node, and to 38,992 when subsumptions
-    joined the trail.  ``bytes_copied`` leaves the pid states out.
+    versions.  ``bytes_copied`` leaves the pid states out.
     """
 
     bytes_copied: int = 0

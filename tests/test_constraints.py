@@ -72,6 +72,8 @@ def test_linear_rejects_bad_terms():
     with pytest.raises(PostError):
         post_linear(model, [(0, x)], EQ, 0)
     with pytest.raises(PostError):
+        post_linear(model, [(1, x), (0, x)], EQ, 0)
+    with pytest.raises(PostError):
         post_linear(model, [(1, x)], "neq", 0)
     b = model.new_bool_var()
     with pytest.raises(PostError):
@@ -473,28 +475,33 @@ def test_bool_and_truth_table(bool_mode):
         assert _fix(model)
         assert model.store.value(z) == (vx and vy)
 
-    # Every partial assignment of (z, x, y) over {0, 1, unset}, against
-    # brute force: the fixpoint fails exactly when no completion satisfies
-    # z = x and y, and otherwise keeps exactly the values some completion uses.
-    for partial in itertools.product([0, 1, None], repeat=3):
-        model = Model(bool_mode=bool_mode)
-        zxy = [model.new_01_var() for _ in range(3)]
-        post_bool_and(model, *zxy)
-        for var, value in zip(zxy, partial):
-            if value is not None:
-                model.store.narrow(var, Op.ASSIGN, value)
-        completions = [
-            (z, x, y)
-            for z, x, y in itertools.product([0, 1], repeat=3)
-            if z == (x and y)
-            and all(p is None or p == v for p, v in zip(partial, (z, x, y)))
-        ]
-        ok = _fix(model)
-        assert ok == bool(completions), partial
-        if ok:
-            for i, var in enumerate(zxy):
-                expected = sorted({c[i] for c in completions})
-                assert model.store.domain_values(var) == expected, partial
+    # Every partial assignment over {0, 1, unset}, against brute force: the
+    # fixpoint fails exactly when no completion satisfies z = x and y, and
+    # otherwise keeps exactly the values some completion uses.  (z, x, y)
+    # are three variables, or each drawn from a pool of two, as in
+    # z = x and x.
+    patterns = [(0, 1, 2), *itertools.product(range(2), repeat=3)]
+    for pattern in patterns:
+        n = max(pattern) + 1
+        for partial in itertools.product([0, 1, None], repeat=n):
+            model = Model(bool_mode=bool_mode)
+            pool = [model.new_01_var() for _ in range(n)]
+            post_bool_and(model, *(pool[i] for i in pattern))
+            for var, value in zip(pool, partial):
+                if value is not None:
+                    model.store.narrow(var, Op.ASSIGN, value)
+            completions = [
+                values
+                for values in itertools.product([0, 1], repeat=n)
+                if values[pattern[0]] == (values[pattern[1]] and values[pattern[2]])
+                and all(p is None or p == v for p, v in zip(partial, values))
+            ]
+            ok = _fix(model)
+            assert ok == bool(completions), (pattern, partial)
+            if ok:
+                for i, var in enumerate(pool):
+                    expected = sorted({c[i] for c in completions})
+                    assert model.store.domain_values(var) == expected, (pattern, partial)
 
 
 def test_bool_and_backward_direction():
@@ -796,57 +803,81 @@ def test_constraint_counting_conventions():
 
 @given(
     st.lists(
-        st.tuples(st.integers(-3, 3).filter(bool), st.integers(-3, 6), st.integers(0, 6)),
+        st.tuples(
+            st.integers(-3, 3).filter(bool),
+            st.integers(-3, 6),
+            st.integers(0, 6),
+            st.none() | st.integers(0, 2),
+        ),
         min_size=1,
         max_size=4,
     ),
     st.sampled_from([EQ, LEQ, GEQ]),
     st.integers(-10, 10),
 )
+@example([(1, 0, 5, None), (1, 0, 0, 0)], LEQ, 3)  # x + x <= 3
+@example([(1, 0, 5, None), (-1, 0, 0, 0), (1, 0, 5, None)], EQ, 2)  # x - x + y = 2
+@example([(2, 0, 5, None), (-2, 0, 0, 0)], GEQ, 1)  # cancels to 0 >= 1
 def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
     """Values surviving propagation can still participate in a support, and
     the fixpoint never contains values outside the original domains.  It is
     also exact: it equals a reference that filters each domain, as a Python
     set, by the interval rule (a value stays while the other terms' extreme
-    contributions leave room for it) until nothing changes.  The propagator
-    is entailed only when every point of its final box satisfies the
+    contributions leave room for it) until nothing changes.  A term may
+    reuse an earlier term's variable (its own bounds are then ignored), so
+    the reference runs over each variable's merged coefficient, and a sum
+    whose coefficients all cancel is decided at posting.  The propagator is
+    entailed exactly when every point of its final box satisfies the
     relation."""
     import itertools
 
     model = Model()
     terms = []
+    merged = {}  # each variable's coefficient, in order of first use
     domains = []
-    for coeff, lo, width in terms_spec:
-        var = model.new_int_var(lo, lo + width)
+    for coeff, lo, width, reuse in terms_spec:
+        if reuse is not None and reuse < len(terms):
+            var = terms[reuse][1]
+        else:
+            var = model.new_int_var(lo, lo + width)
+            domains.append(list(range(lo, lo + width + 1)))
         terms.append((coeff, var))
-        domains.append(list(range(lo, lo + width + 1)))
+        merged[var] = merged.get(var, 0) + coeff
+    vars = list(merged)
+    coeffs = list(merged.values())
+
+    def sat(combo):
+        total = sum(a * v for a, v in zip(coeffs, combo))
+        if rel == EQ:
+            return total == c
+        return total <= c if rel == LEQ else total >= c
+
+    if not any(coeffs):
+        if sat([0] * len(vars)):
+            post_linear(model, terms, rel, c)
+            assert not model.props
+        else:
+            with pytest.raises(PostError):
+                post_linear(model, terms, rel, c)
+        return
     post_linear(model, terms, rel, c)
     eng = Engine(model.store, model.props)
     eng.schedule_all()
     ok = eng.fixpoint()
 
-    def sat(combo):
-        total = sum(a * v for (a, _), v in zip(terms, combo))
-        if rel == EQ:
-            return total == c
-        return total <= c if rel == LEQ else total >= c
-
     solutions = [combo for combo in itertools.product(*domains) if sat(combo)]
     if not solutions:
         # bounds reasoning may not prove emptiness, but must never invent it
         if ok:
-            assert all(
-                model.store.size(v) >= 1 for _, v in terms
-            )
+            assert all(model.store.size(v) >= 1 for v in vars)
     else:
         assert ok
-        for i, (_, var) in enumerate(terms):
+        for i, var in enumerate(vars):
             left = set(model.store.domain_values(var))
             assert left <= set(domains[i])
             # every value used by some solution must survive bounds pruning
             assert {combo[i] for combo in solutions} <= left
 
-    coeffs = [a for a, _ in terms]
     sets = [set(d) for d in domains]
     changed = True
     while changed and all(sets):
@@ -872,10 +903,10 @@ def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
     assert ok == all(sets)
     if not ok:
         return
-    for (_, var), ref in zip(terms, sets):
+    for var, ref in zip(vars, sets):
         assert model.store.domain_values(var) == sorted(ref)
-    if 0 in eng.subsumed:
-        assert all(sat(combo) for combo in itertools.product(*map(sorted, sets)))
+    entailed = all(sat(combo) for combo in itertools.product(*map(sorted, sets)))
+    assert (0 in eng.subsumed) == entailed
 
 
 def _props_of(model, cls):
