@@ -138,9 +138,14 @@ class DiffProp(Propagator):
     bound would move.  A bound that would cross the opposite one fails
     without a ``narrow`` call; every other ``narrow`` succeeds, because the
     opposite bound stays in the domain.  After narrowing, only the moved
-    bound is read back (holes can move it further).  The x rules read y and
-    z, so a pass repeats only when y or z moved.  It subsumes exactly when
-    all three variables are fixed, as ``LinearProp`` does for a closed
+    bound is read back (holes can move it further).  The rules run in the
+    order x, y, z, each reading the bounds the ones before it left.  A
+    bound of y or z that lands exactly where its rule put it keeps every
+    rule before it true, so a pass repeats only when a hole moved such a
+    bound further; a hole that moves x is already seen by the y and z
+    rules.  That takes three distinct variables, which ``post_linear``
+    guarantees by merging repeated terms.  It subsumes exactly when all
+    three variables are fixed, as ``LinearProp`` does for a closed
     interval.
     """
 
@@ -189,14 +194,16 @@ class DiffProp(Propagator):
                     return PROP_FAILED
                 narrow(y, MIN, b)
                 yl = lo[y]
-                again = True
+                if yl != b:
+                    again = True
             b = xh - zl - k
             if b < yh:
                 if b < yl:
                     return PROP_FAILED
                 narrow(y, MAX, b)
                 yh = hi[y]
-                again = True
+                if yh != b:
+                    again = True
             # z = x - y - k
             b = xl - yh - k
             if b > zl:
@@ -204,14 +211,16 @@ class DiffProp(Propagator):
                     return PROP_FAILED
                 narrow(z, MIN, b)
                 zl = lo[z]
-                again = True
+                if zl != b:
+                    again = True
             b = xh - yl - k
             if b < zh:
                 if b < zl:
                     return PROP_FAILED
                 narrow(z, MAX, b)
                 zh = hi[z]
-                again = True
+                if zh != b:
+                    again = True
             if not again:
                 break
         if xl == xh and yl == yh and zl == zh:
@@ -694,16 +703,21 @@ def _all_01(store, vars):
 def post_bool_sum(model, vars, rel, c, *, pair_counted=False):
     """Sum of Boolean variables rel c; counter-based over native Booleans,
     routed to the linear propagator over {0..1} integers (what the integer
-    Boolean mode builds).  The variables must all be of one kind.  The
-    decomposed sum mode posts an ``=`` sum as a ``<=`` and ``>=`` pair, and
-    a pair-counted ``<=`` or ``>=`` sum with a second, trivially-true bound
-    in the opposite direction (``sum >= 0`` next to ``sum <= 1``)."""
+    Boolean mode builds).  The variables must be distinct and all of one
+    kind.  The decomposed sum mode posts an ``=`` sum as a ``<=`` and
+    ``>=`` pair, and a pair-counted ``<=`` or ``>=`` sum with a second,
+    trivially-true bound in the opposite direction (``sum >= 0`` next to
+    ``sum <= 1``)."""
     _check_rel(rel)
     vars = list(vars)
     if not vars:
         raise PostError("boolean sum needs at least one variable")
     lo, hi = _id_range(model, vars)
     c = _integer(c, "constant")
+    # Both routes count a repeated variable once per occurrence, and neither
+    # reaches the closure of such a sum, so it is refused in both modes.
+    if len(set(vars)) < len(vars):
+        raise PostError("boolean sum over a repeated variable")
     # A mix must not reach LinearProp, which would read a Boolean id's
     # integer bounds from the end of the store's arrays.
     if is_int_var(lo) != is_int_var(hi):

@@ -204,8 +204,6 @@ class _EnumerateSearch(_Search):
 class _MinimizeSearch(_Search):
     def __init__(self, model, restore, queue, bnb, backend=None):
         super().__init__(model, restore, queue, backend)
-        if model.objective is None:
-            raise ValueError("model has no objective variable")
         self.bnb = bnb
         self.best = None
         self.best_value = None
@@ -271,6 +269,8 @@ def minimize(
     """
     if bnb not in ("tighten", "post"):
         raise ValueError(f"unknown branch-and-bound mode {bnb!r}")
+    if model.objective is None:
+        raise ValueError("model has no objective variable")
     search = _MinimizeSearch(model, restore, queue, bnb, backend)
     stats = search.run(build_ms)
     return search.best, stats

@@ -566,6 +566,21 @@ def test_bool_sum_rejects_mixed_kinds():
     assert model.unaries == 0 and not model.props
 
 
+@pytest.mark.parametrize("bool_mode", [BOOL_NATIVE, BOOL_INT])
+@pytest.mark.parametrize("rel", [LEQ, GEQ, EQ])
+def test_bool_sum_rejects_a_repeated_variable(bool_mode, rel):
+    """Both routes would count x twice in [x, x] and miss the closure
+    (x <= 1 leaves x in {0, 1} although only x = 0 holds), so the sum is
+    refused at posting in both Boolean modes."""
+    model = Model(bool_mode=bool_mode)
+    x = model.new_01_var()
+    y = model.new_01_var()
+    with pytest.raises(PostError, match="repeated"):
+        post_bool_sum(model, [x, y, x], rel, 1)
+    assert model.unaries == 0 and not model.props
+    assert model.store.domain_values(x) == [0, 1]
+
+
 def test_bool_sum_routes_by_variable_kind_not_model_mode():
     """Native Booleans in an integer-mode model still get the counter
     propagator, never a linear one reading integer arrays."""
@@ -984,6 +999,13 @@ _domain_with_holes = st.tuples(
 
 @settings(max_examples=300)
 @given(_domain_with_holes, _domain_with_holes, _domain_with_holes, st.integers(-6, 6))
+# One example per y/z bound rule whose narrowing lands on a hole, so the
+# kernel must run another pass: y's lower bound, y's upper, z's lower, z's
+# upper.
+@example((4, 3, [4]), (0, 7, [3, 2]), (-1, 1, []), 2)
+@example((0, 4, []), (3, 4, [2]), (-3, 0, [5, 6]), 2)
+@example((5, 4, [4, 2, 6]), (-3, 0, [4, 5]), (0, 7, [5, 1]), 3)
+@example((1, 4, [6, 4]), (3, 0, [1]), (-3, 7, [1, 1, 3]), 4)
 def test_diff_prop_matches_linear(xd, yd, zd, k):
     """x = y + z + k: the difference kernel reaches the linear propagator's
     fixpoint (or its failure) on domains with interior holes, in one run,

@@ -8,7 +8,7 @@ from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model
 from fdlab.problems import build, check_solution, parse_instance
 from fdlab.propagate import Engine
 from fdlab.restore import RestoreMode
-from fdlab.domain import Op
+from fdlab.domain import Op, VariableStore
 from fdlab.search import _EnumerateSearch, minimize, solve
 
 # -- independent oracles ------------------------------------------------
@@ -120,9 +120,17 @@ def test_unknown_mode_rejected():
         minimize(build(parse_instance("golomb:4")), bnb="restart")
 
 
-def test_minimize_requires_objective():
-    with pytest.raises(ValueError):
-        minimize(build(parse_instance("queens:4")))
+def test_minimize_requires_objective(monkeypatch):
+    """The missing objective is refused before the solve forks the store."""
+    forks = []
+    fork = VariableStore.fork
+    monkeypatch.setattr(VariableStore, "fork", lambda store: forks.append(store) or fork(store))
+    model = build(parse_instance("queens:4"))
+    with pytest.raises(ValueError, match="objective"):
+        minimize(model)
+    assert forks == []
+    solve(model)
+    assert forks == [model.store]
 
 
 def test_stats_are_consistent():
