@@ -236,6 +236,11 @@ class BoolSumProp(Propagator):
     greatest.  When one of the two meets the side it must not cross, it
     fixes every unknown cell and the sum is entailed.
 
+    When the cells form an increasing arithmetic progression, one cell
+    included, the call is a single slice of the array, which copies them
+    as one block; other cells are gathered one index at a time into a
+    tuple.
+
     A cell turning false leaves the true count alone, so a ``<=`` sum
     subscribes to ``FIXED_TRUE`` only; a cell turning true leaves the
     count of possible trues alone, so a ``>=`` sum subscribes to
@@ -249,10 +254,12 @@ class BoolSumProp(Propagator):
         self.cmin, self.cmax = _interval(rel, c)
         self._event = _SUM_EVENT[rel]
         cells = [~v for v in self.vars]
-        # itemgetter of one index returns that item, not a sequence; a
-        # one-cell slice of the array has ``count`` too.
-        if len(cells) == 1:
-            cells = [slice(cells[0], cells[0] + 1)]
+        first, last = cells[0], cells[-1]
+        step = cells[1] - first if len(cells) > 1 else 1
+        # A single cell must slice too: itemgetter of one index returns the
+        # bare cell, which has no ``count``.
+        if step > 0 and cells == list(range(first, last + 1, step)):
+            cells = [slice(first, last + 1, step)]
         self._read_cells = itemgetter(*cells)
 
     def subscriptions(self):

@@ -27,8 +27,10 @@ newest first, with no bit arithmetic.
 Integer domains are bitsets over the variable's original bounds with cached
 lo/hi/size; Boolean domains are three-state cells, signed bytes
 (``UNKNOWN``, 0 or 1) in one ``array("b")``, so a snapshot of all of them is
-one block copy.  Boolean variables expose the same observable semantics as
-integer variables with domain {0..1}.
+one block copy.  A Boolean is narrowed without bit arithmetic: an action
+keeps both of its values, neither or the one value it names, so a change
+is an unknown cell fixed to that value.  Boolean variables expose the same
+observable semantics as integer variables with domain {0..1}.
 
 A variable is a plain int.  An integer variable is its slot in the integer
 arrays (``_mask``, ``_lo``, ``_hi``, ``_size``, ``_base``, ``_span``); a
@@ -287,6 +289,16 @@ class VariableStore:
         integer arm trails the whole state only when the variable's stamp
         is not the current frame.
 
+        The Boolean arm first works out the one value the action keeps:
+        ``ASSIGN v`` keeps v, ``REMOVE`` of 0 or 1 keeps the other, ``MIN 1``
+        keeps 1 and ``MAX 0`` keeps 0.  Any other action keeps both values
+        and returns ``None``, or keeps neither, which the arm carries as a
+        kept value outside {0, 1}.  A fixed cell returns ``None`` when it
+        holds the kept value and ``FAILED`` otherwise.  An unknown cell
+        fails on a kept value outside {0, 1}, a check made before the kept
+        value meets the cell because ``UNKNOWN`` is -1, and is otherwise
+        fixed to it.
+
         The integer arms are specialised by op.  A ``MIN`` at or below the
         base, or a ``MAX`` at or above the top of the span, returns ``None``
         before any mask arithmetic.  A ``MIN`` that changes the mask writes
@@ -297,33 +309,39 @@ class VariableStore:
         recompute lo, hi and size and compare the bounds with the old ones.
         """
         if var < 0:
+            if op is ASSIGN:
+                keep = value
+            elif op is REMOVE:
+                if value == 0:
+                    keep = 1
+                elif value == 1:
+                    keep = 0
+                else:
+                    return None
+            elif op is MIN:
+                if value <= 0:
+                    return None
+                keep = value
+            else:  # MAX
+                if value >= 1:
+                    return None
+                keep = value
             cells = self._bstate
             cell = ~var
             cur = cells[cell]
-            if op is ASSIGN:
-                allowed = 1 << value if value in (0, 1) else 0
-            elif op is REMOVE:
-                allowed = 3 & ~(1 << value if value in (0, 1) else 0)
-            elif op is MIN:
-                allowed = 3 if value <= 0 else (2 if value == 1 else 0)
-            else:  # MAX
-                allowed = 3 if value >= 1 else (1 if value == 0 else 0)
-            have = 3 if cur == UNKNOWN else 1 << cur
-            new = have & allowed
-            if new == have:
-                return None
-            if new == 0:
-                return FAILED
-            if self.trail is not None:
-                self.trail.append((cells, cell, cur))
-            if new == 1:
-                cells[cell] = 0
+            if cur != UNKNOWN:
+                return None if cur == keep else FAILED
+            if keep == 0:
                 r = FIXED_FALSE
                 pids = self._wake_false.get(var)
-            else:
-                cells[cell] = 1
+            elif keep == 1:
                 r = FIXED_TRUE
                 pids = self._wake_true.get(var)
+            else:
+                return FAILED
+            if self.trail is not None:
+                self.trail.append((cells, cell, UNKNOWN))
+            cells[cell] = keep
         else:
             base = self._base[var]
             mask = self._mask[var]
@@ -433,7 +451,10 @@ class VariableStore:
         self._hi[:n] = hi
         self._size[:n] = size
         self._bstate[: len(bstates)] = bstates
-        self._state[:] = states + bytes(len(self._state) - len(states))
+        n = len(states)
+        self._state[:n] = states
+        if len(self._state) > n:
+            self._state[n:] = bytes(len(self._state) - n)
 
     def mark(self):
         """Start a new frame and return the trail's length, the mark that

@@ -123,15 +123,25 @@ class RecomputeBackend:
     def __init__(self, store, replay, distance, adaptive=2):
         self.store = store
         self.frames = []
-        self.stats = RestoreStats()
         self._replay = replay
         self.distance = distance
         self.adaptive = adaptive
+        self._snapshots = 0
+        self._recomputations = 0
+        self._replayed = 0
+
+    @property
+    def stats(self):
+        return RestoreStats(
+            bytes_copied=self._snapshots * self.store.region_bytes,
+            snapshots_taken=self._snapshots,
+            recomputations=self._recomputations,
+            replayed_decisions=self._replayed,
+        )
 
     def _snap(self, frame):
         frame.snapshot = self.store.snapshot_blob()
-        self.stats.snapshots_taken += 1
-        self.stats.bytes_copied += self.store.region_bytes
+        self._snapshots += 1
 
     def open_node(self, actions):
         frame = _Frame(actions)
@@ -146,8 +156,8 @@ class RecomputeBackend:
             k -= 1
         self.store.load_blob(frames[k].snapshot)
         if k < target:
-            self.stats.recomputations += 1
-            self.stats.replayed_decisions += target - k
+            self._recomputations += 1
+            self._replayed += target - k
         mid = k + (target - k) // 2 if target - k >= self.adaptive else None
         for m in range(k, target):
             if m == mid and frames[m].snapshot is None:

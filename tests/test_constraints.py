@@ -618,25 +618,67 @@ def test_bool_sum_failure():
     assert not _fix(model)
 
 
+_POOL = 9
+
+
+@st.composite
+def _sum_positions(draw):
+    """Positions in a pool of ``_POOL`` variables for one sum, from one to
+    six of them: strided (an increasing arithmetic progression) or in
+    shuffled order.  Returns the positions and whether they were strided."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        step = draw(st.integers(1, max(1, (_POOL - 1) // max(1, n - 1))))
+        first = draw(st.integers(0, _POOL - 1 - step * (n - 1)))
+        return list(range(first, first + step * n, step)), True
+    positions = draw(st.lists(st.integers(0, _POOL - 1), min_size=n, max_size=n, unique=True))
+    return draw(st.permutations(positions)), False
+
+
+def _read_form(prop):
+    """The slice a Boolean sum reads its cells with, or None for a read
+    one index at a time."""
+    args = prop._read_cells.__reduce__()[1]
+    return args[0] if len(args) == 1 and isinstance(args[0], slice) else None
+
+
 @given(
-    st.lists(st.sampled_from([0, 1, None]), min_size=2, max_size=6),
+    _sum_positions(),
+    st.lists(st.sampled_from([0, 1, None]), min_size=_POOL, max_size=_POOL),
     st.sampled_from([EQ, LEQ, GEQ]),
     st.integers(0, 6),
 )
-def test_bool_sum_native_matches_int_model(states, rel, c):
-    """The counter propagator and the linear remodelling must prune alike."""
+@example(([4], True), [None] * _POOL, EQ, 1)
+@example(([0, 8], True), [None, 0, 1, 0, 1, 0, 1, 0, None], GEQ, 2)
+@example(([8, 0], False), [None, 1, 1, 1, 1, 1, 1, 1, None], LEQ, 1)
+@example(([1, 4, 7], True), [1, 0, 1, 0, None, 0, 1, None, 1], EQ, 2)
+@example(([2, 0, 5], False), [None, 1, None, 0, 1, 0, 1, 0, 1], GEQ, 3)
+def test_bool_sum_native_matches_int_model(positions, states, rel, c):
+    """The counter propagator and the linear remodelling must prune alike,
+    on sums over any part of a pool whose other variables are fixed too.
+    A sum over increasing, evenly spaced cells, one cell included, reads
+    them with one slice, and any other sum one index at a time."""
+    positions, strided = positions
 
     def run(bool_mode):
         model = Model(bool_mode=bool_mode)
-        vs = [model.new_01_var() for _ in range(len(states))]
-        post_bool_sum(model, vs, rel, c)
-        for v, state in zip(vs, states):
+        pool = [model.new_01_var() for _ in range(_POOL)]
+        post_bool_sum(model, [pool[i] for i in positions], rel, c)
+        for v, state in zip(pool, states):
             if state is not None:
                 model.store.narrow(v, Op.ASSIGN, state)
         ok = _fix(model)
-        return ok, [model.store.domain_values(v) for v in vs] if ok else None
+        return model, (ok, [model.store.domain_values(v) for v in pool] if ok else None)
 
-    assert run(BOOL_NATIVE) == run(BOOL_INT)
+    model, native = run(BOOL_NATIVE)
+    (prop,) = model.props
+    steps = {b - a for a, b in zip(positions, positions[1:])}
+    if strided or (len(steps) <= 1 and min(steps, default=1) > 0):
+        step = min(steps, default=1)
+        assert _read_form(prop) == slice(positions[0], positions[-1] + 1, step)
+    else:
+        assert _read_form(prop) is None
+    assert native == run(BOOL_INT)[1]
 
 
 def _fix_one(model):

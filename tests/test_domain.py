@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fdlab.domain import (
     FAILED,
@@ -275,13 +275,34 @@ def test_narrowing_never_grows_domain(hole, ops):
 
 
 @given(st.lists(st.tuples(_OPS, st.booleans()), max_size=30))
+@example([((Op.ASSIGN, -1), False)])
+@example([((Op.MAX, -1), False)])
+@example([((Op.REMOVE, -1), False)])
+@example([((Op.ASSIGN, 2), False)])
+@example([((Op.MIN, 2), False)])
 def test_bool_matches_int_zero_one(ops):
-    """A Boolean variable and a {0..1} integer must behave identically."""
+    """A Boolean variable and a {0..1} integer must behave identically.
+    Each Boolean change trails exactly one ``(cells, cell, old)`` entry, and
+    undoing the marks newest first restores both variables.  A step may
+    first open a frame with ``mark``.  The examples act on an unknown cell
+    with values outside {0, 1}, where ``UNKNOWN`` (-1) must not read as a
+    kept value."""
     store = VariableStore()
+    store.trail = []
     b = store.new_bool_var()
     x = store.new_int_var(0, 1)
-    for (op, value), _ in ops:
+    marks = [(store.mark(), [0, 1])]
+    for (op, value), opens in ops:
+        if opens:
+            marks.append((store.mark(), store.domain_values(b)))
+        old = store._bstate[~b]
+        trail_len = len(store.trail)
         rb = store.narrow(b, op, value)
+        if rb is FAILED or rb is None:
+            assert len(store.trail) == trail_len
+        else:
+            assert store.trail[trail_len:] == [(store._bstate, ~b, old)]
+            assert store.trail[-1][0] is store._bstate
         rx = store.narrow(x, op, value)
         if rb is FAILED or rx is FAILED:
             assert rb is FAILED and rx is FAILED
@@ -295,3 +316,7 @@ def test_bool_matches_int_zero_one(ops):
         assert store.max(b) == store.max(x)
         assert store.size(b) == store.size(x)
         assert store.domain_values(b) == store.domain_values(x)
+    for mark, at_mark in reversed(marks):
+        store.undo(mark)
+        assert len(store.trail) == mark
+        assert store.domain_values(b) == store.domain_values(x) == at_mark
