@@ -127,8 +127,8 @@ class VariableStore:
     snapshot also copies the cached bounds and sizes, so ``load_blob``
     restores every list by slice assignment.  ``region_bytes`` is the
     modelled domain region, one 64-bit word per Boolean and per 64 values
-    of an integer domain, not the Python footprint; neither it nor
-    ``domains_equal`` counts the derived lists or the state bytes.
+    of an integer domain, not the Python footprint; it counts neither the
+    derived lists nor the state bytes.
     """
 
     def __init__(self):
@@ -206,14 +206,6 @@ class VariableStore:
         return len(self._mask) + len(self._bstate)
 
     @property
-    def num_bool_vars(self):
-        return len(self._bstate)
-
-    @property
-    def num_int_vars(self):
-        return len(self._mask)
-
-    @property
     def region_bytes(self):
         """Size in bytes of the modelled restorable domain region."""
         return 8 * self._region_words
@@ -237,22 +229,10 @@ class VariableStore:
             return self._size[var]
         return 2 if self._bstate[~var] == UNKNOWN else 1
 
-    def is_assigned(self, var):
-        return self.size(var) == 1
-
     def value(self, var):
-        if not self.is_assigned(var):
+        if self.size(var) != 1:
             raise ValueError(f"{var} is not assigned")
         return self.min(var)
-
-    def contains(self, var, v):
-        if var >= 0:
-            off = v - self._base[var]
-            return 0 <= off < self._span[var] and (self._mask[var] >> off) & 1
-        s = self._bstate[~var]
-        if v not in (0, 1):
-            return False
-        return s == UNKNOWN or s == v
 
     def domain_values(self, var):
         if var < 0:
@@ -481,13 +461,3 @@ class VariableStore:
             else:
                 # Targets bind left to right: var is set before it indexes.
                 var, mask[var], lo[var], hi[var], size[var] = entry
-
-    def domains_equal(self, blob):
-        masks, _, _, _, bstates, _ = blob
-        return self._mask == masks and self._bstate == bstates
-
-    def states_equal(self, blob):
-        """True when the pid states are those ``blob`` copied and every pid
-        that joined after the copy is idle."""
-        n = len(blob[-1])
-        return self._state[:n] == blob[-1] and not any(self._state[n:])

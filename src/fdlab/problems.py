@@ -76,10 +76,6 @@ class Instance:
     def is_optimization(self):
         return self.problem == "golomb"
 
-    @property
-    def has_bool_vars(self):
-        return self.problem in ("golfers", "bibd")
-
 
 def parse_instance(text):
     """Parse the CLI instance syntax, e.g. ``golfers:2,4,4+ext``."""

@@ -13,6 +13,7 @@ nothing to replay.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -47,8 +48,8 @@ class RestoreStats:
 class RestoreMode:
     """Backend selector.  ``copy`` is ``copy-recompute`` at distance 1.
 
-    ``distance`` and ``adaptive`` are the recomputation distances; only
-    ``copy-recompute`` takes values other than their defaults."""
+    ``distance`` and ``adaptive`` are the recomputation distances, positive
+    integers; only ``copy-recompute`` takes others than the defaults."""
 
     variant: str = "trail"
     distance: int = 1
@@ -57,7 +58,11 @@ class RestoreMode:
     def __post_init__(self):
         if self.variant not in ("trail", "copy", "copy-recompute"):
             raise ValueError(f"unknown restore mode {self.variant!r}")
-        if self.distance < 1 or self.adaptive < 1:
+        try:
+            distances = [operator.index(d) for d in (self.distance, self.adaptive)]
+        except TypeError:
+            raise ValueError("recomputation distances must be integers") from None
+        if min(distances) < 1:
             raise ValueError("recomputation distances must be positive")
         recomputes = (self.distance, self.adaptive) != (1, 2)
         if recomputes and self.variant != "copy-recompute":
@@ -164,33 +169,6 @@ class RecomputeBackend:
                 self._snap(frames[m])
             self._replay(frames[m].actions)
         del frames[target:]
-
-
-class ShadowBackend:
-    """Testing aid: runs a primary backend, snapshots the store at every
-    node it opens and verifies bit-identical domains and pid states after
-    every backtrack."""
-
-    def __init__(self, primary):
-        self.primary = primary
-        self.expected = []  # one snapshot per open frame
-        self.mismatches = 0
-
-    @property
-    def stats(self):
-        return self.primary.stats
-
-    def open_node(self, actions):
-        self.expected.append(self.primary.store.snapshot_blob())
-        self.primary.open_node(actions)
-
-    def backtrack_to(self, target):
-        expected = self.expected[target]
-        del self.expected[target:]
-        self.primary.backtrack_to(target)
-        store = self.primary.store
-        if not (store.domains_equal(expected) and store.states_equal(expected)):
-            self.mismatches += 1
 
 
 def make_backend(mode, store, replay):

@@ -10,12 +10,12 @@ branch-and-bound.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field
 
 from .constraints import UpperBoundProp
 from .domain import ASSIGN, FAILED, MAX, REMOVE
+from .model import ModelError
 from .propagate import Engine
 from .restore import RestoreMode, RestoreStats, make_backend
 
@@ -57,7 +57,6 @@ class SearchStats:
     fingerprint: int = _FP_BASIS
     setup_ms: float = 0.0
     solve_ms: float = 0.0
-    nps: float = 0.0
     restore: RestoreStats = field(default_factory=RestoreStats)
 
 
@@ -83,13 +82,12 @@ class _Search:
     runs its own engine over the model's propagators, so the model itself
     is never changed."""
 
-    def __init__(self, model, restore, queue, backend=None):
+    def __init__(self, model, restore, queue):
         self.started = time.perf_counter()
         self.model = model
         self.store = model.store.fork()
         self.eng = Engine(self.store, model.props, queue)
-        make = backend or functools.partial(make_backend, restore)
-        self.backend = make(self.store, self._replay)
+        self.backend = make_backend(restore, self.store, self._replay)
         self.stats = SearchStats()
         self.alts = []  # (depth, cursor, actions) of each open alternative
         self.depth = 0  # open nodes: the frames the backend holds
@@ -180,14 +178,13 @@ class _Search:
             while self.branch():
                 pass
         self.stats.solve_ms = (time.perf_counter() - t1) * 1e3
-        self.stats.nps = nodes_per_second(self.stats.nodes, self.stats.solve_ms)
         self.stats.restore = self.backend.stats
         return self.stats
 
 
 class _EnumerateSearch(_Search):
-    def __init__(self, model, restore, queue, mode, backend=None):
-        super().__init__(model, restore, queue, backend)
+    def __init__(self, model, restore, queue, mode):
+        super().__init__(model, restore, queue)
         self.mode = mode
         self.solutions = []
 
@@ -202,8 +199,8 @@ class _EnumerateSearch(_Search):
 
 
 class _MinimizeSearch(_Search):
-    def __init__(self, model, restore, queue, bnb, backend=None):
-        super().__init__(model, restore, queue, backend)
+    def __init__(self, model, restore, queue, bnb):
+        super().__init__(model, restore, queue)
         self.bnb = bnb
         self.best = None
         self.best_value = None
@@ -217,60 +214,41 @@ class _MinimizeSearch(_Search):
         return [(A_SCHED, self.bound_pid, None)]
 
     def on_solution(self):
-        value = self.store.value(self.model.objective)
+        objective = self.model.objective
+        if self.store.size(objective) > 1:
+            raise ModelError(f"objective {objective} is not fixed when every decision variable is")
+        value = self.store.min(objective)
         values = self.snapshot_solution()
         self.best = Solution(values, value)
         self.best_value = value
         self.stats.solutions += 1
         self.stats.fingerprint = _fold(self.stats.fingerprint, values + (value,))
         if self.bnb == "post":
-            self.bound_pid = self.eng.add(
-                UpperBoundProp(self.model.objective, value - 1)
-            )
+            self.bound_pid = self.eng.add(UpperBoundProp(objective, value - 1))
         return self.unwind()
 
 
-def solve(
-    model,
-    *,
-    mode="first",
-    restore=RestoreMode.trail(),
-    queue="fifo",
-    build_ms=0.0,
-    backend=None,
-):
+def solve(model, *, mode="first", restore=RestoreMode.trail(), queue="fifo", build_ms=0.0):
     """Run DFS; returns (solutions, stats).  ``mode`` is 'first' or 'all'.
-
-    The model is left as it was.  ``backend``, a test seam, replaces the
-    backend ``restore`` selects with ``backend(store, replay)``.
-    """
+    The model is left as it was."""
     if mode not in ("first", "all"):
         raise ValueError(f"unknown search mode {mode!r}")
-    search = _EnumerateSearch(model, restore, queue, mode, backend)
+    search = _EnumerateSearch(model, restore, queue, mode)
     stats = search.run(build_ms)
     return search.solutions, stats
 
 
-def minimize(
-    model,
-    *,
-    bnb="tighten",
-    restore=RestoreMode.trail(),
-    queue="fifo",
-    build_ms=0.0,
-    backend=None,
-):
+def minimize(model, *, bnb="tighten", restore=RestoreMode.trail(), queue="fifo", build_ms=0.0):
     """Restart-free branch and bound; returns (best solution or None, stats).
 
     ``bnb='tighten'`` narrows the objective's upper bound below each
     incumbent; ``bnb='post'`` posts a new bounding constraint instead.
-    Both prove the same optimum.  The model is left as it was; ``backend``
-    is as in :func:`solve`.
+    Both prove the same optimum.  The model is left as it was.
     """
     if bnb not in ("tighten", "post"):
         raise ValueError(f"unknown branch-and-bound mode {bnb!r}")
     if model.objective is None:
         raise ValueError("model has no objective variable")
-    search = _MinimizeSearch(model, restore, queue, bnb, backend)
+    search = _MinimizeSearch(model, restore, queue, bnb)
     stats = search.run(build_ms)
     return search.best, stats

@@ -12,9 +12,10 @@ from fdlab.bench import cov
 from fdlab.cli import main
 from fdlab.data import table_rows
 from fdlab.problems import build, check_solution, counts, parse_instance
-from fdlab.restore import RestoreMode, ShadowBackend, make_backend
+from fdlab.restore import RestoreMode
 from fdlab.search import minimize, nodes_per_second, solve
 
+from shadow import shadow_backends
 from test_search import golomb_oracle, magic_oracle, queens_oracle
 
 
@@ -109,7 +110,7 @@ def test_criterion_3_trajectory_invariance(report):
     total = 0
     for name in _DESK_SUITE:
         inst = parse_instance(name)
-        bools = _BOOLS if inst.has_bool_vars else ["native"]
+        bools = _BOOLS if inst.problem in ("golfers", "bibd") else ["native"]
         # one-factor sweeps around the default configuration, plus the
         # full cross on the two smallest instances
         if name in ("queens:6", "golfers:2,3,3"):
@@ -149,19 +150,15 @@ def test_criterion_3_trajectory_invariance(report):
 def _shadow_run(name, primary_mode, bnb=None):
     """Mismatches and backtracks of one shadowed run: ``solve`` when
     ``bnb`` is None, else ``minimize`` in that branch-and-bound mode."""
-    shadows = []
-
-    def shadowed(store, replay):
-        shadows.append(ShadowBackend(make_backend(primary_mode, store, replay)))
-        return shadows[-1]
-
     model = build(parse_instance(name))
-    if bnb is None:
-        mode = "all" if name == "queens:6" else "first"
-        _, stats = solve(model, mode=mode, backend=shadowed)
-    else:
-        best, stats = minimize(model, bnb=bnb, backend=shadowed)
-        assert best is not None
+    with pytest.MonkeyPatch.context() as mp:
+        shadows = shadow_backends(mp)
+        if bnb is None:
+            mode = "all" if name == "queens:6" else "first"
+            _, stats = solve(model, mode=mode, restore=primary_mode)
+        else:
+            best, stats = minimize(model, bnb=bnb, restore=primary_mode)
+            assert best is not None
     return shadows[0].mismatches, stats.backtracks
 
 

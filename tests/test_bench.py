@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import random
 import subprocess
 import sys
 import textwrap

@@ -98,7 +98,7 @@ def test_posting_refuses_non_integral_numbers():
         post_bool_sum(model, [model.new_bool_var()], LEQ, 0.5)
     with pytest.raises(ModelError):
         model.new_int_var(0.5, 3)
-    assert not model.props and model.store.num_int_vars == 2
+    assert not model.props and len(model.store._mask) == 2
     assert model.store.domain_values(x) == [0, 1, 2, 3]
 
 

@@ -1,13 +1,15 @@
-"""Every name a package module imports is used in that module, so deleting
-code cannot leave a dead import behind.  A name listed in the module's
-``__all__`` counts as used: it is imported to be re-exported."""
+"""Every name a package or test module imports is used in that module, so
+deleting code cannot leave a dead import behind.  A name listed in the
+module's ``__all__`` counts as used: it is imported to be re-exported."""
 
 import ast
 from pathlib import Path
 
 import fdlab
 
-SOURCES = sorted(Path(fdlab.__file__).parent.glob("*.py"))
+SOURCES = sorted(Path(fdlab.__file__).parent.glob("*.py")) + sorted(
+    Path(__file__).parent.glob("*.py")
+)
 
 
 def _unused_imports(tree):

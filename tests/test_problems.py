@@ -83,8 +83,8 @@ def test_extended_counts_match_published_sizes():
 def test_extended_model_adds_unconstrained_bools_only():
     normal = build(parse_instance("queens:8"))
     extended = build(parse_instance("queens:8+ext"))
-    assert extended.store.num_int_vars == normal.store.num_int_vars
-    assert extended.store.num_bool_vars > normal.store.num_bool_vars
+    assert len(extended.store._mask) == len(normal.store._mask)
+    assert len(extended.store._bstate) > len(normal.store._bstate)
     assert len(extended.props) == len(normal.props)
     assert extended.decision_vars == normal.decision_vars
 
@@ -92,8 +92,8 @@ def test_extended_model_adds_unconstrained_bools_only():
 def test_build_respects_bool_mode():
     native = build(parse_instance("bibd:7,3,2"), bool_mode="native")
     as_int = build(parse_instance("bibd:7,3,2"), bool_mode="int")
-    assert native.store.num_bool_vars > 0 and native.store.num_int_vars == 0
-    assert as_int.store.num_bool_vars == 0 and as_int.store.num_int_vars > 0
+    assert len(native.store._bstate) > 0 and len(native.store._mask) == 0
+    assert len(as_int.store._bstate) == 0 and len(as_int.store._mask) > 0
     assert native.store.num_vars == as_int.store.num_vars
 
 

@@ -5,10 +5,11 @@ Hypothesis draws either a few small integer variables under linear sums
 alldifferent and unary constraints, or a few 0/1 variables under Boolean
 sums, conjunctions and lex orderings.  Each model is solved for all
 solutions under every restore backend, queue policy, sum mode and Boolean
-mode, with a ``ShadowBackend`` checking every backtrack and the per-node
-fixpoint oracle of ``test_oracle`` checking every node.  The solutions
-must equal brute-force enumeration, and every configuration must explore
-one tree.  Integer models are also minimized on their first variable.
+mode, with ``shadow.ShadowBackend`` checking every backtrack and the
+per-node fixpoint oracle of ``test_oracle`` checking every node.  The
+solutions must equal brute-force enumeration, and every configuration
+must explore one tree.  Integer models are also minimized on their first
+variable.
 """
 
 import itertools
@@ -32,9 +33,10 @@ from fdlab.constraints import (
 )
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model
 from fdlab.propagate import Engine
-from fdlab.restore import RestoreMode, ShadowBackend, make_backend
+from fdlab.restore import RestoreMode
 from fdlab.search import minimize, solve
 
+from shadow import shadow_backends
 from test_oracle import _Oracle
 
 RESTORES = (RestoreMode.trail(), RestoreMode.copy(), RestoreMode.copy_recompute(2))
@@ -179,21 +181,13 @@ def _brute_force(spec):
     return [values for values in space if all(_holds(con, values) for con in cons)]
 
 
-def _shadowed(restore, shadows):
-    def make(store, replay):
-        shadows.append(ShadowBackend(make_backend(restore, store, replay)))
-        return shadows[-1]
-
-    return make
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(int_models(), bool_models()))
 def test_random_models_across_the_matrix(spec):
     expected = _brute_force(spec)
-    shadows = []
     with pytest.MonkeyPatch.context() as mp:
         oracle = _Oracle(mp)
+        shadows = shadow_backends(mp)
         trees = set()
         for bool_mode, sum_mode in itertools.product(
             (BOOL_NATIVE, BOOL_INT), (SUM_NATIVE, SUM_DECOMPOSED)
@@ -203,9 +197,7 @@ def test_random_models_across_the_matrix(spec):
                 assert expected == []
                 return
             for restore, queue in itertools.product(RESTORES, Engine.POLICIES):
-                solutions, stats = solve(
-                    model, mode="all", queue=queue, backend=_shadowed(restore, shadows)
-                )
+                solutions, stats = solve(model, mode="all", restore=restore, queue=queue)
                 assert [s.values for s in solutions] == expected
                 trees.add((stats.nodes, stats.backtracks, stats.fingerprint))
         if spec[0] == "int":
@@ -213,7 +205,7 @@ def test_random_models_across_the_matrix(spec):
             model.objective = model.decision_vars[0]
             best = min((values[0] for values in expected), default=None)
             for bnb, restore in itertools.product(("tighten", "post"), RESTORES):
-                found, _ = minimize(model, bnb=bnb, backend=_shadowed(restore, shadows))
+                found, _ = minimize(model, bnb=bnb, restore=restore)
                 assert (found.objective if found else None) == best
     assert len(trees) == 1
     assert [s.mismatches for s in shadows] == [0] * len(shadows)

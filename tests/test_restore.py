@@ -1,15 +1,11 @@
 import pytest
 
-from fdlab.domain import Op, VariableStore
+from fdlab.domain import ASLEEP, IDLE, Op, VariableStore
 from fdlab.problems import build, parse_instance
-from fdlab.restore import (
-    RecomputeBackend,
-    RestoreMode,
-    ShadowBackend,
-    TrailBackend,
-    make_backend,
-)
+from fdlab.restore import RecomputeBackend, RestoreMode, TrailBackend, make_backend
 from fdlab.search import minimize, solve
+
+from shadow import ShadowBackend, shadow_backends
 
 
 def _store_with_vars():
@@ -40,6 +36,8 @@ def test_restore_mode_constructors():
         ("bogus",),
         ("trail", 1, 9),
         ("copy", 1, 7),
+        ("copy-recompute", 2.5),
+        ("copy-recompute", "8"),
     ],
 )
 def test_restore_mode_rejects_bad_values_when_built(args):
@@ -60,7 +58,6 @@ def test_trail_restores_exact_state():
     store.narrow(b, Op.ASSIGN, 1)
     assert backend.stats.trail_entries == 3
     backend.backtrack_to(0)
-    assert store.domains_equal(before)
     assert store.snapshot_blob() == before  # the cached bounds and sizes too
     # undone changes still count, and later ones add to them
     assert backend.stats.trail_entries == 3
@@ -105,7 +102,7 @@ def test_reopened_node_at_an_undone_length_restores_its_changes():
     backend.open_node([])
     store.narrow(xs[0], Op.MAX, 5)
     backend.backtrack_to(0)
-    assert store.domains_equal(before)
+    assert store.snapshot_blob() == before
     backend.open_node([])
     assert backend.frames == [1]  # the undone node's mark
     store.narrow(xs[0], Op.MAX, 4)
@@ -131,17 +128,19 @@ def test_change_after_undo_before_next_mark_is_undone():
     assert store.snapshot_blob() == before
 
 
-class _FrameChecked(TrailBackend):
-    """Trailing that asserts, whenever a node opens or a backtrack starts,
-    that the frame just closed trailed no integer variable twice."""
+class _FrameChecked(ShadowBackend):
+    """A shadowed trailing backend that asserts, whenever a node opens or
+    a backtrack starts, that the frame just closed trailed no integer
+    variable twice."""
 
-    def __init__(self, store):
-        super().__init__(store)
+    def __init__(self, primary):
+        super().__init__(primary)
         self.frames_checked = 0
 
     def _check(self):
-        start = self.frames[-1] if self.frames else 0
-        ints = [entry[0] for entry in self.trail[start:] if len(entry) == 5]
+        frames, trail = self.primary.frames, self.primary.trail
+        start = frames[-1] if frames else 0
+        ints = [entry[0] for entry in trail[start:] if len(entry) == 5]
         assert len(ints) == len(set(ints))
         self.frames_checked += 1
 
@@ -155,21 +154,17 @@ class _FrameChecked(TrailBackend):
 
 
 @pytest.mark.parametrize("name", ["queens:8", "golomb:6", "magic:3"])
-def test_no_frame_trails_an_integer_variable_twice(name):
-    backends = []
-
-    def checked(store, replay):
-        backends.append(_FrameChecked(store))
-        return backends[-1]
-
+def test_no_frame_trails_an_integer_variable_twice(name, monkeypatch):
+    backends = shadow_backends(monkeypatch, wrap=_FrameChecked)
     model = build(parse_instance(name))
     if name.startswith("golomb"):
-        best, stats = minimize(model, backend=checked)
+        best, stats = minimize(model)
         assert best is not None
     else:
-        _, stats = solve(model, mode="all", backend=checked)
+        _, stats = solve(model, mode="all")
     assert stats.backtracks > 0
     assert backends[0].frames_checked > stats.nodes
+    assert backends[0].mismatches == 0
 
 
 def test_trail_restores_multiple_levels():
@@ -181,9 +176,9 @@ def test_trail_restores_multiple_levels():
         backend.open_node([])
         store.narrow(xs[level % 3], Op.REMOVE, level)
     backend.backtrack_to(2)
-    assert store.domains_equal(blobs[2])
+    assert store.snapshot_blob() == blobs[2]
     backend.backtrack_to(0)
-    assert store.domains_equal(blobs[0])
+    assert store.snapshot_blob() == blobs[0]
 
 
 def test_copy_bytes_accounting():
@@ -196,7 +191,7 @@ def test_copy_bytes_accounting():
         backend.open_node([])
         store.narrow(xs[0], Op.REMOVE, store.max(xs[0]))
     backend.backtrack_to(2)
-    assert store.domains_equal(blobs[2])
+    assert store.snapshot_blob() == blobs[2]
     assert backend.stats.recomputations == 0
     assert backend.stats.snapshots_taken == 5
     assert backend.stats.bytes_copied == 5 * store.region_bytes
@@ -246,18 +241,33 @@ def test_adaptive_midpoint_snapshot():
 
 
 def test_shadow_backend_detects_mismatch():
-    store, xs, _ = _store_with_vars()
+    """A backend that forgets a trailed change, restores a mask but leaves
+    its cached lower bound stale, or leaves a subsumed pid asleep counts
+    exactly one mismatch at its backtrack."""
+
+    def forget_a_change(trail):
+        trail.pop(0)
+
+    def leave_lo_stale(trail):
+        var, mask, _, hi, size = trail[0]
+        trail[0] = (var, mask, 3, hi, size)  # lo as the node left it
+
+    def leave_pid_asleep(trail):
+        trail.pop()  # the subsumption, trailed last
 
     class Broken(TrailBackend):
         def backtrack_to(self, target):
-            # deliberately forget one trailed change
-            if self.trail:
-                self.trail.pop(0)
+            spoil(self.trail)
             super().backtrack_to(target)
 
-    shadow = ShadowBackend(Broken(store))
-    shadow.open_node([])
-    store.narrow(xs[0], Op.ASSIGN, 3)
-    store.narrow(xs[1], Op.ASSIGN, 4)
-    shadow.backtrack_to(0)
-    assert shadow.mismatches == 1
+    for spoil in (forget_a_change, leave_lo_stale, leave_pid_asleep):
+        store, xs, _ = _store_with_vars()
+        store._state = bytearray(2)
+        shadow = ShadowBackend(Broken(store))
+        shadow.open_node([])
+        store.narrow(xs[0], Op.ASSIGN, 3)
+        store.narrow(xs[1], Op.ASSIGN, 4)
+        store._state[1] = ASLEEP
+        store.trail.append((store._state, 1, IDLE))
+        shadow.backtrack_to(0)
+        assert shadow.mismatches == 1, spoil.__name__
