@@ -38,8 +38,7 @@ INT64_MAX = 2**63 - 1
 #: ``INT64_MAX`` and a Boolean count is at most its length.
 _OPEN = INT64_MAX + 1
 
-#: (min, max) of a Boolean by its cell's state; ``UNKNOWN`` (-1) indexes
-#: the last entry.
+#: (min, max) of a Boolean by its cell's state: 0, 1 or ``UNKNOWN`` (2).
 _BOOL_BOUNDS = ((0, 0), (1, 1), (0, 1))
 
 #: The Boolean event a sum of each relation subscribes to.
@@ -459,101 +458,74 @@ class BoolAndProp(Propagator):
 
 
 class LexLeqProp(Propagator):
-    """xs <=lex ys (or <lex), filtered with the two-pointer scheme: advance
-    over the ground-equal prefix to the first open position a, then enforce
-    xs[a] <= ys[a], strictly when the tail after a cannot satisfy the
-    remainder.  The tail's first position j with min(xs[j]) != max(ys[j])
-    decides that (satisfiable when min(xs[j]) < max(ys[j])); a tail that
-    can only be equal is satisfiable unless the order is strict.
+    """xs <=lex ys (or <lex) over native Booleans, filtered with the
+    two-pointer scheme: advance over the ground-equal prefix to the first
+    open position a, then enforce xs[a] <= ys[a], strictly when the tail
+    after a cannot satisfy the remainder.  The tail's first position j with
+    min(xs[j]) != max(ys[j]) decides that (satisfiable when min(xs[j]) <
+    max(ys[j])); a tail that can only be equal is satisfiable unless the
+    order is strict.  ``IntLexLeqProp`` is the same scheme over integers.
 
-    Both vectors hold one kind of variable, fixed at posting, and a run
-    reads each position it visits once: a Boolean's cell in ``_bstate``, an
-    integer's ``_lo``/``_hi``.  It narrows a side only when its bound would
-    move, and a bound that would cross the opposite one fails without a
+    A run reads only cells in ``_bstate``, each position it visits once:
+    a cell is 0, 1 or ``UNKNOWN``, and ``_BOOL_BOUNDS`` turns it into the
+    position's bounds.  It narrows a side only when its bound would move,
+    and a bound that would cross the opposite one fails without a
     ``narrow`` call.
 
     Past the deciding position a run reads only min(xs[j]) and max(ys[j]),
     and at a fixpoint ys[a] = 0 has already forced xs[a] = 0 and xs[a] = 1
     has forced ys[a] = 1.  So an x turning false or a y turning true leaves
-    an idle lex at its fixpoint, and a Boolean vector subscribes to
-    ``FIXED_TRUE`` on xs and ``FIXED_FALSE`` on ys (a variable in both
-    vectors gets both).
+    an idle lex at its fixpoint, and it subscribes to ``FIXED_TRUE`` on xs
+    and ``FIXED_FALSE`` on ys (a variable in both vectors gets both).
     """
 
-    __slots__ = ("xs", "ys", "strict", "_cells")
+    __slots__ = ("xs", "ys", "strict", "_cx", "_cy")
     priority = PRIORITY_GLOBAL
 
     def __init__(self, xs, ys, strict=False):
         self.xs = list(xs)
         self.ys = list(ys)
         self.strict = strict
-        self._cells = None
-        if not is_int_var(self.xs[0]):  # a Boolean vector is read by cell
-            self._cells = ([~v for v in self.xs], [~v for v in self.ys])
+        self._cx = [~v for v in self.xs]
+        self._cy = [~v for v in self.ys]
 
     def subscriptions(self):
-        if self._cells is None:
-            x_event = y_event = BOUNDS_CHANGED
-        else:
-            x_event, y_event = FIXED_TRUE, FIXED_FALSE
         for var in self.xs:
-            yield var, x_event
+            yield var, FIXED_TRUE
         for var in self.ys:
-            yield var, y_event
+            yield var, FIXED_FALSE
 
     def propagate(self, eng):
-        s = eng.store
+        bstate = eng.store._bstate
         xs, ys = self.xs, self.ys
+        cx, cy = self._cx, self._cy
         n = len(xs)
-        cells = self._cells
-        if cells is None:
-            lo = s._lo
-            hi = s._hi
-        else:
-            bstate = s._bstate
-            cx, cy = cells
         a = 0
         while True:
-            if cells is None:
-                while a < n:
-                    x, y = xs[a], ys[a]
-                    xl, xh, yl, yh = lo[x], hi[x], lo[y], hi[y]
-                    if not xl == xh == yl == yh:
-                        break
-                    a += 1
-            else:
-                while a < n:
-                    bx, by = bstate[cx[a]], bstate[cy[a]]
-                    if bx != by or bx == UNKNOWN:
-                        break
-                    a += 1
+            while a < n:
+                bx, by = bstate[cx[a]], bstate[cy[a]]
+                if bx != by or bx == UNKNOWN:
+                    break
+                a += 1
             if a == n:
                 return PROP_FAILED if self.strict else SUBSUMED
             gap = 1 if self.strict else 0
-            if cells is None:
-                for j in range(a + 1, n):
-                    xl_j = lo[xs[j]]
-                    yh_j = hi[ys[j]]
-                    if xl_j != yh_j:
-                        gap = 0 if xl_j < yh_j else 1
-                        break
-            else:
-                x, y = xs[a], ys[a]
-                xl, xh = _BOOL_BOUNDS[bx]
-                yl, yh = _BOOL_BOUNDS[by]
-                for j in range(a + 1, n):
-                    # A cell's min is 1 only when true, its max 0 only when false.
-                    xl_j = bstate[cx[j]] == 1
-                    yh_j = bstate[cy[j]] != 0
-                    if xl_j != yh_j:
-                        gap = 0 if xl_j < yh_j else 1
-                        break
+            for j in range(a + 1, n):
+                # A cell's min is 1 only when true, its max 0 only when false.
+                xl_j = bstate[cx[j]] == 1
+                yh_j = bstate[cy[j]] != 0
+                if xl_j != yh_j:
+                    gap = 0 if xl_j < yh_j else 1
+                    break
+            x, y = xs[a], ys[a]
+            xl, xh = _BOOL_BOUNDS[bx]
+            yl, yh = _BOOL_BOUNDS[by]
             b = yh - gap
             if b < xh:
                 if b < xl:
                     return PROP_FAILED
                 eng.narrow(x, MAX, b)
-                xh = b if cells is not None else hi[x]
+                xh = b
                 if y == x:
                     yh = xh
             b = xl + gap
@@ -561,7 +533,71 @@ class LexLeqProp(Propagator):
                 if b > yh:
                     return PROP_FAILED
                 eng.narrow(y, MIN, b)
-                yl = b if cells is not None else lo[y]
+                yl = b
+                if x == y:
+                    xl = yl
+            if not xl == xh == yl == yh:
+                break
+            a += 1
+        return SUBSUMED if xh < yl else AT_FIXPOINT
+
+
+class IntLexLeqProp(Propagator):
+    """xs <=lex ys (or <lex) over integers, ``LexLeqProp``'s two-pointer
+    scheme read from ``_lo``/``_hi``.  A narrowing may move a bound past
+    the value asked for (the new bound is the next value in the domain), so
+    the run re-reads the bound it narrowed.  An integer's events do not
+    tell which bound moved, so both vectors subscribe to
+    ``BOUNDS_CHANGED``."""
+
+    __slots__ = ("xs", "ys", "strict")
+    priority = PRIORITY_GLOBAL
+
+    def __init__(self, xs, ys, strict=False):
+        self.xs = list(xs)
+        self.ys = list(ys)
+        self.strict = strict
+
+    def subscriptions(self):
+        for var in self.xs + self.ys:
+            yield var, BOUNDS_CHANGED
+
+    def propagate(self, eng):
+        s = eng.store
+        lo, hi = s._lo, s._hi
+        xs, ys = self.xs, self.ys
+        n = len(xs)
+        a = 0
+        while True:
+            while a < n:
+                x, y = xs[a], ys[a]
+                xl, xh, yl, yh = lo[x], hi[x], lo[y], hi[y]
+                if not xl == xh == yl == yh:
+                    break
+                a += 1
+            if a == n:
+                return PROP_FAILED if self.strict else SUBSUMED
+            gap = 1 if self.strict else 0
+            for j in range(a + 1, n):
+                xl_j = lo[xs[j]]
+                yh_j = hi[ys[j]]
+                if xl_j != yh_j:
+                    gap = 0 if xl_j < yh_j else 1
+                    break
+            b = yh - gap
+            if b < xh:
+                if b < xl:
+                    return PROP_FAILED
+                eng.narrow(x, MAX, b)
+                xh = hi[x]
+                if y == x:
+                    yh = xh
+            b = xl + gap
+            if b > yl:
+                if b > yh:
+                    return PROP_FAILED
+                eng.narrow(y, MIN, b)
+                yl = lo[y]
                 if x == y:
                     xl = yl
             if not xl == xh == yl == yh:
@@ -805,12 +841,14 @@ def post_bool_and(model, z, x, y):
 
 
 def post_lex_leq(model, xs, ys, strict=False):
-    """xs <=lex ys (or <lex) over two vectors of one kind of variable, the
-    kind the propagator reads by."""
+    """xs <=lex ys (or <lex) over two vectors of one kind of variable, by
+    the kernel for that kind: ``IntLexLeqProp`` for integers, ``LexLeqProp``
+    for Booleans."""
     xs, ys = list(xs), list(ys)
     if not xs or len(xs) != len(ys):
         raise PostError("lex needs two equal-length non-empty vectors")
     lo, hi = _id_range(model, xs + ys)
     if is_int_var(lo) != is_int_var(hi):
         raise PostError("lex mixes Boolean and integer variables")
-    model.add(LexLeqProp(xs, ys, strict))
+    kernel = IntLexLeqProp if is_int_var(lo) else LexLeqProp
+    model.add(kernel(xs, ys, strict))

@@ -25,9 +25,11 @@ from an integer's 5-tuple by length and writes trailed states back,
 newest first, with no bit arithmetic.
 
 Integer domains are bitsets over the variable's original bounds with cached
-lo/hi/size; Boolean domains are three-state cells, signed bytes
-(``UNKNOWN``, 0 or 1) in one ``array("b")``, so a snapshot of all of them is
-one block copy.  A Boolean is narrowed without bit arithmetic: an action
+lo/hi/size; Boolean domains are three-state cells, bytes (0, 1 or
+``UNKNOWN``, which is 2) in one ``bytearray``, so a snapshot of all of them
+is one block copy.  A ``bytearray`` is CPython's cheapest byte container to
+index: its item reads and writes skip the type-code dispatch of an
+``array``.  A Boolean is narrowed without bit arithmetic: an action
 keeps both of its values, neither or the one value it names, so a change
 is an unknown cell fixed to that value.  Boolean variables expose the same
 observable semantics as integer variables with domain {0..1}.
@@ -44,7 +46,6 @@ integer-only propagators with :func:`is_int_var`.
 from __future__ import annotations
 
 import enum
-from array import array
 
 
 def is_int_var(var):
@@ -106,9 +107,10 @@ class _Failed:
 #: itself is left untouched; the caller must abort the current fixpoint.
 FAILED = _Failed()
 
-#: Boolean state for "not yet decided".
-UNKNOWN = -1
-_UNKNOWN_BYTE = array("b", [UNKNOWN]).tobytes()
+#: Boolean state for "not yet decided": the byte value after the two a cell
+#: can be fixed to, as a ``bytearray`` holds 0..255 only.
+UNKNOWN = 2
+_UNKNOWN_BYTE = bytes([UNKNOWN])
 
 
 class DomainError(ValueError):
@@ -122,8 +124,8 @@ class VariableStore:
     and the engine's pid state bytes, which at a fixpoint say which pids
     are subsumed; cached bounds and sizes are derived.  A copy backend
     snapshots that state as one region (``snapshot_blob``): the masks stay
-    a list of Python ints, and the Boolean cells, signed bytes in one
-    ``array("b")``, are copied as one block, as are the state bytes.  The
+    a list of Python ints, and the Boolean cells, bytes in one
+    ``bytearray``, are copied as one block, as are the state bytes.  The
     snapshot also copies the cached bounds and sizes, so ``load_blob``
     restores every list by slice assignment.  ``region_bytes`` is the
     modelled domain region, one 64-bit word per Boolean and per 64 values
@@ -145,7 +147,7 @@ class VariableStore:
         self._size = []
         self._stamp = []  # frame that last trailed the variable
         # Boolean variables, indexed by ~id
-        self._bstate = array("b")
+        self._bstate = bytearray()
         self._region_words = 0
         # The wake path, installed by a solve's Engine: one wake table per
         # event (variable -> pids), pid -> state byte, pid -> its queue
@@ -183,7 +185,7 @@ class VariableStore:
     def new_bool_vars(self, n):
         """Add ``n`` unknown Booleans in one extend; returns their ids."""
         first = len(self._bstate)
-        self._bstate.frombytes(_UNKNOWN_BYTE * n)
+        self._bstate += _UNKNOWN_BYTE * n
         self._region_words += n
         return range(~first, ~(first + n), -1)
 
@@ -274,10 +276,12 @@ class VariableStore:
         keeps 1 and ``MAX 0`` keeps 0.  Any other action keeps both values
         and returns ``None``, or keeps neither, which the arm carries as a
         kept value outside {0, 1}.  A fixed cell returns ``None`` when it
-        holds the kept value and ``FAILED`` otherwise.  An unknown cell
-        fails on a kept value outside {0, 1}, a check made before the kept
-        value meets the cell because ``UNKNOWN`` is -1, and is otherwise
-        fixed to it.
+        holds the kept value and ``FAILED`` otherwise; a kept value outside
+        {0, 1}, ``UNKNOWN``'s 2 included, never equals a fixed cell.  An
+        unknown cell fails on a kept value outside {0, 1}, a check made
+        before the kept value meets the cell: writing 2 would leave the cell
+        unknown, and a value outside 0..255 does not fit a byte.  Otherwise
+        the cell is fixed to the kept value.
 
         The integer arms are specialised by op.  A ``MIN`` at or below the
         base, or a ``MAX`` at or above the top of the span, returns ``None``

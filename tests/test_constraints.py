@@ -7,6 +7,7 @@ from fdlab.constraints import (
     LEQ,
     BoolSumProp,
     DiffProp,
+    IntLexLeqProp,
     LeProp,
     LexLeqProp,
     LinearProp,
@@ -1162,11 +1163,14 @@ def _lex_cases(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_lex_cases())
+@example(("int", [(1, 0, []), (0, 2, [1])], [0], [1], False))
 def test_lex_leq_matches_reference(case):
-    """The array kernel reaches the query-based reference's domains, or its
-    failure, and is subsumed exactly when the reference is, on Boolean,
-    {0..1}-integer and holed integer vectors, strict or not, with and
-    without shared variables."""
+    """Each lex kernel reaches the query-based reference's domains, or its
+    failure, and is subsumed exactly when the reference is: the cell kernel
+    on Boolean vectors, the bounds kernel on {0..1}-integer and holed
+    integer vectors, strict or not, with and without shared variables.  In
+    the example, y = {0, 2} narrowed to min 1 becomes 2, above x = 1, so
+    the lex is entailed only by the bound the narrowing really left."""
     kind, doms, xi, yi, strict = case
 
     def run(make):
@@ -1189,7 +1193,44 @@ def test_lex_leq_matches_reference(case):
         doms_after = [model.store.domain_values(v) for v in pool] if ok else None
         return ok, doms_after, entailed
 
-    assert run(LexLeqProp) == run(_LexReference)
+    assert run(LexLeqProp if kind == "bool" else IntLexLeqProp) == run(_LexReference)
+
+
+@st.composite
+def _lex_kernel_cases(draw):
+    """Two vectors over a pool of 0/1 variables with a random partial
+    fixing; a pool smaller than the vectors shares positions within a
+    vector and across the two."""
+    size = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from([0, 1, None]), min_size=size, max_size=size))
+    n = draw(st.integers(1, 5))
+    positions = st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
+    return cells, draw(positions), draw(positions), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lex_kernel_cases())
+def test_bool_and_int_lex_kernels_agree(case):
+    """``post_lex_leq`` posts the cell kernel over native Booleans and the
+    bounds kernel over {0..1} integers, and the two reach the same outcome,
+    the same subsumption and the same domains."""
+    cells, xi, yi, strict = case
+
+    def run(bool_mode):
+        model = Model(bool_mode=bool_mode)
+        pool = [model.new_01_var() for _ in cells]
+        for v, cell in zip(pool, cells):
+            if cell is not None:
+                model.store.narrow(v, Op.ASSIGN, cell)
+        post_lex_leq(model, [pool[i] for i in xi], [pool[i] for i in yi], strict)
+        (prop,) = model.props
+        ok, entailed = _fix_one(model)
+        return type(prop), (ok, entailed, [model.store.domain_values(v) for v in pool])
+
+    native_kernel, native = run(BOOL_NATIVE)
+    int_kernel, as_int = run(BOOL_INT)
+    assert (native_kernel, int_kernel) == (LexLeqProp, IntLexLeqProp)
+    assert native == as_int
 
 
 @st.composite

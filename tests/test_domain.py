@@ -3,6 +3,7 @@ from hypothesis import example, given, strategies as st
 
 from fdlab.domain import (
     FAILED,
+    UNKNOWN,
     BoolEvent,
     DomainError,
     EventClass,
@@ -278,17 +279,28 @@ def test_narrowing_never_grows_domain(hole, ops):
 @example([((Op.REMOVE, -1), False)])
 @example([((Op.ASSIGN, 2), False)])
 @example([((Op.MIN, 2), False)])
+@example([((Op.ASSIGN, 1), False), ((Op.ASSIGN, 2), False)])
+@example([((Op.ASSIGN, 0), False), ((Op.ASSIGN, 2), False)])
+@example([((Op.ASSIGN, 1), False), ((Op.MIN, 2), False)])
+@example([((Op.ASSIGN, 0), False), ((Op.MIN, 2), False)])
+@example([((Op.ASSIGN, 1), False), ((Op.MAX, 2), False)])
+@example([((Op.ASSIGN, 0), False), ((Op.MAX, 2), False)])
+@example([((Op.ASSIGN, 1), False), ((Op.REMOVE, 2), False)])
+@example([((Op.ASSIGN, 0), False), ((Op.REMOVE, 2), False)])
 def test_bool_matches_int_zero_one(ops):
     """A Boolean variable and a {0..1} integer must behave identically.
     Each Boolean change trails exactly one ``(cells, cell, old)`` entry, and
-    undoing the marks newest first restores both variables.  A step may
-    first open a frame with ``mark``.  The examples act on an unknown cell
-    with values outside {0, 1}, where ``UNKNOWN`` (-1) must not read as a
-    kept value."""
+    undoing the marks newest first restores both variables, as does loading
+    the root's snapshot; both write ``UNKNOWN`` back into the cell.  A step
+    may first open a frame with ``mark``.  The examples act with values
+    outside {0, 1}: on an unknown cell, where ``UNKNOWN`` (2) must not read
+    as a kept value, and on a fixed cell, where 2 must not read as unknown."""
     store = VariableStore()
     store.trail = []
     b = store.new_bool_var()
     x = store.new_int_var(0, 1)
+    root = store.snapshot_blob()
+    assert type(root[4]) is bytearray and type(root[5]) is bytearray
     marks = [(store.mark(), [0, 1])]
     for (op, value), opens in ops:
         if opens:
@@ -314,7 +326,13 @@ def test_bool_matches_int_zero_one(ops):
         assert store.max(b) == store.max(x)
         assert store.size(b) == store.size(x)
         assert store.domain_values(b) == store.domain_values(x)
+    end = store.snapshot_blob()
+    store.load_blob(root)
+    assert store._bstate[~b] == UNKNOWN
+    assert store.domain_values(b) == store.domain_values(x) == [0, 1]
+    store.load_blob(end)
     for mark, at_mark in reversed(marks):
         store.undo(mark)
         assert len(store.trail) == mark
         assert store.domain_values(b) == store.domain_values(x) == at_mark
+    assert store._bstate[~b] == UNKNOWN
