@@ -7,7 +7,8 @@ Subcommands:
   table3  dump the bundled reference backtrack counts (informational only)
   sweep   run one of the preset experiment matrices
 
-Exit codes: 0 ok, 1 infeasible, 2 configuration error.
+Exit codes: 0 ok, 1 infeasible, 2 configuration error (an unwritable
+``--out`` included).
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, ValueError) as exc:
+    except (ModelError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -318,8 +318,8 @@ class AllDiffValueProp(Propagator):
     def propagate(self, eng):
         s = eng.store
         vars = self.vars
-        size = s._size
         lo = s._lo
+        hi = s._hi
         base = s._base
         mask = s._mask
         narrow = eng.narrow
@@ -333,7 +333,7 @@ class AllDiffValueProp(Propagator):
                     if narrow(v, REMOVE, val) is FAILED:
                         return PROP_FAILED
         for v in vars:
-            if size[v] != 1:
+            if lo[v] != hi[v]:
                 return AT_FIXPOINT
         return SUBSUMED
 

@@ -10,8 +10,8 @@ lists belong to the solve's :class:`fdlab.propagate.Engine`, which
 installs them on its fork of the store; a model's own store keeps empty
 tables, so a narrowing made while posting wakes nothing.
 
-The trail holds an integer variable's whole state, ``(var, mask, lo, hi,
-size)``, at most once per frame: each integer variable carries the stamp
+The trail holds an integer variable's whole state, ``(var, mask, lo,
+hi)``, at most once per frame: each integer variable carries the stamp
 of the frame that last trailed it, and a change trails only when that
 stamp is not the current frame.  :meth:`VariableStore.mark` and
 :meth:`VariableStore.undo` each start a new frame, so the first change
@@ -21,11 +21,11 @@ path, and so does a pid's state byte, which stays ``ASLEEP`` from the
 fixpoint that finds the pid subsumed on.  Both trail an ``(array, index,
 old)`` entry: the Boolean cells with the old cell, the engine's pid
 states with ``IDLE``.  :meth:`VariableStore.undo` tells these 3-tuples
-from an integer's 5-tuple by length and writes trailed states back,
+from an integer's 4-tuple by length and writes trailed states back,
 newest first, with no bit arithmetic.
 
-Integer domains are bitsets over the variable's original bounds with cached
-lo/hi/size; Boolean domains are three-state cells, bytes (0, 1 or
+Integer domains are bitsets over the variable's original bounds with
+cached lo/hi; Boolean domains are three-state cells, bytes (0, 1 or
 ``UNKNOWN``, which is 2) in one ``bytearray``, so a snapshot of all of them
 is one block copy.  A ``bytearray`` is CPython's cheapest byte container to
 index: its item reads and writes skip the type-code dispatch of an
@@ -35,12 +35,12 @@ is an unknown cell fixed to that value.  Boolean variables expose the same
 observable semantics as integer variables with domain {0..1}.
 
 A variable is a plain int.  An integer variable is its slot in the integer
-arrays (``_mask``, ``_lo``, ``_hi``, ``_size``, ``_base``, ``_span``); a
-Boolean is ``~cell``, the bitwise complement of its index in ``_bstate``, so
-``var < 0`` is the kind test.  A list read at a negative index counts from
-its end instead of raising, so a Boolean id that reached an integer array
-would read the wrong cell silently: posting code keeps Booleans out of
-integer-only propagators with :func:`is_int_var`.
+arrays (``_base``, ``_mask``, ``_lo``, ``_hi``); a Boolean is ``~cell``,
+the bitwise complement of its index in ``_bstate``, so ``var < 0`` is the
+kind test.  A list read at a negative index counts from its end instead of
+raising, so a Boolean id that reached an integer array would read the wrong
+cell silently: posting code keeps Booleans out of integer-only propagators
+with :func:`is_int_var`.
 """
 
 from __future__ import annotations
@@ -122,15 +122,15 @@ class VariableStore:
 
     The restorable state is the integer bitset masks, the Boolean cells
     and the engine's pid state bytes, which at a fixpoint say which pids
-    are subsumed; cached bounds and sizes are derived.  A copy backend
-    snapshots that state as one region (``snapshot_blob``): the masks stay
-    a list of Python ints, and the Boolean cells, bytes in one
-    ``bytearray``, are copied as one block, as are the state bytes.  The
-    snapshot also copies the cached bounds and sizes, so ``load_blob``
-    restores every list by slice assignment.  ``region_bytes`` is the
-    modelled domain region, one 64-bit word per Boolean and per 64 values
-    of an integer domain, not the Python footprint; it counts neither the
-    derived lists nor the state bytes.
+    are subsumed; the cached bounds are derived, and a size is the mask's
+    bit count.  A copy backend snapshots that state as one region
+    (``snapshot_blob``): the masks stay a list of Python ints, and the
+    Boolean cells, bytes in one ``bytearray``, are copied as one block, as
+    are the state bytes.  The snapshot also copies the cached bounds, so
+    ``load_blob`` restores every list by slice assignment.
+    ``region_bytes`` is the modelled domain region, one 64-bit word per
+    Boolean and per 64 values of an integer domain, not the Python
+    footprint; it counts neither the bounds nor the state bytes.
     """
 
     def __init__(self):
@@ -140,11 +140,9 @@ class VariableStore:
         self._frame = 1
         # integer variables, indexed by id
         self._base = []
-        self._span = []
         self._mask = []
         self._lo = []
         self._hi = []
-        self._size = []
         self._stamp = []  # frame that last trailed the variable
         # Boolean variables, indexed by ~id
         self._bstate = bytearray()
@@ -168,11 +166,9 @@ class VariableStore:
             raise DomainError(f"empty initial domain [{lo}..{hi}]")
         span = hi - lo + 1
         self._base.append(lo)
-        self._span.append(span)
         self._mask.append((1 << span) - 1)
         self._lo.append(lo)
         self._hi.append(hi)
-        self._size.append(span)
         self._stamp.append(0)
         self._region_words += -(-span // 64)
         return len(self._mask) - 1
@@ -198,7 +194,7 @@ class VariableStore:
         # hot-path reads of self._mask, self._lo, ... fast.
         twin = VariableStore()
         twin._region_words = self._region_words
-        for name in ("_base", "_span", "_mask", "_lo", "_hi", "_size", "_bstate"):
+        for name in ("_base", "_mask", "_lo", "_hi", "_bstate"):
             setattr(twin, name, getattr(self, name)[:])
         twin._stamp = [0] * len(self._mask)
         return twin
@@ -228,7 +224,7 @@ class VariableStore:
 
     def size(self, var):
         if var >= 0:
-            return self._size[var]
+            return self._mask[var].bit_count()
         return 2 if self._bstate[~var] == UNKNOWN else 1
 
     def value(self, var):
@@ -283,14 +279,12 @@ class VariableStore:
         unknown, and a value outside 0..255 does not fit a byte.  Otherwise
         the cell is fixed to the kept value.
 
-        The integer arms are specialised by op.  A ``MIN`` at or below the
-        base, or a ``MAX`` at or above the top of the span, returns ``None``
-        before any mask arithmetic.  A ``MIN`` that changes the mask writes
-        the mask, ``_lo`` and ``_size`` only, and a ``MAX`` the mask, ``_hi``
-        and ``_size``: a change by either always moves its own bound and
-        never the other, so neither reads the old bounds, and each returns
-        ``INSTANTIATED`` or ``BOUNDS_CHANGED``.  ``REMOVE`` and ``ASSIGN``
-        recompute lo, hi and size and compare the bounds with the old ones.
+        The integer arms read ``lo`` and ``hi`` first.  A ``MIN`` at or
+        below ``lo`` returns ``None``, one above ``hi`` ``FAILED``, and any
+        other writes the mask and ``_lo`` only; ``MAX`` is its mirror.  Both
+        report ``INSTANTIATED`` when the bounds meet.  A ``REMOVE`` or
+        ``ASSIGN`` outside ``[lo, hi]`` returns before any mask arithmetic;
+        otherwise it recomputes both bounds and compares them with the old.
         """
         if var < 0:
             if op is ASSIGN:
@@ -329,11 +323,42 @@ class VariableStore:
         else:
             base = self._base[var]
             mask = self._mask[var]
-            off = value - base
+            lo = self._lo[var]
+            hi = self._hi[var]
             if op is MIN:
-                if off <= 0:
+                if value <= lo:
                     return None
+                if value > hi:
+                    return FAILED
+                off = value - base
                 new = (mask >> off) << off
+                trail = self.trail
+                if trail is not None and self._stamp[var] != self._frame:
+                    self._stamp[var] = self._frame
+                    trail.append((var, mask, lo, hi))
+                self._mask[var] = new
+                lo = base + (new & -new).bit_length() - 1
+                self._lo[var] = lo
+                r = INSTANTIATED if lo == hi else BOUNDS_CHANGED
+            elif op is MAX:
+                if value >= hi:
+                    return None
+                if value < lo:
+                    return FAILED
+                new = mask & ((1 << (value - base + 1)) - 1)
+                trail = self.trail
+                if trail is not None and self._stamp[var] != self._frame:
+                    self._stamp[var] = self._frame
+                    trail.append((var, mask, lo, hi))
+                self._mask[var] = new
+                hi = base + new.bit_length() - 1
+                self._hi[var] = hi
+                r = INSTANTIATED if lo == hi else BOUNDS_CHANGED
+            else:
+                if not lo <= value <= hi:
+                    return None if op is REMOVE else FAILED
+                bit = 1 << (value - base)
+                new = mask & ~bit if op is REMOVE else mask & bit
                 if new == mask:
                     return None
                 if not new:
@@ -341,62 +366,18 @@ class VariableStore:
                 trail = self.trail
                 if trail is not None and self._stamp[var] != self._frame:
                     self._stamp[var] = self._frame
-                    trail.append((var, mask, self._lo[var], self._hi[var], self._size[var]))
+                    trail.append((var, mask, lo, hi))
                 self._mask[var] = new
-                self._lo[var] = base + (new & -new).bit_length() - 1
-                size = new.bit_count()
-                self._size[var] = size
-                r = INSTANTIATED if size == 1 else BOUNDS_CHANGED
-            else:
-                span = self._span[var]
-                if op is MAX:
-                    if off >= span - 1:
-                        return None
-                    if off < 0:
-                        return FAILED
-                    new = mask & ((1 << (off + 1)) - 1)
-                    if new == mask:
-                        return None
-                    if not new:
-                        return FAILED
-                    trail = self.trail
-                    if trail is not None and self._stamp[var] != self._frame:
-                        self._stamp[var] = self._frame
-                        trail.append((var, mask, self._lo[var], self._hi[var], self._size[var]))
-                    self._mask[var] = new
-                    self._hi[var] = base + new.bit_length() - 1
-                    size = new.bit_count()
-                    self._size[var] = size
-                    r = INSTANTIATED if size == 1 else BOUNDS_CHANGED
+                new_lo = base + (new & -new).bit_length() - 1
+                new_hi = base + new.bit_length() - 1
+                self._lo[var] = new_lo
+                self._hi[var] = new_hi
+                if new_lo == new_hi:
+                    r = INSTANTIATED
+                elif new_lo != lo or new_hi != hi:
+                    r = BOUNDS_CHANGED
                 else:
-                    if op is REMOVE:
-                        if not (0 <= off < span):
-                            return None
-                        new = mask & ~(1 << off)
-                    else:  # ASSIGN
-                        new = mask & (1 << off) if 0 <= off < span else 0
-                    if new == mask:
-                        return None
-                    if new == 0:
-                        return FAILED
-                    old_lo, old_hi = self._lo[var], self._hi[var]
-                    trail = self.trail
-                    if trail is not None and self._stamp[var] != self._frame:
-                        self._stamp[var] = self._frame
-                        trail.append((var, mask, old_lo, old_hi, self._size[var]))
-                    self._mask[var] = new
-                    lo = base + ((new & -new).bit_length() - 1)
-                    hi = base + new.bit_length() - 1
-                    size = new.bit_count()
-                    self._lo[var] = lo
-                    self._hi[var] = hi
-                    self._size[var] = size
-                    if size == 1:
-                        r = INSTANTIATED
-                    elif lo != old_lo or hi != old_hi:
-                        r = BOUNDS_CHANGED
-                    else:
-                        r = DOMAIN_CHANGED
+                    r = DOMAIN_CHANGED
             if r is INSTANTIATED:
                 pids = self._wake_inst.get(var)
                 lists = self._delta_lists.get(var)
@@ -419,21 +400,19 @@ class VariableStore:
     # -- restoration support -------------------------------------------
 
     def snapshot_blob(self):
-        """Copy of the restorable region (masks, Boolean cells and pid
-        states), with the masks' cached bounds and sizes so that a load
-        recomputes nothing."""
-        return (self._mask[:], self._lo[:], self._hi[:], self._size[:], self._bstate[:],
-                self._state[:])
+        """Copy of the restorable region, ``(masks, lo, hi, cells,
+        states)``: the masks with their cached bounds, so that a load
+        recomputes nothing, the Boolean cells and the pid states."""
+        return self._mask[:], self._lo[:], self._hi[:], self._bstate[:], self._state[:]
 
     def load_blob(self, blob):
         """Restore the region ``blob`` copied; pids that joined the engine
         after the copy become idle."""
-        masks, lo, hi, size, bstates, states = blob
+        masks, lo, hi, bstates, states = blob
         n = len(masks)
         self._mask[:n] = masks
         self._lo[:n] = lo
         self._hi[:n] = hi
-        self._size[:n] = size
         self._bstate[: len(bstates)] = bstates
         n = len(states)
         self._state[:n] = states
@@ -457,11 +436,11 @@ class VariableStore:
         trail = self.trail
         undone = trail[mark:]
         del trail[mark:]
-        mask, lo, hi, size = self._mask, self._lo, self._hi, self._size
+        mask, lo, hi = self._mask, self._lo, self._hi
         for entry in reversed(undone):
             if len(entry) == 3:
                 cells, i, old = entry
                 cells[i] = old
             else:
                 # Targets bind left to right: var is set before it indexes.
-                var, mask[var], lo[var], hi[var], size[var] = entry
+                var, mask[var], lo[var], hi[var] = entry

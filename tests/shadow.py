@@ -9,9 +9,9 @@ import fdlab.search
 class ShadowBackend:
     """Runs a primary backend, snapshots the store at every node it opens
     and counts the backtracks after which the store differs from that
-    snapshot.  The masks, the cached bounds and sizes and the Boolean
-    cells must be identical; the pid states must start with the
-    snapshot's, and every pid that joined after it must be idle."""
+    snapshot.  The masks, their cached bounds and the Boolean cells must
+    be identical; the pid states must start with the snapshot's, and every
+    pid that joined after it must be idle."""
 
     def __init__(self, primary):
         self.primary = primary
@@ -31,8 +31,8 @@ class ShadowBackend:
         del self.expected[target:]
         self.primary.backtrack_to(target)
         got = self.primary.store.snapshot_blob()
-        states, n = got[5], len(expected[5])
-        if got[:5] != expected[:5] or states[:n] != expected[5] or any(states[n:]):
+        states, n = got[4], len(expected[4])
+        if got[:4] != expected[:4] or states[:n] != expected[4] or any(states[n:]):
             self.mismatches += 1
 
 

@@ -272,12 +272,18 @@ def test_cli_infeasible_exit_code(capsys):
     assert main(["run", "--model", "queens:3", "--runs", "1"]) == 1
 
 
-def test_cli_config_error_exit_code(capsys):
+def test_cli_config_error_exit_code(capsys, tmp_path):
     assert main(["run", "--model", "sudoku:9"]) == 2
     assert main(["run", "--model", "queens:0"]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["run", "--model", "queens:6", "--queue", "sideways"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    out = str(tmp_path / "missing" / "out.csv")
+    assert main(["run", "--model", "queens:6", "--runs", "1", "--out", out]) == 2
+    assert main(["table3", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
 def test_cli_table2_matches_bundled_counts(capsys):

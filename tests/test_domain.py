@@ -227,18 +227,35 @@ def _reference_event(before, after):
     return EventClass.DOMAIN_CHANGED
 
 
+# Moves the bounds of test_narrowing_never_grows_domain's x in to -2 and 7.
+_INWARD = [(Op.MIN, -2, False), (Op.MAX, 7, False)]
+
+
 @given(
     st.integers(-3, 8),
     st.lists(
         st.tuples(st.sampled_from(list(Op)), st.integers(-7, 12), st.booleans()), max_size=30
     ),
 )
+@example(3, [*_INWARD, (Op.MIN, -2, True)])
+@example(3, [*_INWARD, (Op.MIN, 7, True)])
+@example(3, [*_INWARD, (Op.MIN, 8, True)])
+@example(3, [*_INWARD, (Op.MAX, 7, True)])
+@example(3, [*_INWARD, (Op.MAX, -2, True)])
+@example(3, [*_INWARD, (Op.MAX, -3, True)])
+@example(3, [*_INWARD, (Op.MIN, 3, True)])
+@example(3, [*_INWARD, (Op.REMOVE, -3, True)])
+@example(3, [*_INWARD, (Op.ASSIGN, -3, True)])
 def test_narrowing_never_grows_domain(hole, ops):
     """Every op on a domain with a negative base and a hole reports the
     reference event, and the first change in a frame trails the whole old
-    state, (var, mask, lo, hi, size), while later changes in that frame
-    trail nothing.  A step may first open a frame with ``mark``; undoing
-    the marks newest first restores each frame's domain exactly."""
+    state, (var, mask, lo, hi), while later changes in that frame trail
+    nothing.  A step may first open a frame with ``mark``; undoing the
+    marks newest first restores each frame's domain exactly.  The examples
+    move both bounds in and then act at, just past or between them: a
+    ``MIN`` or ``MAX`` at either bound or one past it, a ``MIN`` into the
+    hole, and a ``REMOVE`` or ``ASSIGN`` of a value between the base and
+    ``lo``."""
     store = VariableStore()
     store.trail = []
     x = store.new_int_var(-4, 9)
@@ -252,7 +269,7 @@ def test_narrowing_never_grows_domain(hole, ops):
             trailed = False
         before = set(store.domain_values(x))
         size = store.size(x)
-        old = (x, *state())
+        old = (x, store._mask[x], store.min(x), store.max(x))
         trail_len = len(store.trail)
         r = store.narrow(x, op, value)
         after = set(store.domain_values(x))
@@ -300,7 +317,7 @@ def test_bool_matches_int_zero_one(ops):
     b = store.new_bool_var()
     x = store.new_int_var(0, 1)
     root = store.snapshot_blob()
-    assert type(root[4]) is bytearray and type(root[5]) is bytearray
+    assert type(root[3]) is bytearray and type(root[4]) is bytearray
     marks = [(store.mark(), [0, 1])]
     for (op, value), opens in ops:
         if opens:

@@ -58,7 +58,7 @@ def test_trail_restores_exact_state():
     store.narrow(b, Op.ASSIGN, 1)
     assert backend.stats.trail_entries == 3
     backend.backtrack_to(0)
-    assert store.snapshot_blob() == before  # the cached bounds and sizes too
+    assert store.snapshot_blob() == before  # the cached bounds too
     # undone changes still count, and later ones add to them
     assert backend.stats.trail_entries == 3
     store.narrow(xs[2], Op.MIN, 2)
@@ -78,14 +78,14 @@ def test_trail_takes_whole_state_once_per_frame():
     store.narrow(x, Op.MAX, 7)
     store.narrow(y, Op.MIN, 2)
     store.narrow(x, Op.ASSIGN, 3)
-    assert store.trail == [(y, 0b1111111111, 0, 9, 10),
-                           (x, 0b1111111111, 0, 9, 10), (y, 0b1111101111, 0, 9, 9)]
+    assert store.trail == [(y, 0b1111111111, 0, 9),
+                           (x, 0b1111111111, 0, 9), (y, 0b1111101111, 0, 9)]
     store.mark()
     store.narrow(x, Op.ASSIGN, 3)  # no change: nothing trailed
     store.narrow(y, Op.MAX, 6)
-    assert store.trail[3:] == [(y, 0b1111101100, 2, 9, 7)]
+    assert store.trail[3:] == [(y, 0b1111101100, 2, 9)]
     store.undo(mark)
-    assert store.trail == [(y, 0b1111111111, 0, 9, 10)]
+    assert store.trail == [(y, 0b1111111111, 0, 9)]
     assert store.domain_values(x) == list(range(10))
     assert store.domain_values(y) == [0, 1, 2, 3, 5, 6, 7, 8, 9]
     assert (store.min(y), store.max(y), store.size(y)) == (0, 9, 9)
@@ -123,7 +123,7 @@ def test_change_after_undo_before_next_mark_is_undone():
     store.narrow(xs[0], Op.MAX, 8)
     store.undo(inner)
     store.narrow(xs[0], Op.MAX, 6)
-    assert store.trail == [(xs[0], 0b1111111111, 0, 9, 10)]
+    assert store.trail == [(xs[0], 0b1111111111, 0, 9)]
     store.undo(outer)
     assert store.snapshot_blob() == before
 
@@ -140,7 +140,7 @@ class _FrameChecked(ShadowBackend):
     def _check(self):
         frames, trail = self.primary.frames, self.primary.trail
         start = frames[-1] if frames else 0
-        ints = [entry[0] for entry in trail[start:] if len(entry) == 5]
+        ints = [entry[0] for entry in trail[start:] if len(entry) == 4]
         assert len(ints) == len(set(ints))
         self.frames_checked += 1
 
@@ -249,8 +249,8 @@ def test_shadow_backend_detects_mismatch():
         trail.pop(0)
 
     def leave_lo_stale(trail):
-        var, mask, _, hi, size = trail[0]
-        trail[0] = (var, mask, 3, hi, size)  # lo as the node left it
+        var, mask, _, hi = trail[0]
+        trail[0] = (var, mask, 3, hi)  # lo as the node left it
 
     def leave_pid_asleep(trail):
         trail.pop()  # the subsumption, trailed last
