@@ -243,15 +243,24 @@ class BoolSumProp(Propagator):
     A cell turning false leaves the true count alone, so a ``<=`` sum
     subscribes to ``FIXED_TRUE`` only; a cell turning true leaves the
     count of possible trues alone, so a ``>=`` sum subscribes to
-    ``FIXED_FALSE`` only.  A ``=`` sum subscribes to both."""
+    ``FIXED_FALSE`` only.  A ``=`` sum subscribes to both.
 
-    __slots__ = ("vars", "cmin", "cmax", "_event", "_read_cells")
+    Cells turning the other value can still entail a one-sided sum, so an
+    entailed sum reports ``SUBSUMED`` only where its own events lead: a
+    ``<=`` sum when its true count meets ``cmax``, a ``>=`` sum when its
+    count of possible trues meets ``cmin``, and a sum that every
+    assignment satisfies (``_holds``) at once.  Otherwise it returns
+    ``AT_FIXPOINT`` and stays idle, so it sleeps exactly when a run would
+    report ``SUBSUMED``, whatever order the cells were fixed in."""
+
+    __slots__ = ("vars", "cmin", "cmax", "_event", "_holds", "_read_cells")
     priority = PRIORITY_LINEAR
 
     def __init__(self, vars, rel, c):
         self.vars = list(vars)
         self.cmin, self.cmax = _interval(rel, c)
         self._event = _SUM_EVENT[rel]
+        self._holds = self.cmin <= 0 and len(self.vars) <= self.cmax
         cells = [~v for v in self.vars]
         first, last = cells[0], cells[-1]
         step = cells[1] - first if len(cells) > 1 else 1
@@ -274,7 +283,9 @@ class BoolSumProp(Propagator):
         if n_true > cmax or ub < cmin:
             return PROP_FAILED
         if cmin <= n_true and ub <= cmax:
-            return SUBSUMED
+            if n_true == cmax or ub == cmin or self._holds:
+                return SUBSUMED
+            return AT_FIXPOINT
         # Not entailed, so some cell is unknown; fixing one cannot fail.
         if n_true == cmax:
             value = 0
@@ -472,11 +483,11 @@ class LexLeqProp(Propagator):
     and a bound that would cross the opposite one fails without a
     ``narrow`` call.
 
-    Past the deciding position a run reads only min(xs[j]) and max(ys[j]),
-    and at a fixpoint ys[a] = 0 has already forced xs[a] = 0 and xs[a] = 1
-    has forced ys[a] = 1.  So an x turning false or a y turning true leaves
-    an idle lex at its fixpoint, and it subscribes to ``FIXED_TRUE`` on xs
-    and ``FIXED_FALSE`` on ys (a variable in both vectors gets both).
+    Only an x turning true or a y turning false can make it prune, but an x
+    turning false or a y turning true can entail it at its first open
+    position.  It subscribes to both values of every variable, so it
+    sleeps exactly when a run would report ``SUBSUMED``, whatever order
+    the cells were fixed in.
     """
 
     __slots__ = ("xs", "ys", "strict", "_cx", "_cy")
@@ -490,10 +501,8 @@ class LexLeqProp(Propagator):
         self._cy = [~v for v in self.ys]
 
     def subscriptions(self):
-        for var in self.xs:
-            yield var, FIXED_TRUE
-        for var in self.ys:
-            yield var, FIXED_FALSE
+        for var in dict.fromkeys(self.xs + self.ys):
+            yield var, INSTANTIATED
 
     def propagate(self, eng):
         bstate = eng.store._bstate

@@ -51,7 +51,14 @@ class Propagator:
         """Yield (variable, event) wake-up conditions: an ``EventClass``,
         or for a Boolean that prunes on one value only, the ``BoolEvent``
         of that value.  A subscribed propagator must be at its fixpoint
-        after any event it does not subscribe to."""
+        after any event it does not subscribe to.
+
+        Its subsumption must follow the domains too: at every fixpoint a
+        propagator with a subscription is asleep exactly when one run
+        would report ``SUBSUMED``, so no event it sleeps through may
+        change that report.  Subsumption is then a function of the domains
+        and not of the order the events came in, which lets recomputation
+        replay a whole path before one fixpoint."""
         return ()
 
     def propagate(self, eng):

@@ -5,10 +5,11 @@ store's domains and pid states, which say what is subsumed, to the exact
 state they had when a frame was opened.  Trailing trails each variable's
 state at most once per node, and each subsumption, and writes those
 states back in reverse; copy-with-recomputation snapshots the whole
-region every ``distance`` nodes and otherwise replays the recorded
-per-node actions with full propagation from the nearest snapshot.
-Copying is recomputation at distance 1: a snapshot at every node and
-nothing to replay.
+region every ``distance`` nodes and otherwise replays the frames
+recorded since the nearest snapshot, one segment per call: a segment's
+actions are applied together and propagated to one fixpoint.  Copying is
+recomputation at distance 1: a snapshot at every node and nothing to
+replay.
 """
 
 from __future__ import annotations
@@ -120,9 +121,17 @@ class RecomputeBackend:
     """Copying every ``distance`` nodes, otherwise replay with propagation.
 
     A backtrack loads the nearest snapshot at or above the target frame and
-    replays the frames in between, oldest first, with ``replay(actions)``.
+    replays the frames in between, one segment per ``replay(actions)``
+    call, with the segment's frames' actions concatenated oldest first.
     The adaptive rule places one extra snapshot at the midpoint of the
-    replayed path whenever the path length reaches ``adaptive``.
+    replayed path whenever the path length reaches ``adaptive``, and that
+    snapshot is the only place a path splits into two segments.
+
+    Batching is exact because the fixpoint is unique and every propagator
+    sleeps exactly when a run would report it subsumed (see
+    ``Propagator.subscriptions``): one fixpoint after a segment's actions
+    leaves the domains and the pid states that a fixpoint per frame would.
+    ``replayed_decisions`` still counts frames.
     """
 
     def __init__(self, store, replay, distance, adaptive=2):
@@ -163,12 +172,16 @@ class RecomputeBackend:
         if k < target:
             self._recomputations += 1
             self._replayed += target - k
-        mid = k + (target - k) // 2 if target - k >= self.adaptive else None
-        for m in range(k, target):
-            if m == mid and frames[m].snapshot is None:
-                self._snap(frames[m])
-            self._replay(frames[m].actions)
+            mid = k + (target - k) // 2
+            if target - k >= self.adaptive and frames[mid].snapshot is None:
+                self._replay_segment(frames[k:mid])
+                self._snap(frames[mid])
+                k = mid
+            self._replay_segment(frames[k:target])
         del frames[target:]
+
+    def _replay_segment(self, segment):
+        self._replay([action for frame in segment for action in frame.actions])
 
 
 def make_backend(mode, store, replay):

@@ -743,17 +743,20 @@ def test_bool_sum_already_fixed(values, rel, c, ok):
 @pytest.mark.parametrize(
     "fixed, rel, c, entailed",
     [
-        ({0: 0}, LEQ, 2, True),  # at most two unknown cells remain
+        ({0: 0}, LEQ, 2, False),  # entailed by a false cell: idle
         ({}, LEQ, 2, False),
-        ({0: 1}, LEQ, 3, True),
-        ({0: 1}, GEQ, 1, True),
+        ({0: 1}, LEQ, 3, True),  # every assignment satisfies it
+        ({0: 1}, GEQ, 1, False),  # entailed by a true cell: idle
         ({0: 0}, GEQ, 1, False),
-        ({}, GEQ, 0, True),
+        ({}, GEQ, 0, True),  # every assignment satisfies it
     ],
 )
 def test_bool_sum_leq_geq_entailment(fixed, rel, c, entailed):
-    """LEQ and GEQ sums are entailed as soon as every completion satisfies
-    them, with the remaining cells left open."""
+    """A LEQ or GEQ sum that every completion satisfies prunes nothing and
+    leaves the remaining cells open.  It is subsumed only when its own
+    events could have led there, or when every assignment satisfies it:
+    a LEQ sum entailed by a false cell, or a GEQ sum entailed by a true
+    one, stays idle, because neither cell wakes it."""
     model = Model()
     vs = [model.new_bool_var() for _ in range(3)]
     post_bool_sum(model, vs, rel, c)

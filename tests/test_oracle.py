@@ -1,6 +1,8 @@
 """Per-node fixpoint oracle: at the root and at every search node, the
 engine's fixpoint must equal the closure that ``NaiveEngine`` computes
-from the state before propagation.
+from the state before propagation, and every propagator with a
+subscription must be asleep exactly when one run of it reports
+``SUBSUMED`` (the rule of ``Propagator.subscriptions``).
 
 ``NaiveEngine`` shares nothing with ``Engine`` but the propagators: it
 reads no wake table, honours no subsumption and rebuilds every delta list
@@ -13,11 +15,11 @@ import itertools
 
 import pytest
 
-from fdlab.constraints import post_alldifferent, post_fix, post_le
+from fdlab.constraints import GEQ, LEQ, post_alldifferent, post_bool_sum, post_fix, post_le
 from fdlab.domain import FAILED
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model
 from fdlab.problems import build, parse_instance
-from fdlab.propagate import PROP_FAILED, Engine
+from fdlab.propagate import PROP_FAILED, SUBSUMED, Engine
 from fdlab.restore import RestoreMode
 from fdlab.search import A_SCHED, _Search, minimize, solve
 
@@ -68,15 +70,40 @@ def naive_closure(store, props, actions):
     return fork.snapshot_blob()
 
 
+def sleep_mismatches(store, eng):
+    """The pids that break the sleep rule at the engine's fixpoint: each
+    propagator with a subscription runs once, on a fork of ``store`` with
+    an empty delta list, and must report ``SUBSUMED`` exactly when its pid
+    is asleep.  Returns (pid, class name, asleep, outcome) per mismatch,
+    and one (None, 'store changed', None, None) when a run narrowed the
+    fork, which no run at a fixpoint may do.  A pid with no subscription
+    is exempt: it runs only when pushed (branch and bound's bound)."""
+    fork = store.fork()
+    probe = NaiveEngine(fork, eng.props)
+    asleep = eng.subsumed
+    found = []
+    for pid, prop in enumerate(eng.props):
+        if next(iter(prop.subscriptions()), None) is None:
+            continue
+        probe.deltas[prop] = []
+        outcome = prop.propagate(probe)
+        if outcome == PROP_FAILED or (outcome == SUBSUMED) != (pid in asleep):
+            found.append((pid, type(prop).__name__, pid in asleep, outcome))
+    if fork.snapshot_blob()[:4] != store.snapshot_blob()[:4]:
+        found.append((None, "store changed", None, None))
+    return found
+
+
 class _Oracle:
-    """Compares the engine with the naive closure at the root and at every
-    node a search opens.  Replay inside a backtrack is not checked: it
-    rebuilds a historical state, which lacks the bounds that branch and
-    bound has added since."""
+    """Compares the engine with the naive closure, and the pid states with
+    the sleep rule, at the root and at every node a search opens.  Replay
+    inside a backtrack is not checked: it rebuilds a historical state,
+    which lacks the bounds that branch and bound has added since."""
 
     def __init__(self, monkeypatch):
         self.checked = 0
         self.mismatches = []
+        self.sleep_mismatches = []
         root, try_node = _Search.root, _Search.try_node
         monkeypatch.setattr(_Search, "root", lambda s: self._check(s, (), root))
         monkeypatch.setattr(
@@ -92,6 +119,9 @@ class _Oracle:
                 ok and search.store.snapshot_blob()[:4] != expected[:4]
             ):
                 self.mismatches.append((search.stats.nodes, actions, ok))
+        if ok:
+            found = sleep_mismatches(search.store, search.eng)
+            self.sleep_mismatches.extend((search.stats.nodes, actions, m) for m in found)
         return ok
 
 
@@ -123,6 +153,7 @@ def test_fixpoint_equals_the_naive_closure_at_every_node(name, monkeypatch):
             solve(model, mode="all", restore=restore, queue=queue)
     assert oracle.checked > len(configs)
     assert oracle.mismatches == []
+    assert oracle.sleep_mismatches == []
 
 
 def test_oracle_sees_an_alldifferent_variable_fixed_before_the_solve(monkeypatch):
@@ -139,5 +170,31 @@ def test_oracle_sees_an_alldifferent_variable_fixed_before_the_solve(monkeypatch
     post_le(model, z, w)
     found = [solve(model, mode="all", queue=queue)[0] for queue in Engine.POLICIES]
     assert oracle.mismatches == []
+    assert oracle.sleep_mismatches == []
     assert oracle.checked == len(Engine.POLICIES)
     assert found == [[]] * len(Engine.POLICIES)
+
+
+def test_one_sided_sums_sleep_by_the_domains(monkeypatch):
+    """``<= 2`` over six of eight Booleans and ``>= 3`` over six: cells
+    turning false can entail the ``<=`` sum, and cells turning true the
+    ``>=`` sum, without waking it.  Such a sum must stay idle, since one
+    run of it must not report ``SUBSUMED`` while it does not sleep."""
+    oracle = _Oracle(monkeypatch)
+    model = Model()
+    bs = [model.new_bool_var(decision=True) for _ in range(8)]
+    post_bool_sum(model, bs[:6], LEQ, 2)
+    post_bool_sum(model, bs[2:], GEQ, 3)
+    counts = set()
+    for restore, queue in itertools.product(
+        (RestoreMode.trail(), RestoreMode.copy_recompute(8)), Engine.POLICIES
+    ):
+        solutions, _ = solve(model, mode="all", restore=restore, queue=queue)
+        counts.add(len(solutions))
+    expected = sum(
+        sum(v[:6]) <= 2 and sum(v[2:]) >= 3 for v in itertools.product((0, 1), repeat=8)
+    )
+    assert counts == {expected}
+    assert oracle.checked > 6 * expected
+    assert oracle.mismatches == []
+    assert oracle.sleep_mismatches == []

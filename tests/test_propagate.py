@@ -296,23 +296,29 @@ def test_bool_sum_wakes_only_on_the_value_that_can_prune(rel, wakes_on):
         assert _queued_after_fixing(model, pid, cells[1], value) == (value in wakes_on)
 
 
-def test_bool_lex_sleeps_through_x_false_and_y_true():
-    """Neither x -> 0 nor y -> 1 queues a Boolean lex; x -> 1 and y -> 0
-    do, and a variable in both vectors wakes it either way."""
+def test_bool_lex_wakes_on_both_values():
+    """Fixing any variable of a Boolean lex to either value queues it: an x
+    turning true or a y turning false can make it prune, and an x turning
+    false or a y turning true can entail it, as [x] <=lex [1] shows."""
+    from fdlab.domain import Op
+
     model = Model()
     x0, x1, shared, y1 = (model.new_bool_var() for _ in range(4))
     pid = model.add(LexLeqProp([x0, x1, shared], [shared, y1, x1]))
-    queued = {
-        (var, value): _queued_after_fixing(model, pid, var, value)
-        for var in (x0, y1, shared) for value in (0, 1)
-    }
-    assert queued == {
-        (x0, 0): False, (x0, 1): True,
-        (y1, 0): True, (y1, 1): False,
-        (shared, 0): True, (shared, 1): True,
-    }
-    # x1 sits in xs and in ys as well.
-    assert _queued_after_fixing(model, pid, x1, 0) and _queued_after_fixing(model, pid, x1, 1)
+    assert all(
+        _queued_after_fixing(model, pid, var, value)
+        for var in (x0, x1, shared, y1) for value in (0, 1)
+    )
+    model = Model()
+    x, y = model.new_bool_var(), model.new_bool_var()
+    pid = model.add(LexLeqProp([x], [y]))
+    eng = Engine(model.store.fork(), model.props)
+    eng.narrow(y, Op.ASSIGN, 1)
+    eng.schedule_all()
+    assert eng.fixpoint() and pid not in eng.subsumed
+    eng.narrow(x, Op.ASSIGN, 0)
+    assert pid in eng
+    assert eng.fixpoint() and pid in eng.subsumed
 
 
 @pytest.mark.parametrize("policy", Engine.POLICIES)

@@ -39,7 +39,14 @@ from fdlab.search import minimize, solve
 from shadow import shadow_backends
 from test_oracle import _Oracle
 
-RESTORES = (RestoreMode.trail(), RestoreMode.copy(), RestoreMode.copy_recompute(2))
+#: At distance 2 a replayed segment is one frame; at 8 a segment batches
+#: several frames before one fixpoint.
+RESTORES = (
+    RestoreMode.trail(),
+    RestoreMode.copy(),
+    RestoreMode.copy_recompute(2),
+    RestoreMode.copy_recompute(8),
+)
 RELS = (EQ, LEQ, GEQ)
 
 _HOLDS = {
@@ -210,3 +217,4 @@ def test_random_models_across_the_matrix(spec):
     assert len(trees) == 1
     assert [s.mismatches for s in shadows] == [0] * len(shadows)
     assert oracle.mismatches == []
+    assert oracle.sleep_mismatches == []

@@ -240,6 +240,71 @@ def test_adaptive_midpoint_snapshot():
     assert stats.restore.snapshots_taken > 1
 
 
+def _recorded_replays(path, target, adaptive):
+    """Open ``path`` nodes under recomputation with no snapshot past the
+    root, where the node at depth ``i`` removes ``i`` from one variable,
+    and backtrack to ``target`` with a ``replay`` that records its calls.
+    Returns the calls, the backend and the store before each node."""
+    store, xs, _ = _store_with_vars()
+    calls = []
+
+    def replay(actions):
+        calls.append(actions)
+        for op, var, value in actions:
+            store.narrow(var, op, value)
+
+    backend = RecomputeBackend(store, replay, distance=1000, adaptive=adaptive)
+    blobs = []
+    for i in range(path):
+        blobs.append(store.snapshot_blob())
+        actions = [(Op.REMOVE, xs[0], i)]
+        backend.open_node(actions)
+        replay(actions)
+    calls.clear()
+    backend.backtrack_to(target)
+    assert store.snapshot_blob() == blobs[target]
+    return calls, backend, blobs
+
+
+def test_replay_below_adaptive_is_one_segment():
+    """A path shorter than ``adaptive`` replays in one call, with its
+    frames' actions in order."""
+    calls, backend, _ = _recorded_replays(6, 3, adaptive=4)
+    assert [[value for _, _, value in actions] for actions in calls] == [[0, 1, 2]]
+    stats = backend.stats
+    assert (stats.snapshots_taken, stats.recomputations, stats.replayed_decisions) == (1, 1, 3)
+
+
+def test_replay_splits_only_at_the_midpoint_snapshot():
+    """A path of at least ``adaptive`` frames replays in two calls, split
+    where the midpoint snapshot is taken; the snapshot holds the state the
+    first call reached, and the counters count frames as before."""
+    calls, backend, blobs = _recorded_replays(9, 7, adaptive=4)
+    assert [[value for _, _, value in actions] for actions in calls] == [[0, 1, 2], [3, 4, 5, 6]]
+    assert [i for i, f in enumerate(backend.frames) if f.snapshot is not None] == [0, 3]
+    assert backend.frames[3].snapshot == blobs[3]
+    stats = backend.stats
+    assert (stats.snapshots_taken, stats.recomputations, stats.replayed_decisions) == (2, 1, 7)
+    # The same retreat again starts at the midpoint snapshot: one call.
+    calls.clear()
+    backend.open_node([])
+    backend.backtrack_to(5)
+    assert [[value for _, _, value in actions] for actions in calls] == [[3, 4]]
+    assert backend.store.snapshot_blob() == blobs[5]
+
+
+@pytest.mark.parametrize("name", ["bibd:6,3,2", "bibd:7,3,2"])
+@pytest.mark.parametrize("distance", [8, 32])
+def test_batched_replay_restores_the_pid_states(name, distance, monkeypatch):
+    """A replayed segment takes one fixpoint, so a propagator that slept
+    by the order of its events rather than by the domains would come back
+    in another state; these first solutions showed it."""
+    shadows = shadow_backends(monkeypatch)
+    solve(build(parse_instance(name)), restore=RestoreMode.copy_recompute(distance))
+    assert shadows[0].stats.recomputations > 0
+    assert shadows[0].mismatches == 0
+
+
 def test_shadow_backend_detects_mismatch():
     """A backend that forgets a trailed change, restores a mask but leaves
     its cached lower bound stale, or leaves a subsumed pid asleep counts
