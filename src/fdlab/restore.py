@@ -5,11 +5,13 @@ store's domains and pid states, which say what is subsumed, to the exact
 state they had when a frame was opened.  Trailing trails each variable's
 state at most once per node, and each subsumption, and writes those
 states back in reverse; copy-with-recomputation snapshots the whole
-region every ``distance`` nodes and otherwise replays the frames
-recorded since the nearest snapshot, one segment per call: a segment's
-actions are applied together and propagated to one fixpoint.  Copying is
-recomputation at distance 1: a snapshot at every node and nothing to
-replay.
+region every ``distance`` nodes and otherwise recomputes from the
+nearest snapshot the frames recorded since: a segment's actions are
+applied together and propagated to one fixpoint.  The last segment of a
+backtrack is not replayed: ``backtrack_to`` returns its actions, the
+tail, and the search applies them ahead of the next node's own actions,
+before that node's one fixpoint.  Copying is recomputation at distance
+1: a snapshot at every node and nothing to recompute.
 """
 
 from __future__ import annotations
@@ -111,27 +113,39 @@ class TrailBackend:
         self.frames.append(self.store.mark())
 
     def backtrack_to(self, target):
+        """Restore the state of frame ``target`` in full: no tail."""
         mark = self.frames[target]
         self._undone += len(self.trail) - mark
         self.store.undo(mark)
         del self.frames[target:]
+        return ()
 
 
 class RecomputeBackend:
-    """Copying every ``distance`` nodes, otherwise replay with propagation.
+    """Copying every ``distance`` nodes, otherwise recomputation.
 
     A backtrack loads the nearest snapshot at or above the target frame and
-    replays the frames in between, one segment per ``replay(actions)``
-    call, with the segment's frames' actions concatenated oldest first.
-    The adaptive rule places one extra snapshot at the midpoint of the
-    replayed path whenever the path length reaches ``adaptive``, and that
-    snapshot is the only place a path splits into two segments.
+    recomputes the frames in between, with each segment's frames' actions
+    concatenated oldest first.  The adaptive rule places one extra snapshot
+    at the midpoint of the recomputed path whenever the path length reaches
+    ``adaptive``, and that snapshot is the only place a path splits into two
+    segments.  The segment before the midpoint snapshot is replayed by one
+    ``replay(actions)`` call, since the snapshot must hold its state.  The
+    last segment is not replayed: ``backtrack_to`` returns its actions as
+    the tail, which the search applies ahead of the new node's actions and
+    propagates with them.  A backtrack that loads the target frame's own
+    snapshot returns ``()``.  The node that opens at ``target`` never takes
+    a snapshot over a pending tail: it does so only at a depth that is a
+    multiple of ``distance``, where the target frame, opened at the same
+    depth, took one too.
 
     Batching is exact because the fixpoint is unique and every propagator
     sleeps exactly when a run would report it subsumed (see
     ``Propagator.subscriptions``): one fixpoint after a segment's actions
-    leaves the domains and the pid states that a fixpoint per frame would.
-    ``replayed_decisions`` still counts frames.
+    leaves the domains and the pid states that a fixpoint per frame would,
+    and one after a tail and a node's actions those that replaying the tail
+    first would.  ``recomputations`` and ``replayed_decisions`` count
+    frames, replayed or returned as a tail.
     """
 
     def __init__(self, store, replay, distance, adaptive=2):
@@ -164,24 +178,30 @@ class RecomputeBackend:
         self.frames.append(frame)
 
     def backtrack_to(self, target):
+        """Load the nearest snapshot and recompute up to frame ``target``.
+        Returns the tail left for the next node to apply, or ``()``."""
         frames = self.frames
         k = target
         while frames[k].snapshot is None:
             k -= 1
         self.store.load_blob(frames[k].snapshot)
+        tail = ()
         if k < target:
             self._recomputations += 1
             self._replayed += target - k
             mid = k + (target - k) // 2
             if target - k >= self.adaptive and frames[mid].snapshot is None:
-                self._replay_segment(frames[k:mid])
+                self._replay(_actions(frames[k:mid]))
                 self._snap(frames[mid])
                 k = mid
-            self._replay_segment(frames[k:target])
+            tail = _actions(frames[k:target])
         del frames[target:]
+        return tail
 
-    def _replay_segment(self, segment):
-        self._replay([action for frame in segment for action in frame.actions])
+
+def _actions(segment):
+    """The actions of a segment's frames, oldest first."""
+    return [action for frame in segment for action in frame.actions]
 
 
 def make_backend(mode, store, replay):

@@ -95,7 +95,10 @@ class _Search:
 
     def _replay(self, actions):
         # Replaying a previously consistent path with monotone propagators
-        # cannot fail; if it does, a backend restored the wrong state.
+        # cannot fail; if it does, a backend restored the wrong state.  The
+        # guard covers the one segment a backend replays itself, the one
+        # before an adaptive midpoint snapshot; the last segment comes back
+        # as a tail and is propagated with the next node instead.
         if not self.descend(actions):
             raise RuntimeError("recomputation replay failed")
 
@@ -116,12 +119,16 @@ class _Search:
                 return var
         return None
 
-    def try_node(self, actions):
+    def try_node(self, actions, tail=()):
+        """Open a node and propagate it.  ``tail`` is the recomputation a
+        backtrack left: it is applied ahead of ``actions`` and shares their
+        fixpoint, but the frame records only ``actions``.  A replayed path
+        cannot fail on its own, so a failure here is the node's."""
         self.backend.open_node(actions)
         self.depth += 1
         stats = self.stats
         stats.nodes += 1
-        ok = self.descend(actions)
+        ok = self.descend(tail + actions if tail else actions)
         # The branching action is the last; prefix actions are not hashed.
         op, _, value = actions[-1]
         stats.fingerprint = _fold(stats.fingerprint, (self.cursor << 3 | op << 1 | ok, value))
@@ -137,11 +144,13 @@ class _Search:
 
     def unwind(self):
         """Retreat to the nearest open alternative and take it.  Returns
-        False when the tree is exhausted."""
+        False when the tree is exhausted.  The backtrack may leave a tail of
+        recomputation, which the alternative's node propagates with its own
+        actions."""
         while self.alts:
             self.depth, self.cursor, actions = self.alts.pop()
-            self.backend.backtrack_to(self.depth)
-            if self.try_node(self.prefix_actions() + actions):
+            tail = self.backend.backtrack_to(self.depth)
+            if self.try_node(self.prefix_actions() + actions, tail):
                 return True
             self.stats.backtracks += 1
         return False

@@ -164,7 +164,11 @@ def _shadow_run(name, primary_mode, bnb=None):
 
 def test_criterion_4_restoration_oracle(report):
     """Every backtrack restores the domains bit for bit and the pid states
-    of its frame, with the pids that joined since idle.  Branch and bound
+    of its frame, with the pids that joined since idle.  A recomputing
+    backtrack that leaves its last segment as a tail for the next node
+    restores instead the state of its base frame, the last one below the
+    target that holds a snapshot, and its tail must be the actions of the
+    frames from the base up to the target, in order.  Branch and bound
     is covered too: its prefix actions narrow the objective, or wake the
     bound, inside a node that may already have changed it, and under
     ``post`` each incumbent adds a bound that joins after older frames."""

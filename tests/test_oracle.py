@@ -96,9 +96,12 @@ def sleep_mismatches(store, eng):
 
 class _Oracle:
     """Compares the engine with the naive closure, and the pid states with
-    the sleep rule, at the root and at every node a search opens.  Replay
-    inside a backtrack is not checked: it rebuilds a historical state,
-    which lacks the bounds that branch and bound has added since."""
+    the sleep rule, at the root and at every node a search opens.  A node
+    opened after a recomputing backtrack propagates the backtrack's tail
+    with its own actions, so its closure is taken over the tail and the
+    actions together.  Replay inside a backtrack is not checked: it
+    rebuilds a historical state, which lacks the bounds that branch and
+    bound has added since."""
 
     def __init__(self, monkeypatch):
         self.checked = 0
@@ -107,7 +110,11 @@ class _Oracle:
         root, try_node = _Search.root, _Search.try_node
         monkeypatch.setattr(_Search, "root", lambda s: self._check(s, (), root))
         monkeypatch.setattr(
-            _Search, "try_node", lambda s, actions: self._check(s, actions, try_node, actions)
+            _Search,
+            "try_node",
+            lambda s, actions, tail=(): self._check(
+                s, [*tail, *actions], try_node, actions, tail
+            ),
         )
 
     def _check(self, search, actions, step, *args):

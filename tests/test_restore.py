@@ -150,7 +150,7 @@ class _FrameChecked(ShadowBackend):
 
     def backtrack_to(self, target):
         self._check()
-        super().backtrack_to(target)
+        return super().backtrack_to(target)
 
 
 @pytest.mark.parametrize("name", ["queens:8", "golomb:6", "magic:3"])
@@ -240,11 +240,12 @@ def test_adaptive_midpoint_snapshot():
     assert stats.restore.snapshots_taken > 1
 
 
-def _recorded_replays(path, target, adaptive):
-    """Open ``path`` nodes under recomputation with no snapshot past the
-    root, where the node at depth ``i`` removes ``i`` from one variable,
-    and backtrack to ``target`` with a ``replay`` that records its calls.
-    Returns the calls, the backend and the store before each node."""
+def _recorded_replays(path, target, adaptive, distance=1000):
+    """Open ``path`` nodes under recomputation, with no snapshot past the
+    root at the default ``distance``, where the node at depth ``i`` removes
+    ``i`` from one variable, and backtrack to ``target`` with a ``replay``
+    that records its calls.  Returns the calls, the returned tail, the
+    backend and the store before each node."""
     store, xs, _ = _store_with_vars()
     calls = []
 
@@ -253,7 +254,7 @@ def _recorded_replays(path, target, adaptive):
         for op, var, value in actions:
             store.narrow(var, op, value)
 
-    backend = RecomputeBackend(store, replay, distance=1000, adaptive=adaptive)
+    backend = RecomputeBackend(store, replay, distance=distance, adaptive=adaptive)
     blobs = []
     for i in range(path):
         blobs.append(store.snapshot_blob())
@@ -261,36 +262,65 @@ def _recorded_replays(path, target, adaptive):
         backend.open_node(actions)
         replay(actions)
     calls.clear()
-    backend.backtrack_to(target)
-    assert store.snapshot_blob() == blobs[target]
-    return calls, backend, blobs
+    tail = backend.backtrack_to(target)
+    return calls, tail, backend, blobs
+
+
+def _values(actions):
+    return [value for _, _, value in actions]
 
 
 def test_replay_below_adaptive_is_one_segment():
-    """A path shorter than ``adaptive`` replays in one call, with its
-    frames' actions in order."""
-    calls, backend, _ = _recorded_replays(6, 3, adaptive=4)
-    assert [[value for _, _, value in actions] for actions in calls] == [[0, 1, 2]]
+    """A path shorter than ``adaptive`` is one segment, and the last
+    segment is not replayed: it comes back as the tail, with its frames'
+    actions in order, over the root's state.  The counters count its
+    frames."""
+    calls, tail, backend, blobs = _recorded_replays(6, 3, adaptive=4)
+    assert calls == []
+    assert _values(tail) == [0, 1, 2]
+    assert backend.store.snapshot_blob() == blobs[0]
     stats = backend.stats
     assert (stats.snapshots_taken, stats.recomputations, stats.replayed_decisions) == (1, 1, 3)
 
 
 def test_replay_splits_only_at_the_midpoint_snapshot():
-    """A path of at least ``adaptive`` frames replays in two calls, split
-    where the midpoint snapshot is taken; the snapshot holds the state the
-    first call reached, and the counters count frames as before."""
-    calls, backend, blobs = _recorded_replays(9, 7, adaptive=4)
-    assert [[value for _, _, value in actions] for actions in calls] == [[0, 1, 2], [3, 4, 5, 6]]
+    """A path of at least ``adaptive`` frames splits where the midpoint
+    snapshot is taken: one replay call up to it, so that the snapshot holds
+    the state that call reached, and the rest as the tail; the counters
+    count frames as before."""
+    calls, tail, backend, blobs = _recorded_replays(9, 7, adaptive=4)
+    assert [_values(actions) for actions in calls] == [[0, 1, 2]]
+    assert _values(tail) == [3, 4, 5, 6]
     assert [i for i, f in enumerate(backend.frames) if f.snapshot is not None] == [0, 3]
     assert backend.frames[3].snapshot == blobs[3]
+    assert backend.store.snapshot_blob() == blobs[3]
     stats = backend.stats
     assert (stats.snapshots_taken, stats.recomputations, stats.replayed_decisions) == (2, 1, 7)
-    # The same retreat again starts at the midpoint snapshot: one call.
+    # The same retreat again starts at the midpoint snapshot: a tail alone.
     calls.clear()
     backend.open_node([])
-    backend.backtrack_to(5)
-    assert [[value for _, _, value in actions] for actions in calls] == [[3, 4]]
-    assert backend.store.snapshot_blob() == blobs[5]
+    assert _values(backend.backtrack_to(5)) == [3, 4]
+    assert calls == []
+    assert backend.store.snapshot_blob() == blobs[3]
+
+
+def test_backtrack_to_a_snapshot_due_depth_returns_no_tail():
+    """The frame at a depth that is a multiple of ``distance`` took a
+    snapshot when it opened, so a backtrack there loads it, replays
+    nothing and leaves no tail: the node that opens there and snapshots
+    the store never does so over a pending tail.  One frame deeper, the
+    same path comes back as a tail over that snapshot."""
+    calls, tail, backend, blobs = _recorded_replays(9, 8, adaptive=1000, distance=4)
+    assert (calls, tail) == ([], ())
+    assert backend.store.snapshot_blob() == blobs[8]
+    backend.open_node([])  # depth 8 snapshots again
+    assert backend.frames[8].snapshot == blobs[8]
+    stats = backend.stats
+    assert (stats.snapshots_taken, stats.recomputations, stats.replayed_decisions) == (4, 0, 0)
+    calls, tail, backend, blobs = _recorded_replays(9, 7, adaptive=1000, distance=4)
+    assert calls == []
+    assert _values(tail) == [4, 5, 6]
+    assert backend.store.snapshot_blob() == blobs[4]
 
 
 @pytest.mark.parametrize("name", ["bibd:6,3,2", "bibd:7,3,2"])
@@ -307,8 +337,9 @@ def test_batched_replay_restores_the_pid_states(name, distance, monkeypatch):
 
 def test_shadow_backend_detects_mismatch():
     """A backend that forgets a trailed change, restores a mask but leaves
-    its cached lower bound stale, or leaves a subsumed pid asleep counts
-    exactly one mismatch at its backtrack."""
+    its cached lower bound stale, leaves a subsumed pid asleep, or drops
+    one frame's actions from its tail counts exactly one mismatch at its
+    backtrack."""
 
     def forget_a_change(trail):
         trail.pop(0)
@@ -336,3 +367,16 @@ def test_shadow_backend_detects_mismatch():
         store.trail.append((store._state, 1, IDLE))
         shadow.backtrack_to(0)
         assert shadow.mismatches == 1, spoil.__name__
+
+    class DropsAFrame(RecomputeBackend):
+        def backtrack_to(self, target):
+            return super().backtrack_to(target)[:-1]  # the last frame's action
+
+    for backend in (RecomputeBackend, DropsAFrame):
+        store, xs, _ = _store_with_vars()
+        shadow = ShadowBackend(backend(store, replay=None, distance=1000, adaptive=1000))
+        for i in range(3):
+            shadow.open_node([(Op.REMOVE, xs[0], i)])
+            store.narrow(xs[0], Op.REMOVE, i)
+        assert len(shadow.backtrack_to(2)) == (2 if backend is RecomputeBackend else 1)
+        assert shadow.mismatches == (backend is DropsAFrame), backend.__name__
