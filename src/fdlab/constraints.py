@@ -81,14 +81,12 @@ class LinearProp(Propagator):
         for _, var in self.terms:
             yield var, BOUNDS_CHANGED
 
-    def propagate(self, eng):
-        s = eng.store
+    def propagate(self, s):
         lo = s._lo
         hi = s._hi
         pos = self.pos
         neg = self.neg
         cmin, cmax = self.cmin, self.cmax
-        narrow = eng.narrow
         while True:
             lb = ub = 0
             for a, v in pos:
@@ -109,20 +107,20 @@ class LinearProp(Propagator):
             for a, v in pos:
                 bound = lo[v] + up // a
                 if bound < hi[v]:
-                    narrow(v, MAX, bound)
+                    s.narrow(v, MAX, bound)
                     changed = True
                 bound = hi[v] - down // a
                 if bound > lo[v]:
-                    narrow(v, MIN, bound)
+                    s.narrow(v, MIN, bound)
                     changed = True
             for a, v in neg:
                 bound = hi[v] - up // a
                 if bound > lo[v]:
-                    narrow(v, MIN, bound)
+                    s.narrow(v, MIN, bound)
                     changed = True
                 bound = lo[v] + down // a
                 if bound < hi[v]:
-                    narrow(v, MAX, bound)
+                    s.narrow(v, MAX, bound)
                     changed = True
             if not changed:
                 return AT_FIXPOINT
@@ -162,12 +160,10 @@ class DiffProp(Propagator):
         yield self.y, BOUNDS_CHANGED
         yield self.z, BOUNDS_CHANGED
 
-    def propagate(self, eng):
-        s = eng.store
+    def propagate(self, s):
         lo = s._lo
         hi = s._hi
         x, y, z, k = self.x, self.y, self.z, self.k
-        narrow = eng.narrow
         xl, xh = lo[x], hi[x]
         yl, yh = lo[y], hi[y]
         zl, zh = lo[z], hi[z]
@@ -178,20 +174,20 @@ class DiffProp(Propagator):
             if b > xl:
                 if b > xh:
                     return PROP_FAILED
-                narrow(x, MIN, b)
+                s.narrow(x, MIN, b)
                 xl = lo[x]
             b = yh + zh + k
             if b < xh:
                 if b < xl:
                     return PROP_FAILED
-                narrow(x, MAX, b)
+                s.narrow(x, MAX, b)
                 xh = hi[x]
             # y = x - z - k
             b = xl - zh - k
             if b > yl:
                 if b > yh:
                     return PROP_FAILED
-                narrow(y, MIN, b)
+                s.narrow(y, MIN, b)
                 yl = lo[y]
                 if yl != b:
                     again = True
@@ -199,7 +195,7 @@ class DiffProp(Propagator):
             if b < yh:
                 if b < yl:
                     return PROP_FAILED
-                narrow(y, MAX, b)
+                s.narrow(y, MAX, b)
                 yh = hi[y]
                 if yh != b:
                     again = True
@@ -208,7 +204,7 @@ class DiffProp(Propagator):
             if b > zl:
                 if b > zh:
                     return PROP_FAILED
-                narrow(z, MIN, b)
+                s.narrow(z, MIN, b)
                 zl = lo[z]
                 if zl != b:
                     again = True
@@ -216,7 +212,7 @@ class DiffProp(Propagator):
             if b < zh:
                 if b < zl:
                     return PROP_FAILED
-                narrow(z, MAX, b)
+                s.narrow(z, MAX, b)
                 zh = hi[z]
                 if zh != b:
                     again = True
@@ -274,8 +270,8 @@ class BoolSumProp(Propagator):
         for var in self.vars:
             yield var, self._event
 
-    def propagate(self, eng):
-        states = self._read_cells(eng.store._bstate)
+    def propagate(self, s):
+        states = self._read_cells(s._bstate)
         n_true = states.count(1)
         n_unknown = states.count(UNKNOWN)
         ub = n_true + n_unknown
@@ -293,10 +289,9 @@ class BoolSumProp(Propagator):
             value = 1
         else:
             return AT_FIXPOINT
-        narrow = eng.narrow
         for v, st in zip(self.vars, states):
             if st == UNKNOWN:
-                narrow(v, ASSIGN, value)
+                s.narrow(v, ASSIGN, value)
         return SUBSUMED
 
 
@@ -304,15 +299,15 @@ class AllDiffValueProp(Propagator):
     """Value-consistent alldifferent: an instantiated value is removed
     from every other domain.
 
-    It takes deltas.  A run works its list in ``eng.deltas`` as a
+    It takes deltas.  A run works its list in the store's ``deltas`` as a
     worklist: it pops an instantiated variable and removes that one value
     from every other variable, and a removal that instantiates another
     variable appends it to the same list through the store's ``narrow``.
-    The engine seeds the list with the variables fixed when it joins and
-    empties it in ``clear``, so the list always holds every instantiated
-    variable whose value is not yet removed, and an empty list means
-    there is nothing to do.  Two variables fixed to one value fail at the
-    removal.
+    The store seeds the list with the variables fixed when it joins the
+    engine, and the engine empties it in ``clear``, so the list always
+    holds every instantiated variable whose value is not yet removed, and
+    an empty list means there is nothing to do.  Two variables fixed to
+    one value fail at the removal.
     """
 
     __slots__ = ("vars",)
@@ -326,22 +321,20 @@ class AllDiffValueProp(Propagator):
         for var in self.vars:
             yield var, INSTANTIATED
 
-    def propagate(self, eng):
-        s = eng.store
+    def propagate(self, s):
         vars = self.vars
         lo = s._lo
         hi = s._hi
         base = s._base
         mask = s._mask
-        narrow = eng.narrow
-        todo = eng.deltas[self]
+        todo = s.deltas[self]
         while todo:
             x = todo.pop()
             val = lo[x]
             for v in vars:
                 off = val - base[v]
                 if off >= 0 and (mask[v] >> off) & 1 and v != x:
-                    if narrow(v, REMOVE, val) is FAILED:
+                    if s.narrow(v, REMOVE, val) is FAILED:
                         return PROP_FAILED
         for v in vars:
             if lo[v] != hi[v]:
@@ -371,8 +364,7 @@ class LeProp(Propagator):
         yield self.x, BOUNDS_CHANGED
         yield self.y, BOUNDS_CHANGED
 
-    def propagate(self, eng):
-        s = eng.store
+    def propagate(self, s):
         lo = s._lo
         hi = s._hi
         x, y, gap = self.x, self.y, self.gap
@@ -382,14 +374,14 @@ class LeProp(Propagator):
         if b < xh:
             if b < xl:
                 return PROP_FAILED
-            eng.narrow(x, MAX, b)
+            s.narrow(x, MAX, b)
             xh = hi[x]
         b = xl + gap
         if b > yl:
             # hi[y] is read again: with x == y the narrowing above moved it.
             if b > hi[y]:
                 return PROP_FAILED
-            eng.narrow(y, MIN, b)
+            s.narrow(y, MIN, b)
             yl = lo[y]
         if xh + gap <= yl:
             return SUBSUMED
@@ -419,9 +411,8 @@ class BoolAndProp(Propagator):
         yield self.x, INSTANTIATED
         yield self.y, INSTANTIATED
 
-    def propagate(self, eng):
+    def propagate(self, s):
         z, x, y = self.z, self.x, self.y
-        s = eng.store
         if z < 0:
             bstate = s._bstate
             zs = bstate[~z]
@@ -433,37 +424,36 @@ class BoolAndProp(Propagator):
             zs = lo[z] if lo[z] == hi[z] else UNKNOWN
             xs = lo[x] if lo[x] == hi[x] else UNKNOWN
             ys = lo[y] if lo[y] == hi[y] else UNKNOWN
-        narrow = eng.narrow
         if xs == 1 and ys == 1:
             if zs == 0:
                 return PROP_FAILED
-            if zs == UNKNOWN and narrow(z, ASSIGN, 1) is FAILED:
+            if zs == UNKNOWN and s.narrow(z, ASSIGN, 1) is FAILED:
                 return PROP_FAILED
             return SUBSUMED
         if xs == 0 or ys == 0:
             if zs == 1:
                 return PROP_FAILED
-            if zs == UNKNOWN and narrow(z, ASSIGN, 0) is FAILED:
+            if zs == UNKNOWN and s.narrow(z, ASSIGN, 0) is FAILED:
                 return PROP_FAILED
             return SUBSUMED
         # x and y are each unknown or 1, and not both 1.
         if zs == 1:
-            if xs == UNKNOWN and narrow(x, ASSIGN, 1) is FAILED:
+            if xs == UNKNOWN and s.narrow(x, ASSIGN, 1) is FAILED:
                 return PROP_FAILED
-            if ys == UNKNOWN and narrow(y, ASSIGN, 1) is FAILED:
+            if ys == UNKNOWN and s.narrow(y, ASSIGN, 1) is FAILED:
                 return PROP_FAILED
             return SUBSUMED
         if zs == 0:
             if xs == 1:
-                if narrow(y, ASSIGN, 0) is FAILED:
+                if s.narrow(y, ASSIGN, 0) is FAILED:
                     return PROP_FAILED
                 return SUBSUMED
             if ys == 1:
-                if narrow(x, ASSIGN, 0) is FAILED:
+                if s.narrow(x, ASSIGN, 0) is FAILED:
                     return PROP_FAILED
                 return SUBSUMED
             if x == y:  # z = x and x: a false z makes the unknown x false
-                narrow(x, ASSIGN, 0)
+                s.narrow(x, ASSIGN, 0)
                 return SUBSUMED
         return AT_FIXPOINT
 
@@ -504,8 +494,8 @@ class LexLeqProp(Propagator):
         for var in dict.fromkeys(self.xs + self.ys):
             yield var, INSTANTIATED
 
-    def propagate(self, eng):
-        bstate = eng.store._bstate
+    def propagate(self, s):
+        bstate = s._bstate
         xs, ys = self.xs, self.ys
         cx, cy = self._cx, self._cy
         n = len(xs)
@@ -533,7 +523,7 @@ class LexLeqProp(Propagator):
             if b < xh:
                 if b < xl:
                     return PROP_FAILED
-                eng.narrow(x, MAX, b)
+                s.narrow(x, MAX, b)
                 xh = b
                 if y == x:
                     yh = xh
@@ -541,7 +531,7 @@ class LexLeqProp(Propagator):
             if b > yl:
                 if b > yh:
                     return PROP_FAILED
-                eng.narrow(y, MIN, b)
+                s.narrow(y, MIN, b)
                 yl = b
                 if x == y:
                     xl = yl
@@ -571,8 +561,7 @@ class IntLexLeqProp(Propagator):
         for var in self.xs + self.ys:
             yield var, BOUNDS_CHANGED
 
-    def propagate(self, eng):
-        s = eng.store
+    def propagate(self, s):
         lo, hi = s._lo, s._hi
         xs, ys = self.xs, self.ys
         n = len(xs)
@@ -597,7 +586,7 @@ class IntLexLeqProp(Propagator):
             if b < xh:
                 if b < xl:
                     return PROP_FAILED
-                eng.narrow(x, MAX, b)
+                s.narrow(x, MAX, b)
                 xh = hi[x]
                 if y == x:
                     yh = xh
@@ -605,7 +594,7 @@ class IntLexLeqProp(Propagator):
             if b > yl:
                 if b > yh:
                     return PROP_FAILED
-                eng.narrow(y, MIN, b)
+                s.narrow(y, MIN, b)
                 yl = lo[y]
                 if x == y:
                     xl = yl
@@ -626,8 +615,8 @@ class UpperBoundProp(Propagator):
         self.var = var
         self.bound = bound
 
-    def propagate(self, eng):
-        if eng.narrow(self.var, MAX, self.bound) is FAILED:
+    def propagate(self, s):
+        if s.narrow(self.var, MAX, self.bound) is FAILED:
             return PROP_FAILED
         return SUBSUMED
 

@@ -5,10 +5,11 @@ path of the change: it trails the old state (when a trailing backend gave
 the store a trail) before the change becomes visible, queues the
 propagators that the change's event wakes and, when an integer is
 instantiated, appends it to the delta lists of its delta takers.  The
-wake tables, the pid state bytes, the per-pid queue buckets and the delta
-lists belong to the solve's :class:`fdlab.propagate.Engine`, which
-installs them on its fork of the store; a model's own store keeps empty
-tables, so a narrowing made while posting wakes nothing.
+store files each propagator's subscriptions in its own five wake tables,
+one per event, as the propagator joins a solve's
+:class:`fdlab.propagate.Engine`, and keeps the delta lists; the engine
+lends it the pid state bytes and the per-pid queue buckets.  A model's
+own store files nothing, so a narrowing made while posting wakes nothing.
 
 The trail holds an integer variable's whole state, ``(var, mask, lo,
 hi)``, at most once per frame: each integer variable carries the stamp
@@ -63,8 +64,8 @@ class EventClass(enum.IntEnum):
 
 class BoolEvent(enum.IntEnum):
     """A Boolean's events: its cell was fixed to 0 or to 1.  They number on
-    from the event classes, so that one tuple of wake tables, indexed by
-    event, serves both kinds of variable (see :data:`EVENTS`)."""
+    from the event classes, so no event equals another: a Boolean
+    subscribed with an event class is never filed as one of its values."""
 
     FIXED_FALSE = 3
     FIXED_TRUE = 4
@@ -82,9 +83,6 @@ class Op(enum.IntEnum):
 REMOVE, MIN, MAX, ASSIGN = Op
 DOMAIN_CHANGED, BOUNDS_CHANGED, INSTANTIATED = EventClass
 FIXED_FALSE, FIXED_TRUE = BoolEvent
-
-#: Every event, in index order: the indices of ``Engine``'s wake tables.
-EVENTS = (*EventClass, *BoolEvent)
 
 # A propagator's state byte in ``Engine``'s pid states.  A change queues only
 # IDLE pids; ASLEEP covers the running propagator and the subsumed ones.
@@ -147,17 +145,19 @@ class VariableStore:
         # Boolean variables, indexed by ~id
         self._bstate = bytearray()
         self._region_words = 0
-        # The wake path, installed by a solve's Engine: one wake table per
-        # event (variable -> pids), pid -> state byte, pid -> its queue
-        # bucket, and integer variable -> the delta lists of its takers.
+        # The wake path, filed by ``_file``: one wake table per event
+        # (variable -> pids), delta taker -> its delta list, and integer
+        # variable -> the delta lists of its takers.  A solve's Engine lends
+        # its pid -> state byte and pid -> queue bucket.
         self._wake_dom = {}
         self._wake_bounds = {}
         self._wake_inst = {}
         self._wake_false = {}
         self._wake_true = {}
+        self.deltas = {}
+        self._delta_lists = {}
         self._state = bytearray()
         self._bucket = []
-        self._delta_lists = {}
 
     # -- construction -------------------------------------------------
 
@@ -187,8 +187,8 @@ class VariableStore:
 
     def fork(self):
         """A store for one solve: it owns a copy of the variable layout and
-        of the domains, fresh stamps, and no trail or wake tables until a
-        backend and an engine give it theirs."""
+        of the domains, fresh stamps, empty wake tables, and no trail until
+        a backend gives it one."""
         # Built through __init__, not copy.copy: an instance whose __dict__
         # was filled by update loses the attribute layout that makes the
         # hot-path reads of self._mask, self._lo, ... fast.
@@ -246,6 +246,42 @@ class VariableStore:
         return out
 
     # -- mutation -----------------------------------------------------
+
+    def _file(self, props, first):
+        """File the subscriptions of ``props[first:]``, the engine's
+        propagators by pid, in the wake tables: an integer's subscription
+        under its event class and every stronger one; a Boolean's to
+        ``FIXED_FALSE`` or ``FIXED_TRUE`` under that value alone, and any
+        other under both values.  So ``narrow`` need walk only the table of
+        a change's own event.  A propagator that takes deltas gets its list
+        in ``deltas``, filed under each of its integer variables in
+        ``_delta_lists`` and seeded with those already fixed, which no
+        narrowing will report."""
+        wake_dom, wake_bounds, wake_inst = self._wake_dom, self._wake_bounds, self._wake_inst
+        wake_false, wake_true = self._wake_false, self._wake_true
+        delta_lists = self._delta_lists
+        for pid in range(first, len(props)):
+            prop = props[pid]
+            # Read with a default: a duck-typed propagator need not declare it.
+            takes_deltas = getattr(prop, "takes_deltas", False)
+            if takes_deltas:
+                deltas = self.deltas.setdefault(prop, [])
+            for var, klass in prop.subscriptions():
+                if var < 0:
+                    if klass != FIXED_TRUE:
+                        wake_false.setdefault(var, []).append(pid)
+                    if klass != FIXED_FALSE:
+                        wake_true.setdefault(var, []).append(pid)
+                    continue
+                wake_inst.setdefault(var, []).append(pid)
+                if klass != INSTANTIATED:
+                    wake_bounds.setdefault(var, []).append(pid)
+                    if klass == DOMAIN_CHANGED:
+                        wake_dom.setdefault(var, []).append(pid)
+                if takes_deltas:
+                    delta_lists.setdefault(var, []).append(deltas)
+                    if self.size(var) == 1:
+                        deltas.append(var)
 
     def narrow(self, var, op, value):
         """Intersect the domain with the action's allowed set.

@@ -1,8 +1,8 @@
 """Model container: variables, posted constraints, branch order, objective.
 A model only describes the problem: its store and its propagators.  Each
-solve works on a fork of the store and builds its own ``Engine`` over the
-propagators, which files their subscriptions, so it leaves the model
-unchanged.
+solve works on a fork of the store, which files the propagators'
+subscriptions as they join the solve's own ``Engine``, so it leaves the
+model unchanged.
 
 A model's size is what it posted: its variables, its propagators and the
 unary constraints it posted as domain pruning (``unaries``), which have no
@@ -25,6 +25,13 @@ SUM_DECOMPOSED = "decomposed"
 #: bitset over its span, so a wide span is a large allocation; the catalogued
 #: models stay below 200 values.
 MAX_DOMAIN_SPAN = 1 << 16
+
+#: Largest modelled region a model may hold, in the 64-bit words behind
+#: ``VariableStore.region_bytes``: what one copy snapshot holds.  A model
+#: that would pass it is refused as it grows, before the variable that
+#: would pass it is made, instead of exhausting memory.  The largest
+#: catalogued instance, golfers:2,10,4+ext, models 156,800 words.
+MAX_REGION_WORDS = 1 << 20
 
 
 class ModelError(ValueError):
@@ -60,16 +67,32 @@ class Model:
             raise ModelError(
                 f"domain [{lo}..{hi}] spans more than {MAX_DOMAIN_SPAN} values"
             )
+        self._reserve(-(-(hi - lo + 1) // 64))
         var = self.store.new_int_var(lo, hi)
         if decision:
             self.decision_vars.append(var)
         return var
 
     def new_bool_var(self, decision=False):
+        self._reserve(1)
         var = self.store.new_bool_var()
         if decision:
             self.decision_vars.append(var)
         return var
+
+    def new_bool_vars(self, n):
+        """Add ``n`` Booleans that no constraint names (the padding of an
+        extended model); returns their ids."""
+        self._reserve(n)
+        return self.store.new_bool_vars(n)
+
+    def _reserve(self, words):
+        """Refuse variables whose ``words`` would take the modelled region
+        (``region_bytes`` in words) past ``MAX_REGION_WORDS``."""
+        if self.store._region_words + words > MAX_REGION_WORDS:
+            raise ModelError(
+                f"model exceeds {MAX_REGION_WORDS} words of modelled domains"
+            )
 
     def new_01_var(self, decision=False):
         """A Boolean-semantics variable in the model's chosen representation."""

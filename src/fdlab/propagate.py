@@ -1,27 +1,25 @@
 """Event-driven propagation engine with a policy-ordered queue.
 
 Propagators subscribe to (variable, event) pairs and are run to a
-fixpoint.  Each solve builds one ``Engine`` over the model's propagators,
-and the engine files every subscription in its own wake tables, one per
-event (variable -> the pids that event wakes): an integer's events are its
-event classes, a Boolean's are its fixings to 0 and to 1, so a propagator
-that can prune on one value only sleeps through the other.  The engine
-installs the tables, with its pid states, queue buckets and delta lists,
-on its fork of the store, so a propagator's domain change is one store
-``narrow`` call (``eng.narrow`` is that bound method), which walks the
-table of the change's own event only and queues the idle pids there
-itself.  All propagators are monotone and contracting, and an event a
-propagator does not subscribe to cannot make it prune, so the fixpoint
-reached is unique regardless of the queue policy; only the amount of work
-to get there differs.
+fixpoint.  Each solve builds one ``Engine`` over its fork of the store and
+the model's propagators.  The engine schedules: it holds the queue and
+runs each popped propagator on the store.  The store dispatches: it files
+every subscription in its own wake tables, one per event, as the
+propagator joins, and a propagator's domain change is one store ``narrow``
+call, which walks the table of the change's own event only and queues the
+idle pids there itself.  An integer's events are its event classes, a
+Boolean's are its fixings to 0 and to 1, so a propagator that can prune on
+one value only sleeps through the other.  All propagators are monotone and
+contracting, and an event a propagator does not subscribe to cannot make
+it prune, so the fixpoint reached is unique regardless of the queue
+policy; only the amount of work to get there differs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .domain import ASLEEP, DOMAIN_CHANGED, EVENTS, FIXED_FALSE, FIXED_TRUE
-from .domain import IDLE, INSTANTIATED, QUEUED
+from .domain import ASLEEP, IDLE, QUEUED
 
 # Propagator outcomes.
 AT_FIXPOINT = 0
@@ -32,7 +30,6 @@ SUBSUMED = 2
 PRIORITY_CHEAP = 0  # arity <= 3: orderings, conjunction, objective bound
 PRIORITY_LINEAR = 1  # linear and Boolean sums
 PRIORITY_GLOBAL = 2  # alldifferent, lex
-NUM_PRIORITIES = 3
 
 
 class Propagator:
@@ -41,10 +38,15 @@ class Propagator:
     priority = PRIORITY_LINEAR
     #: A propagator that takes deltas is told which of its subscribed
     #: integer variables were instantiated since its last run, or, before
-    #: its first run, were already fixed when it joined the engine:
-    #: ``eng.deltas[self]`` lists them (see ``Engine``), and the store's
-    #: ``narrow`` appends to that list.  It may subsume only once all of
-    #: those are fixed, so that no entry reaches its list while it sleeps.
+    #: its first run, were already fixed when it joined the engine: the
+    #: store's ``deltas[self]`` lists them.  The store seeds the list when
+    #: the propagator joins and its ``narrow`` appends to it; the engine's
+    #: ``clear`` empties it, so a failed fixpoint leaves no stale entry
+    #: behind a backtrack.  At a fixpoint every list is empty, because its
+    #: propagator has run, and a backtrack returns to a store at such a
+    #: fixpoint, so an empty list means there is nothing new.  It may
+    #: subsume only once all of those are fixed, so that no entry reaches
+    #: its list while it sleeps.
     takes_deltas = False
 
     def subscriptions(self):
@@ -61,46 +63,28 @@ class Propagator:
         replay a whole path before one fixpoint."""
         return ()
 
-    def propagate(self, eng):
+    def propagate(self, store):
+        """Filter the domains of ``store``, the solve's ``VariableStore``:
+        read them, narrow them with ``store.narrow``, and return
+        ``AT_FIXPOINT``, ``PROP_FAILED`` or ``SUBSUMED``."""
         raise NotImplementedError
 
 
 class Engine:
-    """The propagation state of one solve, built by the solve over its fork
+    """The propagation queue of one solve, built by the solve over its fork
     of the store and the model's propagators.  It copies the propagator
-    list, so what the solve adds stays out of the model, and owns the wake
-    tables and the queue.  It installs the wake tables, the pid state
-    bytes, the per-pid buckets and the delta lists on the store, whose
-    ``narrow`` does the whole of a domain change; ``narrow`` here is the
-    store's bound method, so propagators call ``eng.narrow``.
-
-    ``_file`` files each propagator's subscriptions, as it joins, in one
-    wake table per event, ``_wake[event]`` (variable -> pids): an
-    integer's subscription under its event class and every stronger one; a
-    Boolean's to ``FIXED_FALSE`` or ``FIXED_TRUE`` under that value alone,
-    and any other under both values.
+    list, so what the solve adds stays out of the model, and has the store
+    file each propagator's subscriptions as it joins.  It lends the store
+    its pid state bytes and per-pid buckets, so the store's ``narrow``
+    queues the pids a change wakes.
 
     Each pid has one state byte: idle, queued, or asleep while it runs or
-    stays subsumed.  A domain change walks the one wake table of its event
-    (an integer's event class, or the value a Boolean took) and queues the
-    idle pids there in table order, so the running propagator never
-    requeues itself and a subsumed one sleeps until a backtrack re-enables
-    it.  The state bytes are part of the store's restorable state: the
-    fixpoint trails a subsumption when the store has a trail, and a
-    snapshot copies the bytes, so the backend that restores the domains
-    also restores which pids are subsumed.
-
-    ``deltas`` maps each propagator that takes deltas to its delta list;
-    the store's ``_delta_lists`` maps each of their integer variables to
-    the lists of its delta takers.  A list holds the propagator's variables
-    instantiated since it last ran.  ``_file`` seeds it with those already
-    fixed in the store, which no narrowing will report; the store's
-    ``narrow`` appends the variable to its takers' lists on an
-    ``INSTANTIATED`` change; ``clear`` empties every list, so a failed
-    fixpoint leaves no stale entry behind a backtrack.  At a fixpoint every
-    list is empty, because its propagator has run, and a backtrack returns
-    to a store at such a fixpoint, so an empty list means there is nothing
-    new.
+    stays subsumed.  A domain change queues only the idle pids its event
+    wakes, so the running propagator never requeues itself and a subsumed
+    one sleeps until a backtrack re-enables it.  The state bytes are part
+    of the store's restorable state: the fixpoint trails a subsumption when
+    the store has a trail, and a snapshot copies the bytes, so the backend
+    that restores the domains also restores which pids are subsumed.
 
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
     first; ``reversed`` pops the highest first.  Within equal priority, FIFO
@@ -126,47 +110,9 @@ class Engine:
         by_priority = self._by_priority = tuple(buckets[b] for b in bucket_of)
         self._bucket = [by_priority[p.priority] for p in self.props]  # pid -> its deque
         self._state = bytearray(len(self.props))  # pid -> IDLE, QUEUED or ASLEEP
-        self._wake = tuple({} for _ in EVENTS)  # indexed by event
-        self.deltas = {}
-        (store._wake_dom, store._wake_bounds, store._wake_inst,
-         store._wake_false, store._wake_true) = self._wake
         store._state = self._state
         store._bucket = self._bucket
-        store._delta_lists = {}
-        self.narrow = store.narrow
-        self._file(0)
-
-    def _file(self, first):
-        """File the subscriptions of the propagators from pid ``first`` on
-        in the wake tables, and file the delta list of a propagator that
-        takes deltas under each of its integer variables in the store's
-        ``_delta_lists``, seeding the list with those already fixed."""
-        # Unpacked in EVENTS order: indexing the tuple by an enum member
-        # would miss the interpreter's fast path for exact ints.
-        wake_dom, wake_bounds, wake_inst, wake_false, wake_true = self._wake
-        delta_lists = self.store._delta_lists
-        for pid in range(first, len(self.props)):
-            prop = self.props[pid]
-            # Read with a default: a duck-typed propagator need not declare it.
-            takes_deltas = getattr(prop, "takes_deltas", False)
-            if takes_deltas:
-                deltas = self.deltas.setdefault(prop, [])
-            for var, klass in prop.subscriptions():
-                if var < 0:
-                    if klass != FIXED_TRUE:
-                        wake_false.setdefault(var, []).append(pid)
-                    if klass != FIXED_FALSE:
-                        wake_true.setdefault(var, []).append(pid)
-                    continue
-                wake_inst.setdefault(var, []).append(pid)
-                if klass != INSTANTIATED:
-                    wake_bounds.setdefault(var, []).append(pid)
-                    if klass == DOMAIN_CHANGED:
-                        wake_dom.setdefault(var, []).append(pid)
-                if takes_deltas:
-                    delta_lists.setdefault(var, []).append(deltas)
-                    if self.store.size(var) == 1:
-                        deltas.append(var)
+        store._file(self.props, 0)
 
     def add(self, prop):
         """Add a propagator to this solve only (branch and bound's bound)
@@ -177,7 +123,7 @@ class Engine:
         self._run.append(prop.propagate)
         self._bucket.append(self._by_priority[prop.priority])
         self._state.append(IDLE)
-        self._file(pid)
+        self.store._file(self.props, pid)
         return pid
 
     def push(self, pid):
@@ -205,7 +151,7 @@ class Engine:
             for pid in bucket:
                 state[pid] = IDLE
             bucket.clear()
-        for d in self.deltas.values():
+        for d in self.store.deltas.values():
             d.clear()
 
     def schedule_all(self):
@@ -223,7 +169,8 @@ class Engine:
         rest = buckets[1:]
         state = self._state
         run = self._run
-        trail = self.store.trail
+        store = self.store
+        trail = store.trail
         while True:
             if first:
                 pid = first.popleft()
@@ -235,7 +182,7 @@ class Engine:
                 else:
                     return True
             state[pid] = ASLEEP
-            outcome = run[pid](self)
+            outcome = run[pid](store)
             if not outcome:  # AT_FIXPOINT
                 state[pid] = IDLE
                 continue

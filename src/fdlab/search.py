@@ -68,15 +68,6 @@ class Solution:
     objective: int | None = None
 
 
-def _apply_actions(eng, actions):
-    for op, target, value in actions:
-        if op is A_SCHED:
-            eng.push(target)
-        elif eng.narrow(target, op, value) is FAILED:
-            return False
-    return True
-
-
 class _Search:
     """The state of one solve.  It narrows a fork of the model's store and
     runs its own engine over the model's propagators, so the model itself
@@ -135,11 +126,16 @@ class _Search:
         return ok
 
     def descend(self, actions):
-        """Apply a node's actions and propagate."""
+        """Apply a node's actions, narrowing through the store and
+        rescheduling through the engine, and propagate."""
+        store = self.store
         eng = self.eng
-        if not _apply_actions(eng, actions):
-            eng.clear()
-            return False
+        for op, target, value in actions:
+            if op is A_SCHED:
+                eng.push(target)
+            elif store.narrow(target, op, value) is FAILED:
+                eng.clear()
+                return False
         return eng.fixpoint()
 
     def unwind(self):

@@ -21,7 +21,7 @@ from fdlab.constraints import (
     post_linear,
     post_ne_const,
 )
-from fdlab.domain import BOUNDS_CHANGED, FAILED, FIXED_FALSE, FIXED_TRUE, Op
+from fdlab.domain import BOUNDS_CHANGED, FAILED, Op
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model, ModelError
 from fdlab.propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Engine
 from fdlab.propagate import PRIORITY_GLOBAL
@@ -310,7 +310,7 @@ def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data
         mark = store.mark()
         ok = True
         for op, i, v in step:
-            if eng.narrow(xs[i], op, v) is FAILED:
+            if store.narrow(xs[i], op, v) is FAILED:
                 eng.clear()
                 ok = False
                 break
@@ -1076,7 +1076,7 @@ def test_diff_prop_matches_linear(xd, yd, zd, k):
         doms = [model.store.domain_values(v) for v in vs]
         # The engine never re-queues the running propagator, so its one
         # run must have left nothing for a second run to do.
-        assert prop.propagate(eng) != PROP_FAILED
+        assert prop.propagate(model.store) != PROP_FAILED
         assert [model.store.domain_values(v) for v in vs] == doms
         return True, doms, 0 in eng.subsumed
 
@@ -1112,8 +1112,7 @@ class _LexReference:
                 return False
         return not self.strict
 
-    def propagate(self, eng):
-        s = eng.store
+    def propagate(self, s):
         xs, ys = self.xs, self.ys
         n = len(xs)
         a = 0
@@ -1128,9 +1127,9 @@ class _LexReference:
             if a == n:
                 return PROP_FAILED if self.strict else SUBSUMED
             gap = 0 if self._tail_satisfiable(s, a) else 1
-            if eng.narrow(xs[a], Op.MAX, s.max(ys[a]) - gap) is FAILED:
+            if s.narrow(xs[a], Op.MAX, s.max(ys[a]) - gap) is FAILED:
                 return PROP_FAILED
-            if eng.narrow(ys[a], Op.MIN, s.min(xs[a]) + gap) is FAILED:
+            if s.narrow(ys[a], Op.MIN, s.min(xs[a]) + gap) is FAILED:
                 return PROP_FAILED
             if not (
                 s.size(xs[a]) == 1
@@ -1286,18 +1285,18 @@ def test_skipped_polarity_fixings_leave_the_fixpoint_alone(case):
 
     while True:  # to the propagator's own fixpoint
         before = domains()
-        if prop.propagate(eng) == PROP_FAILED:
+        if prop.propagate(store) == PROP_FAILED:
             return
         if domains() == before:
             break
     for v, pick in zip(pool, picks):
         skipped = [
             value
-            for value, event in ((0, FIXED_FALSE), (1, FIXED_TRUE))
-            if pid not in eng._wake[event].get(v, ())
+            for value, table in ((0, store._wake_false), (1, store._wake_true))
+            if pid not in table.get(v, ())
         ]
         if pick and skipped and store.size(v) == 2:
             store.narrow(v, Op.ASSIGN, skipped[0])
     before = domains()
-    assert prop.propagate(eng) != PROP_FAILED
+    assert prop.propagate(store) != PROP_FAILED
     assert domains() == before

@@ -11,7 +11,7 @@ from fdlab.domain import (
     VariableStore,
     is_int_var,
 )
-from fdlab.model import MAX_DOMAIN_SPAN, Model, ModelError
+from fdlab.model import MAX_DOMAIN_SPAN, MAX_REGION_WORDS, Model, ModelError
 
 
 def test_int_var_creation():
@@ -53,6 +53,32 @@ def test_model_caps_domain_span():
     assert len(model.store._mask) == 2
     assert model.store.region_bytes == 2 * 8 * (MAX_DOMAIN_SPAN // 64)
     assert model.decision_vars == []
+
+
+def test_model_caps_the_modelled_region():
+    """Each way a model makes variables refuses the one that would take the
+    modelled region past the cap, before the store grows; the region can
+    fill up to the cap exactly."""
+    model = Model()
+    span_words = MAX_DOMAIN_SPAN // 64
+    full = MAX_REGION_WORDS // span_words - 1
+    for _ in range(full):
+        model.new_int_var(1, MAX_DOMAIN_SPAN)
+    with pytest.raises(ModelError):
+        model.new_bool_vars(span_words + 1)
+    model.new_bool_vars(span_words - 1)
+    with pytest.raises(ModelError):
+        model.new_int_var(0, 64, decision=True)
+    model.new_bool_var(decision=True)
+    assert model.store.region_bytes == 8 * MAX_REGION_WORDS
+    with pytest.raises(ModelError):
+        model.new_bool_var()
+    with pytest.raises(ModelError):
+        model.new_int_var(0, 0)
+    with pytest.raises(ModelError):
+        model.new_bool_vars(1)
+    assert model.store.num_vars == full + span_words
+    assert len(model.decision_vars) == 1
 
 
 def test_bool_var_creation():

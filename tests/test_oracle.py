@@ -1,14 +1,14 @@
 """Per-node fixpoint oracle: at the root and at every search node, the
-engine's fixpoint must equal the closure that ``NaiveEngine`` computes
+engine's fixpoint must equal the closure that ``naive_closure`` computes
 from the state before propagation, and every propagator with a
 subscription must be asleep exactly when one run of it reports
 ``SUBSUMED`` (the rule of ``Propagator.subscriptions``).
 
-``NaiveEngine`` shares nothing with ``Engine`` but the propagators: it
-reads no wake table, honours no subsumption and rebuilds every delta list
-from scratch, so a subscription the engine failed to file, a delta it
-failed to seed or a propagator it left asleep too long shows up as a
-difference in the domains.
+The naive closure shares nothing with ``Engine`` but the propagators: it
+runs them on a fork of the store, reads no wake table, honours no
+subsumption and rebuilds every delta list from scratch, so a subscription
+the store failed to file, a delta it failed to seed or a propagator the
+engine left asleep too long shows up as a difference in the domains.
 """
 
 import itertools
@@ -27,47 +27,28 @@ from fdlab.search import A_SCHED, _Search, minimize, solve
 _SKIP = object()
 
 
-class NaiveEngine:
-    """Runs every propagator in turn, over and over, until a whole sweep
-    changes no domain.  Before each run a delta taker's list is set to all
-    of its fixed integer variables."""
-
-    def __init__(self, store, props):
-        self.store = store
-        self.props = props
-        self.deltas = {}
-
-    def narrow(self, var, op, value):
-        return self.store.narrow(var, op, value)
-
-    def closure(self):
-        """True at the closure, False when a propagator fails."""
-        store = self.store
-        while True:
-            before = store.snapshot_blob()
-            for prop in self.props:
-                if getattr(prop, "takes_deltas", False):
-                    self.deltas[prop] = [
-                        v for v, _ in prop.subscriptions() if v >= 0 and store.size(v) == 1
-                    ]
-                if prop.propagate(self) == PROP_FAILED:
-                    return False
-            if store.snapshot_blob()[:4] == before[:4]:
-                return True
-
-
 def naive_closure(store, props, actions):
     """The domains of the naive closure of ``store`` narrowed by a node's
     ``actions``: a snapshot, None when the closure fails, or ``_SKIP`` when
-    an action fails."""
+    an action fails.  The closure runs every propagator on a fork in turn,
+    over and over, until a whole sweep changes no domain; before each run
+    a delta taker's list is set to all of its fixed integer variables."""
     fork = store.fork()
     for op, target, value in actions:
-        # A reschedule applies nothing: the naive engine runs everything.
+        # A reschedule applies nothing: the closure runs everything.
         if op is not A_SCHED and fork.narrow(target, op, value) is FAILED:
             return _SKIP
-    if not NaiveEngine(fork, props).closure():
-        return None
-    return fork.snapshot_blob()
+    while True:
+        before = fork.snapshot_blob()
+        for prop in props:
+            if getattr(prop, "takes_deltas", False):
+                fork.deltas[prop] = [
+                    v for v, _ in prop.subscriptions() if v >= 0 and fork.size(v) == 1
+                ]
+            if prop.propagate(fork) == PROP_FAILED:
+                return None
+        if fork.snapshot_blob()[:4] == before[:4]:
+            return before
 
 
 def sleep_mismatches(store, eng):
@@ -79,14 +60,13 @@ def sleep_mismatches(store, eng):
     fork, which no run at a fixpoint may do.  A pid with no subscription
     is exempt: it runs only when pushed (branch and bound's bound)."""
     fork = store.fork()
-    probe = NaiveEngine(fork, eng.props)
     asleep = eng.subsumed
     found = []
     for pid, prop in enumerate(eng.props):
         if next(iter(prop.subscriptions()), None) is None:
             continue
-        probe.deltas[prop] = []
-        outcome = prop.propagate(probe)
+        fork.deltas[prop] = []
+        outcome = prop.propagate(fork)
         if outcome == PROP_FAILED or (outcome == SUBSUMED) != (pid in asleep):
             found.append((pid, type(prop).__name__, pid in asleep, outcome))
     if fork.snapshot_blob()[:4] != store.snapshot_blob()[:4]:

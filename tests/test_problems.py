@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from fdlab.data import TABLES, load_table, table_rows
@@ -43,6 +45,17 @@ def test_parse_instance_rejects_malformed(text):
 def test_instance_rejects_non_integral_parameters(problem, params):
     with pytest.raises(ModelError, match="positive integer parameter"):
         Instance(problem, params)
+
+
+@pytest.mark.parametrize("text", ["queens:20000", "magic:256"])
+def test_oversized_models_fail_fast(text):
+    """queens:20000 asks for about 2*10^8 variables, and magic:256 keeps to
+    the domain span cap but its 65,536 cells model 2^26 words: both are
+    refused as they pass the region cap, long before memory runs out."""
+    started = time.perf_counter()
+    with pytest.raises(ModelError, match="words of modelled domains"):
+        build(parse_instance(text))
+    assert time.perf_counter() - started < 1.0
 
 
 def test_bibd_params():

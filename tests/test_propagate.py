@@ -8,7 +8,6 @@ from fdlab.model import Model
 from fdlab.problems import build, parse_instance
 from fdlab.propagate import (
     AT_FIXPOINT,
-    NUM_PRIORITIES,
     PRIORITY_CHEAP,
     PRIORITY_GLOBAL,
     PRIORITY_LINEAR,
@@ -43,7 +42,7 @@ class _Recorder:
     def subscriptions(self):
         return self.subs
 
-    def propagate(self, eng):
+    def propagate(self, store):
         self.log.append(self.pid)
         return AT_FIXPOINT
 
@@ -82,15 +81,13 @@ def test_queue_policies_order():
     assert drain("fifo") == [1, 2, 3, 4]
     assert drain("priority") == [2, 4, 3, 1]  # low value first, FIFO ties
     assert drain("reversed") == [1, 3, 2, 4]
-    assert (PRIORITY_CHEAP, PRIORITY_LINEAR, PRIORITY_GLOBAL) == tuple(
-        range(NUM_PRIORITIES)
-    )
+    assert (PRIORITY_CHEAP, PRIORITY_LINEAR, PRIORITY_GLOBAL) == (0, 1, 2)
 
 
-def test_engine_installs_its_wake_path_on_its_fork_only():
-    """The engine's narrow is its store's: a change made through either
-    wakes the engine's subscribers and feeds its delta lists, while the
-    model's own store keeps empty tables, so a change there wakes
+def test_engine_files_its_wake_path_on_its_fork_only():
+    """The engine has its fork file the subscriptions: a change made there
+    wakes the engine's subscribers and feeds the fork's delta lists, while
+    the model's own store keeps empty tables, so a change there wakes
     nothing."""
     from fdlab.constraints import AllDiffValueProp
     from fdlab.domain import Op
@@ -101,13 +98,14 @@ def test_engine_installs_its_wake_path_on_its_fork_only():
     alldiff = model.add(AllDiffValueProp([x, y, z]))
     store = model.store.fork()
     eng = Engine(store, model.props)
-    assert not hasattr(Engine, "narrow") and eng.narrow == store.narrow
+    assert not any(hasattr(eng, name) for name in ("narrow", "deltas", "_wake"))
     model.store.narrow(y, Op.MAX, 4)
     model.store.narrow(z, Op.ASSIGN, 1)
     assert 0 not in eng and alldiff not in eng
     assert not model.store._state and not model.store._wake_inst
+    assert not model.store.deltas
     store.narrow(z, Op.ASSIGN, 2)
-    assert alldiff in eng and eng.deltas[eng.props[alldiff]] == [z]
+    assert alldiff in eng and store.deltas[eng.props[alldiff]] == [z]
     store.narrow(y, Op.MAX, 3)
     assert 0 in eng
     assert eng.fixpoint() and store.domain_values(x) == [0, 1, 3]
@@ -127,18 +125,18 @@ def test_engine_add_files_a_subscribing_propagator():
     store = eng.store
     le = eng.add(LeProp(x, y))
     assert le == 0 and le not in eng
-    eng.narrow(y, Op.MAX, 3)
+    store.narrow(y, Op.MAX, 3)
     assert le in eng
     assert eng.fixpoint() and store.max(x) == 3
-    eng.narrow(z, Op.ASSIGN, 2)
+    store.narrow(z, Op.ASSIGN, 2)
     alldiff = AllDiffValueProp([x, y, z])
     pid = eng.add(alldiff)
-    assert eng.deltas[alldiff] == [z] and pid not in eng
+    assert store.deltas[alldiff] == [z] and pid not in eng
     eng.push(pid)
-    assert eng.fixpoint() and not eng.deltas[alldiff]
+    assert eng.fixpoint() and not store.deltas[alldiff]
     assert store.domain_values(x) == store.domain_values(y) == [0, 1, 3]
-    eng.narrow(x, Op.ASSIGN, 1)
-    assert le in eng and pid in eng and eng.deltas[alldiff] == [x]
+    store.narrow(x, Op.ASSIGN, 1)
+    assert le in eng and pid in eng and store.deltas[alldiff] == [x]
     assert eng.fixpoint() and store.domain_values(y) == [3]
     bound = eng.add(UpperBoundProp(z, 1))
     eng.push(bound)
@@ -202,20 +200,20 @@ def test_wakeup_respects_event_class():
         def subscriptions(self):
             yield x, self.klass
 
-        def propagate(self, eng):
+        def propagate(self, store):
             return 0
 
     bounds_pid = model.add(Recorder(EventClass.BOUNDS_CHANGED))
     inst_pid = model.add(Recorder(EventClass.INSTANTIATED))
     eng = _engine(model)
     # interior removal: too weak for either subscription
-    eng.narrow(x, Op.REMOVE, 5)
+    model.store.narrow(x, Op.REMOVE, 5)
     assert bounds_pid not in eng and inst_pid not in eng
     # bound move wakes the bounds subscriber only
-    eng.narrow(x, Op.MAX, 7)
+    model.store.narrow(x, Op.MAX, 7)
     assert bounds_pid in eng and inst_pid not in eng
     # instantiation wakes everyone
-    eng.narrow(x, Op.ASSIGN, 2)
+    model.store.narrow(x, Op.ASSIGN, 2)
     assert inst_pid in eng
 
 
@@ -231,7 +229,7 @@ class _Waker:
     def subscriptions(self):
         yield self.var, self.klass
 
-    def propagate(self, eng):
+    def propagate(self, store):
         return AT_FIXPOINT
 
 
@@ -250,10 +248,10 @@ def test_hole_removal_wakes_only_domain_subscribers(policy):
     x = model.new_int_var(0, 9)
     pids = _wakers(model, x)
     eng = _engine(model, policy)
-    eng.narrow(x, Op.REMOVE, 5)
+    model.store.narrow(x, Op.REMOVE, 5)
     assert [pid in eng for pid in pids] == [True, False, False]
     assert eng.fixpoint()
-    eng.narrow(x, Op.MIN, 2)
+    model.store.narrow(x, Op.MIN, 2)
     assert [pid in eng for pid in pids] == [True, True, False]
 
 
@@ -263,7 +261,7 @@ def _queued_after_fixing(model, pid, var, value, policy="fifo"):
     from fdlab.domain import Op
 
     eng = Engine(model.store.fork(), model.props, policy)
-    eng.narrow(var, Op.ASSIGN, value)
+    eng.store.narrow(var, Op.ASSIGN, value)
     return pid in eng
 
 
@@ -272,15 +270,13 @@ def test_boolean_fix_wakes_every_subscriber(policy):
     """A Boolean's events are its fixings to 0 and to 1, so a subscription
     of any event class is filed under both values, in no other table, and
     fixing the Boolean either way wakes every class subscriber."""
-    from fdlab.domain import EVENTS, FIXED_FALSE, FIXED_TRUE
-
     model = Model()
     b = model.new_bool_var()
     pids = _wakers(model, b)
-    wake = _engine(model)._wake
-    assert wake[FIXED_FALSE][b] == pids
-    assert wake[FIXED_TRUE][b] == pids
-    assert [e for e in EVENTS if b in wake[e]] == [FIXED_FALSE, FIXED_TRUE]
+    store = _engine(model).store
+    assert store._wake_false[b] == pids
+    assert store._wake_true[b] == pids
+    assert not any(b in t for t in (store._wake_dom, store._wake_bounds, store._wake_inst))
     for value in (0, 1):
         assert all(_queued_after_fixing(model, pid, b, value, policy) for pid in pids)
 
@@ -313,10 +309,10 @@ def test_bool_lex_wakes_on_both_values():
     x, y = model.new_bool_var(), model.new_bool_var()
     pid = model.add(LexLeqProp([x], [y]))
     eng = Engine(model.store.fork(), model.props)
-    eng.narrow(y, Op.ASSIGN, 1)
+    eng.store.narrow(y, Op.ASSIGN, 1)
     eng.schedule_all()
     assert eng.fixpoint() and pid not in eng.subsumed
-    eng.narrow(x, Op.ASSIGN, 0)
+    eng.store.narrow(x, Op.ASSIGN, 0)
     assert pid in eng
     assert eng.fixpoint() and pid in eng.subsumed
 
@@ -337,8 +333,8 @@ def test_running_and_subsumed_propagators_are_not_queued(policy):
         def subscriptions(self):
             yield x, EventClass.DOMAIN_CHANGED
 
-        def propagate(self, eng):
-            eng.narrow(x, Op.REMOVE, model.store.max(x))
+        def propagate(self, store):
+            store.narrow(x, Op.REMOVE, store.max(x))
             woken.extend(pid in eng for pid in (narrower, entailed, idle))
             return AT_FIXPOINT
 
@@ -367,8 +363,8 @@ def test_running_propagator_not_rescheduled_by_own_narrow():
         def subscriptions(self):
             yield x, EventClass.DOMAIN_CHANGED
 
-        def propagate(self, eng):
-            eng.narrow(x, Op.REMOVE, store.max(x))
+        def propagate(self, store):
+            store.narrow(x, Op.REMOVE, store.max(x))
             return 0
 
     pid = model.add(SelfNarrower())
@@ -485,14 +481,14 @@ def test_entailment_undo_matches_dict_reference(steps):
 class _Entailed(_Recorder):
     """A recorder that reports itself subsumed."""
 
-    def propagate(self, eng):
-        super().propagate(eng)
+    def propagate(self, store):
+        super().propagate(store)
         return SUBSUMED
 
 
 @pytest.mark.parametrize("policy", Engine.POLICIES)
 def test_narrow_queues_idle_pids_of_its_event_class_in_table_order(policy):
-    """One ``eng.narrow`` walks the wake table of the change's event class
+    """One ``narrow`` walks the wake table of the change's event class
     and queues its idle pids in table order, skipping a queued and a
     subsumed one; pids filed only in other tables stay idle."""
     from fdlab.domain import BOUNDS_CHANGED, DOMAIN_CHANGED, INSTANTIATED, Op
@@ -512,13 +508,13 @@ def test_narrow_queues_idle_pids_of_its_event_class_in_table_order(policy):
         kind = _Entailed if pid == subsumed else _Recorder
         model.add(kind(log, pid, priority, sub))
     eng = _engine(model, policy)
-    table = eng._wake[BOUNDS_CHANGED][x]
+    table = model.store._wake_bounds[x]
     assert table == [0, 1, subsumed, 4, queued, 6]
     eng.push(subsumed)
     assert eng.fixpoint() and eng.subsumed == {subsumed}
     eng.push(queued)
     log.clear()
-    assert eng.narrow(x, Op.MAX, 7) is BOUNDS_CHANGED
+    assert model.store.narrow(x, Op.MAX, 7) is BOUNDS_CHANGED
     assert [pid in eng for pid in range(len(subs))] == [
         True, True, False, False, True, True, True, False
     ]
