@@ -4,12 +4,12 @@ Every domain change is one :meth:`VariableStore.narrow` call, the whole
 path of the change: it trails the old state (when a trailing backend gave
 the store a trail) before the change becomes visible, queues the
 propagators that the change's event wakes and, when an integer is
-instantiated, appends it to the delta lists of its delta takers.  The
-store files each propagator's subscriptions in its own five wake tables,
-one per event, as the propagator joins a solve's
-:class:`fdlab.propagate.Engine`, and keeps the delta lists; the engine
-lends it the pid state bytes and the per-pid queue buckets.  A model's
-own store files nothing, so a narrowing made while posting wakes nothing.
+instantiated, appends it to the delta lists of its delta takers.  A
+solve's store is its :class:`fdlab.propagate.Engine`, which adds the
+queue: it files each propagator in the five wake tables, one per event,
+as it joins, keeps the delta lists and owns the pid states and queue
+buckets that ``narrow`` fills.  A model's own store files nothing, so a
+narrowing made while posting wakes nothing.
 
 The trail holds an integer variable's whole state, ``(var, mask, lo,
 hi)``, at most once per frame: each integer variable carries the stamp
@@ -116,7 +116,8 @@ class DomainError(ValueError):
 
 
 class VariableStore:
-    """All variable domains of one solver instance, indexed by variable.
+    """The variable domains of a model, or of a solve as its ``Engine``,
+    indexed by variable.
 
     The restorable state is the integer bitset masks, the Boolean cells
     and the engine's pid state bytes, which at a fixpoint say which pids
@@ -147,8 +148,8 @@ class VariableStore:
         self._region_words = 0
         # The wake path, filed by ``_file``: one wake table per event
         # (variable -> pids), delta taker -> its delta list, and integer
-        # variable -> the delta lists of its takers.  A solve's Engine lends
-        # its pid -> state byte and pid -> queue bucket.
+        # variable -> the delta lists of its takers.  The pid states stay
+        # empty here; an Engine owns them and the pid -> queue bucket.
         self._wake_dom = {}
         self._wake_bounds = {}
         self._wake_inst = {}
@@ -157,7 +158,6 @@ class VariableStore:
         self.deltas = {}
         self._delta_lists = {}
         self._state = bytearray()
-        self._bucket = []
 
     # -- construction -------------------------------------------------
 
@@ -184,20 +184,6 @@ class VariableStore:
         self._bstate += _UNKNOWN_BYTE * n
         self._region_words += n
         return range(~first, ~(first + n), -1)
-
-    def fork(self):
-        """A store for one solve: it owns a copy of the variable layout and
-        of the domains, fresh stamps, empty wake tables, and no trail until
-        a backend gives it one."""
-        # Built through __init__, not copy.copy: an instance whose __dict__
-        # was filled by update loses the attribute layout that makes the
-        # hot-path reads of self._mask, self._lo, ... fast.
-        twin = VariableStore()
-        twin._region_words = self._region_words
-        for name in ("_base", "_mask", "_lo", "_hi", "_bstate"):
-            setattr(twin, name, getattr(self, name)[:])
-        twin._stamp = [0] * len(self._mask)
-        return twin
 
     @property
     def num_vars(self):

@@ -1,7 +1,7 @@
 """Model container: variables, posted constraints, branch order, objective.
 A model only describes the problem: its store and its propagators.  Each
-solve works on a fork of the store, which files the propagators'
-subscriptions as they join the solve's own ``Engine``, so it leaves the
+solve builds its own ``Engine``, a store that copies the model's domains
+and files the propagators' subscriptions as they join, so it leaves the
 model unchanged.
 
 A model's size is what it posted: its variables, its propagators and the
@@ -40,7 +40,7 @@ class ModelError(ValueError):
 
 class Model:
     """The problem: variables in ``store``, propagators in ``props``, branch
-    order and objective.  Each solve builds its own ``Engine`` over these
+    order and objective.  Each solve builds its own ``Engine`` from these
     and leaves them unchanged."""
 
     def __init__(self, bool_mode=BOOL_NATIVE, sum_mode=SUM_NATIVE):
@@ -83,6 +83,12 @@ class Model:
     def new_bool_vars(self, n):
         """Add ``n`` Booleans that no constraint names (the padding of an
         extended model); returns their ids."""
+        try:
+            n = index(n)
+        except TypeError:
+            raise ModelError(f"Boolean count {n!r} must be an integer") from None
+        if n < 0:
+            raise ModelError(f"Boolean count {n} is negative")
         self._reserve(n)
         return self.store.new_bool_vars(n)
 

@@ -1,25 +1,25 @@
 """Event-driven propagation engine with a policy-ordered queue.
 
 Propagators subscribe to (variable, event) pairs and are run to a
-fixpoint.  Each solve builds one ``Engine`` over its fork of the store and
-the model's propagators.  The engine schedules: it holds the queue and
-runs each popped propagator on the store.  The store dispatches: it files
-every subscription in its own wake tables, one per event, as the
-propagator joins, and a propagator's domain change is one store ``narrow``
-call, which walks the table of the change's own event only and queues the
-idle pids there itself.  An integer's events are its event classes, a
-Boolean's are its fixings to 0 and to 1, so a propagator that can prune on
-one value only sleeps through the other.  All propagators are monotone and
-contracting, and an event a propagator does not subscribe to cannot make
-it prune, so the fixpoint reached is unique regardless of the queue
-policy; only the amount of work to get there differs.
+fixpoint.  Each solve's store is one ``Engine``, a ``VariableStore`` that
+copies the model's domains and adds the queue.  The engine schedules: it
+runs each propagator it pops on itself.  Its store half dispatches: it
+files every subscription in the wake tables, one per event, as the
+propagator joins, and a propagator's domain change is one ``narrow``
+call, which walks the table of the change's own event only and queues
+the idle pids there itself.  An integer's events are its event classes,
+a Boolean's are its fixings to 0 and to 1, so a propagator that can
+prune on one value only sleeps through the other.  All propagators are
+monotone and contracting, and an event a propagator does not subscribe
+to cannot make it prune, so the fixpoint reached is unique regardless of
+the queue policy; only the amount of work to get there differs.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .domain import ASLEEP, IDLE, QUEUED
+from .domain import ASLEEP, IDLE, QUEUED, VariableStore
 
 # Propagator outcomes.
 AT_FIXPOINT = 0
@@ -39,9 +39,9 @@ class Propagator:
     #: A propagator that takes deltas is told which of its subscribed
     #: integer variables were instantiated since its last run, or, before
     #: its first run, were already fixed when it joined the engine: the
-    #: store's ``deltas[self]`` lists them.  The store seeds the list when
-    #: the propagator joins and its ``narrow`` appends to it; the engine's
-    #: ``clear`` empties it, so a failed fixpoint leaves no stale entry
+    #: engine's ``deltas[self]`` lists them.  The store half seeds the list
+    #: when the propagator joins and ``narrow`` appends to it; ``clear``
+    #: empties it, so a failed fixpoint leaves no stale entry
     #: behind a backtrack.  At a fixpoint every list is empty, because its
     #: propagator has run, and a backtrack returns to a store at such a
     #: fixpoint, so an empty list means there is nothing new.  It may
@@ -64,26 +64,26 @@ class Propagator:
         return ()
 
     def propagate(self, store):
-        """Filter the domains of ``store``, the solve's ``VariableStore``:
-        read them, narrow them with ``store.narrow``, and return
+        """Filter the domains of ``store``, the solve's ``Engine``: read
+        them, narrow them with ``store.narrow``, and return
         ``AT_FIXPOINT``, ``PROP_FAILED`` or ``SUBSUMED``."""
         raise NotImplementedError
 
 
-class Engine:
-    """The propagation queue of one solve, built by the solve over its fork
-    of the store and the model's propagators.  It copies the propagator
-    list, so what the solve adds stays out of the model, and has the store
-    file each propagator's subscriptions as it joins.  It lends the store
-    its pid state bytes and per-pid buckets, so the store's ``narrow``
-    queues the pids a change wakes.
+class Engine(VariableStore):
+    """The store and propagation queue of one solve.  It copies the layout
+    and domains of the model's store, with fresh stamps, and the model's
+    propagator list, so what the solve narrows or adds stays out of the
+    model.  It files each propagator as it joins and owns the pid states
+    and per-pid buckets that ``narrow`` queues woken pids in.  With no
+    propagators it is a plain copy of the domains that queues nothing.
 
     Each pid has one state byte: idle, queued, or asleep while it runs or
     stays subsumed.  A domain change queues only the idle pids its event
     wakes, so the running propagator never requeues itself and a subsumed
     one sleeps until a backtrack re-enables it.  The state bytes are part
-    of the store's restorable state: the fixpoint trails a subsumption when
-    the store has a trail, and a snapshot copies the bytes, so the backend
+    of the restorable state: the fixpoint trails a subsumption when the
+    engine has a trail, and a snapshot copies the bytes, so the backend
     that restores the domains also restores which pids are subsumed.
 
     ``fifo`` ignores priorities; ``priority`` pops the lowest priority value
@@ -100,7 +100,12 @@ class Engine:
     def __init__(self, store, props, policy="fifo"):
         if policy not in self.POLICIES:
             raise ValueError(f"unknown queue policy {policy!r}")
-        self.store = store
+        super().__init__()
+        # The empty domains become a copy of those of ``store``.
+        self._region_words = store._region_words
+        for name in ("_base", "_mask", "_lo", "_hi", "_bstate"):
+            setattr(self, name, getattr(store, name)[:])
+        self._stamp = [0] * len(self._mask)
         self.props = list(props)
         # pid -> its bound propagate, bound here so that a propagate patched
         # on the class before the solve starts is the one that runs.
@@ -110,9 +115,7 @@ class Engine:
         by_priority = self._by_priority = tuple(buckets[b] for b in bucket_of)
         self._bucket = [by_priority[p.priority] for p in self.props]  # pid -> its deque
         self._state = bytearray(len(self.props))  # pid -> IDLE, QUEUED or ASLEEP
-        store._state = self._state
-        store._bucket = self._bucket
-        store._file(self.props, 0)
+        self._file(self.props, 0)
 
     def add(self, prop):
         """Add a propagator to this solve only (branch and bound's bound)
@@ -123,7 +126,7 @@ class Engine:
         self._run.append(prop.propagate)
         self._bucket.append(self._by_priority[prop.priority])
         self._state.append(IDLE)
-        self.store._file(self.props, pid)
+        self._file(self.props, pid)
         return pid
 
     def push(self, pid):
@@ -151,7 +154,7 @@ class Engine:
             for pid in bucket:
                 state[pid] = IDLE
             bucket.clear()
-        for d in self.store.deltas.values():
+        for d in self.deltas.values():
             d.clear()
 
     def schedule_all(self):
@@ -169,8 +172,7 @@ class Engine:
         rest = buckets[1:]
         state = self._state
         run = self._run
-        store = self.store
-        trail = store.trail
+        trail = self.trail
         while True:
             if first:
                 pid = first.popleft()
@@ -182,7 +184,7 @@ class Engine:
                 else:
                     return True
             state[pid] = ASLEEP
-            outcome = run[pid](store)
+            outcome = run[pid](self)
             if not outcome:  # AT_FIXPOINT
                 state[pid] = IDLE
                 continue

@@ -69,15 +69,14 @@ class Solution:
 
 
 class _Search:
-    """The state of one solve.  It narrows a fork of the model's store and
-    runs its own engine over the model's propagators, so the model itself
-    is never changed."""
+    """One solve.  Its ``store`` is an ``Engine``, a copy of the model's
+    domains that the search narrows, the backend restores and the model's
+    propagators run on, so the model itself is never changed."""
 
     def __init__(self, model, restore, queue):
         self.started = time.perf_counter()
         self.model = model
-        self.store = model.store.fork()
-        self.eng = Engine(self.store, model.props, queue)
+        self.store = Engine(model.store, model.props, queue)
         self.backend = make_backend(restore, self.store, self._replay)
         self.stats = SearchStats()
         self.alts = []  # (depth, cursor, actions) of each open alternative
@@ -94,8 +93,8 @@ class _Search:
             raise RuntimeError("recomputation replay failed")
 
     def root(self):
-        self.eng.schedule_all()
-        return self.eng.fixpoint()
+        self.store.schedule_all()
+        return self.store.fixpoint()
 
     def first_unassigned(self):
         """The first unassigned decision variable, scanned from the cursor:
@@ -126,17 +125,16 @@ class _Search:
         return ok
 
     def descend(self, actions):
-        """Apply a node's actions, narrowing through the store and
-        rescheduling through the engine, and propagate."""
+        """Apply a node's actions to the store, narrowing a variable or
+        rescheduling a pid, and propagate."""
         store = self.store
-        eng = self.eng
         for op, target, value in actions:
             if op is A_SCHED:
-                eng.push(target)
+                store.push(target)
             elif store.narrow(target, op, value) is FAILED:
-                eng.clear()
+                store.clear()
                 return False
-        return eng.fixpoint()
+        return store.fixpoint()
 
     def unwind(self):
         """Retreat to the nearest open alternative and take it.  Returns
@@ -229,7 +227,7 @@ class _MinimizeSearch(_Search):
         self.stats.solutions += 1
         self.stats.fingerprint = _fold(self.stats.fingerprint, values + (value,))
         if self.bnb == "post":
-            self.bound_pid = self.eng.add(UpperBoundProp(objective, value - 1))
+            self.bound_pid = self.store.add(UpperBoundProp(objective, value - 1))
         return self.unwind()
 
 

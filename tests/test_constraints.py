@@ -28,11 +28,12 @@ from fdlab.propagate import PRIORITY_GLOBAL
 
 
 def _fix(model):
-    """Run the model's propagators to their fixpoint on the model's own
-    store; returns whether the fixpoint was reached."""
+    """Run the model's propagators to their fixpoint on an engine over the
+    model; returns the engine, which holds the fixpoint's domains, or None
+    when a domain emptied."""
     eng = Engine(model.store, model.props)
     eng.schedule_all()
-    return eng.fixpoint()
+    return eng if eng.fixpoint() else None
 
 
 def test_linear_eq_prunes_both_sides():
@@ -40,9 +41,10 @@ def test_linear_eq_prunes_both_sides():
     x = model.new_int_var(0, 5)
     y = model.new_int_var(3, 5)
     post_linear(model, [(1, x), (1, y)], EQ, 5)
-    assert _fix(model)
-    assert model.store.domain_values(x) == [0, 1, 2]
-    assert model.store.domain_values(y) == [3, 4, 5]
+    eng = _fix(model)
+    assert eng
+    assert eng.domain_values(x) == [0, 1, 2]
+    assert eng.domain_values(y) == [3, 4, 5]
 
 
 def test_linear_negative_coefficients():
@@ -53,8 +55,9 @@ def test_linear_negative_coefficients():
     post_linear(model, [(1, d), (-1, x), (1, y)], EQ, 0)  # d = x - y
     post_fix(model, x, 7)
     post_fix(model, y, 2)
-    assert _fix(model)
-    assert model.store.value(d) == 5
+    eng = _fix(model)
+    assert eng
+    assert eng.value(d) == 5
 
 
 def test_linear_detects_failure():
@@ -175,9 +178,10 @@ def test_alldifferent_value_consistency():
     xs = [model.new_int_var(0, 3) for _ in range(3)]
     post_alldifferent(model, xs)
     post_fix(model, xs[0], 2)
-    assert _fix(model)
-    assert model.store.domain_values(xs[1]) == [0, 1, 3]
-    assert model.store.domain_values(xs[2]) == [0, 1, 3]
+    eng = _fix(model)
+    assert eng
+    assert eng.domain_values(xs[1]) == [0, 1, 3]
+    assert eng.domain_values(xs[2]) == [0, 1, 3]
 
 
 def test_alldifferent_duplicate_assignment_fails():
@@ -200,13 +204,13 @@ def test_alldifferent_sees_variables_fixed_before_the_solve(policy):
         z = model.new_int_var(0, 5)
         post_le(model, z, model.new_int_var(0, 0))  # fixes z at the root
         post_alldifferent(model, [x, y, z])
-        eng = Engine(model.store.fork(), model.props, policy)
+        eng = Engine(model.store, model.props, policy)
         eng.schedule_all()
         if dup:
             assert not eng.fixpoint()
         else:
             assert eng.fixpoint()
-            assert [eng.store.domain_values(v) for v in (x, y, z)] == [[1], [2], [0]]
+            assert [eng.domain_values(v) for v in (x, y, z)] == [[1], [2], [0]]
 
 
 def test_alldifferent_rejects_bools_and_singletons():
@@ -280,10 +284,9 @@ def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data
         post_le(model, xs[k], model.new_int_var(c, c))
         root[k] = {v for v in root[k] if v <= c}
     post_alldifferent(model, xs)
-    store = model.store.fork()
-    store.trail = []
-    eng = Engine(store, model.props, policy)
-    domains = lambda: [set(store.domain_values(x)) for x in xs]  # noqa: E731
+    eng = Engine(model.store, model.props, policy)
+    eng.trail = []
+    domains = lambda: [set(eng.domain_values(x)) for x in xs]  # noqa: E731
     eng.schedule_all()
     expected = _value_closure(root) if all(root) else None
     if expected is None:
@@ -307,10 +310,10 @@ def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data
         for op, i, v in step:
             expected[i] = _allowed(op, v, expected[i])
         expected = _value_closure(expected) if all(expected) else None
-        mark = store.mark()
+        mark = eng.mark()
         ok = True
         for op, i, v in step:
-            if store.narrow(xs[i], op, v) is FAILED:
+            if eng.narrow(xs[i], op, v) is FAILED:
                 eng.clear()
                 ok = False
                 break
@@ -320,7 +323,7 @@ def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data
             assert domains() == expected
         else:
             assert expected is None
-            store.undo(mark)
+            eng.undo(mark)
             assert domains() == before
 
 
@@ -416,7 +419,8 @@ def test_le_refuses_a_variable_strictly_below_itself():
         post_le(model, x, x, strict=True)
     assert not model.props
     post_le(model, x, x)
-    assert _fix(model) and model.store.domain_values(x) == [0, 1, 2]
+    eng = _fix(model)
+    assert eng and eng.domain_values(x) == [0, 1, 2]
 
 
 @settings(max_examples=60)
@@ -439,7 +443,7 @@ def test_le_matches_linear(xlo, xw, ylo, yw, strict):
         eng = Engine(model.store, model.props)
         eng.schedule_all()
         ok = eng.fixpoint()
-        doms = [model.store.domain_values(v) for v in (x, y)] if ok else None
+        doms = [eng.domain_values(v) for v in (x, y)] if ok else None
         return ok, doms, 0 in eng.subsumed
 
     gap = 1 if strict else 0
@@ -456,9 +460,10 @@ def test_le_strict_chain():
     z = model.new_int_var(0, 5)
     post_le(model, x, y, strict=True)
     post_le(model, y, z, strict=True)
-    assert _fix(model)
-    assert model.store.max(x) == 3
-    assert model.store.min(z) == 2
+    eng = _fix(model)
+    assert eng
+    assert eng.max(x) == 3
+    assert eng.min(z) == 2
 
 
 @pytest.mark.parametrize("bool_mode", [BOOL_NATIVE, BOOL_INT])
@@ -473,8 +478,9 @@ def test_bool_and_truth_table(bool_mode):
         post_bool_and(model, z, x, y)
         model.store.narrow(x, Op.ASSIGN, vx)
         model.store.narrow(y, Op.ASSIGN, vy)
-        assert _fix(model)
-        assert model.store.value(z) == (vx and vy)
+        eng = _fix(model)
+        assert eng
+        assert eng.value(z) == (vx and vy)
 
     # Every partial assignment over {0, 1, unset}, against brute force: the
     # fixpoint fails exactly when no completion satisfies z = x and y, and
@@ -497,12 +503,12 @@ def test_bool_and_truth_table(bool_mode):
                 if values[pattern[0]] == (values[pattern[1]] and values[pattern[2]])
                 and all(p is None or p == v for p, v in zip(partial, values))
             ]
-            ok = _fix(model)
-            assert ok == bool(completions), (pattern, partial)
-            if ok:
+            eng = _fix(model)
+            assert (eng is not None) == bool(completions), (pattern, partial)
+            if eng:
                 for i, var in enumerate(pool):
                     expected = sorted({c[i] for c in completions})
-                    assert model.store.domain_values(var) == expected, (pattern, partial)
+                    assert eng.domain_values(var) == expected, (pattern, partial)
 
 
 def test_bool_and_backward_direction():
@@ -512,8 +518,9 @@ def test_bool_and_backward_direction():
     y = model.new_01_var()
     post_bool_and(model, z, x, y)
     model.store.narrow(z, Op.ASSIGN, 1)
-    assert _fix(model)
-    assert model.store.value(x) == 1 and model.store.value(y) == 1
+    eng = _fix(model)
+    assert eng
+    assert eng.value(x) == 1 and eng.value(y) == 1
 
     model = Model()
     z = model.new_01_var()
@@ -522,8 +529,9 @@ def test_bool_and_backward_direction():
     post_bool_and(model, z, x, y)
     model.store.narrow(z, Op.ASSIGN, 0)
     model.store.narrow(x, Op.ASSIGN, 1)
-    assert _fix(model)
-    assert model.store.value(y) == 0
+    eng = _fix(model)
+    assert eng
+    assert eng.value(y) == 0
 
 
 def test_bool_and_contradiction():
@@ -552,7 +560,8 @@ def test_bool_and_rejects_mixed_kinds_and_wide_integers():
         post_bool_and(model, model.new_int_var(-1, 0), i, i)
     assert model.unaries == 0 and not model.props
     post_bool_and(model, i, model.new_int_var(1, 1), model.new_int_var(0, 0))
-    assert _fix(model) and model.store.value(i) == 0
+    eng = _fix(model)
+    assert eng and eng.value(i) == 0
 
 
 def test_bool_sum_rejects_mixed_kinds():
@@ -590,8 +599,9 @@ def test_bool_sum_routes_by_variable_kind_not_model_mode():
     xs = [model.new_bool_var() for _ in range(3)]
     post_bool_sum(model, xs, EQ, 1)
     model.store.narrow(xs[1], Op.ASSIGN, 1)
-    assert _fix(model)
-    assert [model.store.value(v) for v in xs] == [0, 1, 0]
+    eng = _fix(model)
+    assert eng
+    assert [eng.value(v) for v in xs] == [0, 1, 0]
 
 
 @pytest.mark.parametrize("bool_mode", [BOOL_NATIVE, BOOL_INT])
@@ -600,14 +610,16 @@ def test_bool_sum_forcing(bool_mode):
     vs = [model.new_01_var() for _ in range(4)]
     post_bool_sum(model, vs, EQ, 1)
     model.store.narrow(vs[0], Op.ASSIGN, 1)
-    assert _fix(model)
-    assert [model.store.value(v) for v in vs[1:]] == [0, 0, 0]
+    eng = _fix(model)
+    assert eng
+    assert [eng.value(v) for v in vs[1:]] == [0, 0, 0]
 
     model = Model(bool_mode=bool_mode)
     vs = [model.new_01_var() for _ in range(3)]
     post_bool_sum(model, vs, GEQ, 3)
-    assert _fix(model)
-    assert all(model.store.value(v) == 1 for v in vs)
+    eng = _fix(model)
+    assert eng
+    assert all(eng.value(v) == 1 for v in vs)
 
 
 def test_bool_sum_failure():
@@ -668,8 +680,8 @@ def test_bool_sum_native_matches_int_model(positions, states, rel, c):
         for v, state in zip(pool, states):
             if state is not None:
                 model.store.narrow(v, Op.ASSIGN, state)
-        ok = _fix(model)
-        return model, (ok, [model.store.domain_values(v) for v in pool] if ok else None)
+        eng = _fix(model)
+        return model, (eng is not None, [eng.domain_values(v) for v in pool] if eng else None)
 
     model, native = run(BOOL_NATIVE)
     (prop,) = model.props
@@ -682,10 +694,9 @@ def test_bool_sum_native_matches_int_model(positions, states, rel, c):
     assert native == run(BOOL_INT)[1]
 
 
-def _fix_one(model):
-    """Run the model's one propagator to its fixpoint; returns whether it
+def _fix_one(eng):
+    """Run the engine's one propagator to its fixpoint; returns whether it
     was reached and whether the propagator ended subsumed."""
-    eng = Engine(model.store, model.props)
     eng.schedule_all()
     return eng.fixpoint(), 0 in eng.subsumed
 
@@ -699,8 +710,9 @@ def test_bool_sum_of_one_variable(bool_mode, rel, c, value):
     model = Model(bool_mode=bool_mode)
     b = model.new_01_var()
     post_bool_sum(model, [b], rel, c)
-    assert _fix_one(model) == (True, True)
-    assert model.store.value(b) == value
+    eng = Engine(model.store, model.props)
+    assert _fix_one(eng) == (True, True)
+    assert eng.value(b) == value
 
 
 def test_bool_sum_of_one_variable_fails_and_holds():
@@ -708,12 +720,13 @@ def test_bool_sum_of_one_variable_fails_and_holds():
     b = model.new_bool_var()
     post_bool_sum(model, [b], EQ, 1)
     model.store.narrow(b, Op.ASSIGN, 0)
-    assert not _fix_one(model)[0]
+    assert not _fix_one(Engine(model.store, model.props))[0]
     model = Model()
     b = model.new_bool_var()
     post_bool_sum(model, [b], LEQ, 1)
-    assert _fix_one(model) == (True, True)
-    assert model.store.domain_values(b) == [0, 1]
+    eng = Engine(model.store, model.props)
+    assert _fix_one(eng) == (True, True)
+    assert eng.domain_values(b) == [0, 1]
 
 
 @pytest.mark.parametrize(
@@ -734,7 +747,7 @@ def test_bool_sum_already_fixed(values, rel, c, ok):
     post_bool_sum(model, vs, rel, c)
     for v, value in zip(vs, values):
         model.store.narrow(v, Op.ASSIGN, value)
-    reached, entailed = _fix_one(model)
+    reached, entailed = _fix_one(Engine(model.store, model.props))
     assert reached == ok
     if ok:
         assert entailed
@@ -762,9 +775,10 @@ def test_bool_sum_leq_geq_entailment(fixed, rel, c, entailed):
     post_bool_sum(model, vs, rel, c)
     for i, value in fixed.items():
         model.store.narrow(vs[i], Op.ASSIGN, value)
-    assert _fix_one(model) == (True, entailed)
+    eng = Engine(model.store, model.props)
+    assert _fix_one(eng) == (True, entailed)
     open_cells = [v for i, v in enumerate(vs) if i not in fixed]
-    assert all(model.store.domain_values(v) == [0, 1] for v in open_cells)
+    assert all(eng.domain_values(v) == [0, 1] for v in open_cells)
 
 
 def test_lex_leq_basic():
@@ -773,9 +787,10 @@ def test_lex_leq_basic():
     ys = [model.new_int_var(0, 1) for _ in range(3)]
     post_lex_leq(model, xs, ys)
     model.store.narrow(xs[0], Op.ASSIGN, 1)
-    assert _fix(model)
+    eng = _fix(model)
+    assert eng
     # [1,..] <=lex [y0,..] forces y0 = 1
-    assert model.store.value(ys[0]) == 1
+    assert eng.value(ys[0]) == 1
 
 
 def test_lex_leq_strict_on_equal_prefix():
@@ -791,10 +806,11 @@ def test_lex_leq_tail_decides_strictness():
     xs = [model.new_int_var(0, 1), model.new_int_var(1, 1)]
     ys = [model.new_int_var(0, 1), model.new_int_var(0, 0)]
     post_lex_leq(model, xs, ys)
-    assert _fix(model)
+    eng = _fix(model)
+    assert eng
     # the tail forces x < y at position 0: x0=0, y0=1
-    assert model.store.value(xs[0]) == 0
-    assert model.store.value(ys[0]) == 1
+    assert eng.value(xs[0]) == 0
+    assert eng.value(ys[0]) == 1
 
 
 def test_lex_rejects_mismatched_vectors():
@@ -826,8 +842,9 @@ def test_sum_mode_posts_decomposed_pair():
     y = model.new_int_var(0, 5)
     post_linear(model, [(1, x), (1, y)], EQ, 5)
     assert len(model.props) == 2
-    assert _fix(model)
-    assert model.store.max(x) == 5 and model.store.min(x) == 0
+    eng = _fix(model)
+    assert eng
+    assert eng.max(x) == 5 and eng.min(x) == 0
 
 
 def test_decomposed_fixpoint_matches_native():
@@ -836,8 +853,9 @@ def test_decomposed_fixpoint_matches_native():
         x = model.new_int_var(0, 5)
         y = model.new_int_var(3, 5)
         post_linear(model, [(1, x), (1, y)], EQ, 5)
-        assert _fix(model)
-        return model.store.domain_values(x), model.store.domain_values(y)
+        eng = _fix(model)
+        assert eng
+        return eng.domain_values(x), eng.domain_values(y)
 
     assert run("native") == run(SUM_DECOMPOSED)
 
@@ -930,11 +948,11 @@ def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
     if not solutions:
         # bounds reasoning may not prove emptiness, but must never invent it
         if ok:
-            assert all(model.store.size(v) >= 1 for v in vars)
+            assert all(eng.size(v) >= 1 for v in vars)
     else:
         assert ok
         for i, var in enumerate(vars):
-            left = set(model.store.domain_values(var))
+            left = set(eng.domain_values(var))
             assert left <= set(domains[i])
             # every value used by some solution must survive bounds pruning
             assert {combo[i] for combo in solutions} <= left
@@ -965,7 +983,7 @@ def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
     if not ok:
         return
     for var, ref in zip(vars, sets):
-        assert model.store.domain_values(var) == sorted(ref)
+        assert eng.domain_values(var) == sorted(ref)
     entailed = all(sat(combo) for combo in itertools.product(*map(sorted, sets)))
     assert (0 in eng.subsumed) == entailed
 
@@ -995,8 +1013,8 @@ def test_difference_routes_to_diff_prop(coeffs, c, x_index, k):
         terms = [(a, v) for a, v in zip(coeffs, vs)]
         post(model, terms)
         model.store.narrow(vs[0], Op.REMOVE, 0)
-        ok = _fix(model)
-        return vs, model, ok, [model.store.domain_values(v) for v in vs] if ok else None
+        eng = _fix(model)
+        return vs, model, eng is not None, [eng.domain_values(v) for v in vs] if eng else None
 
     vs, model, ok, doms = run(lambda m, t: post_linear(m, t, EQ, c))
     (prop,) = model.props
@@ -1034,8 +1052,9 @@ def test_repeated_variable_stays_on_linear_prop():
     (prop,) = model.props
     assert type(prop) is LinearProp
     model.store.narrow(x, Op.ASSIGN, 3)
-    assert _fix(model)
-    assert model.store.value(y) == 4
+    eng = _fix(model)
+    assert eng
+    assert eng.value(y) == 4
 
 
 _domain_with_holes = st.tuples(
@@ -1073,11 +1092,11 @@ def test_diff_prop_matches_linear(xd, yd, zd, k):
         ok = eng.fixpoint()
         if not ok:
             return False, None, None
-        doms = [model.store.domain_values(v) for v in vs]
+        doms = [eng.domain_values(v) for v in vs]
         # The engine never re-queues the running propagator, so its one
         # run must have left nothing for a second run to do.
-        assert prop.propagate(model.store) != PROP_FAILED
-        assert [model.store.domain_values(v) for v in vs] == doms
+        assert prop.propagate(eng) != PROP_FAILED
+        assert [eng.domain_values(v) for v in vs] == doms
         return True, doms, 0 in eng.subsumed
 
     ok, doms, entailed = run(lambda x, y, z: DiffProp(x, y, z, k))
@@ -1191,8 +1210,9 @@ def test_lex_leq_matches_reference(case):
                     model.store.narrow(v, Op.ASSIGN, dom)
             pool.append(v)
         model.add(make([pool[i] for i in xi], [pool[i] for i in yi], strict))
-        ok, entailed = _fix_one(model)
-        doms_after = [model.store.domain_values(v) for v in pool] if ok else None
+        eng = Engine(model.store, model.props)
+        ok, entailed = _fix_one(eng)
+        doms_after = [eng.domain_values(v) for v in pool] if ok else None
         return ok, doms_after, entailed
 
     assert run(LexLeqProp if kind == "bool" else IntLexLeqProp) == run(_LexReference)
@@ -1226,8 +1246,9 @@ def test_bool_and_int_lex_kernels_agree(case):
                 model.store.narrow(v, Op.ASSIGN, cell)
         post_lex_leq(model, [pool[i] for i in xi], [pool[i] for i in yi], strict)
         (prop,) = model.props
-        ok, entailed = _fix_one(model)
-        return type(prop), (ok, entailed, [model.store.domain_values(v) for v in pool])
+        eng = Engine(model.store, model.props)
+        ok, entailed = _fix_one(eng)
+        return type(prop), (ok, entailed, [eng.domain_values(v) for v in pool])
 
     native_kernel, native = run(BOOL_NATIVE)
     int_kernel, as_int = run(BOOL_INT)
@@ -1266,11 +1287,10 @@ def test_skipped_polarity_fixings_leave_the_fixpoint_alone(case):
     leave a re-run nothing to narrow and nothing to fail."""
     kind, cells, spec, picks = case
     model = Model()
-    store = model.store
     pool = [model.new_bool_var() for _ in cells]
     for v, cell in zip(pool, cells):
         if cell is not None:
-            store.narrow(v, Op.ASSIGN, cell)
+            model.store.narrow(v, Op.ASSIGN, cell)
     if kind in (LEQ, GEQ):
         members, c = spec
         prop = BoolSumProp([pool[i] for i in members], kind, c)
@@ -1278,7 +1298,7 @@ def test_skipped_polarity_fixings_leave_the_fixpoint_alone(case):
         xi, yi = spec
         prop = LexLeqProp([pool[i] for i in xi], [pool[i] for i in yi], kind == "lex-strict")
     pid = model.add(prop)
-    eng = Engine(store, model.props)
+    store = Engine(model.store, model.props)
 
     def domains():
         return [store.domain_values(v) for v in pool]

@@ -12,6 +12,7 @@ from fdlab.domain import (
     is_int_var,
 )
 from fdlab.model import MAX_DOMAIN_SPAN, MAX_REGION_WORDS, Model, ModelError
+from fdlab.propagate import Engine
 
 
 def test_int_var_creation():
@@ -77,8 +78,26 @@ def test_model_caps_the_modelled_region():
         model.new_int_var(0, 0)
     with pytest.raises(ModelError):
         model.new_bool_vars(1)
+    # A negative count would shrink the modelled region below what the
+    # store holds, and a non-integral one is no count: both are refused.
+    for bad in (-span_words, -MAX_REGION_WORDS, 1.5, "2", None):
+        with pytest.raises(ModelError):
+            model.new_bool_vars(bad)
+    assert not model.new_bool_vars(0)
+    assert model.store.region_bytes == 8 * MAX_REGION_WORDS
     assert model.store.num_vars == full + span_words
     assert len(model.decision_vars) == 1
+
+    # The bypass a negative count opened: down by the cap, up by the cap,
+    # then past it.
+    model = Model()
+    with pytest.raises(ModelError):
+        model.new_bool_vars(-MAX_REGION_WORDS)
+    model.new_bool_vars(MAX_REGION_WORDS)
+    with pytest.raises(ModelError):
+        model.new_bool_vars(100)
+    assert model.store.num_vars == MAX_REGION_WORDS
+    assert model.store.region_bytes == 8 * MAX_REGION_WORDS
 
 
 def test_bool_var_creation():
@@ -205,11 +224,12 @@ def test_snapshot_blob_round_trip():
 
 
 def test_fork_and_original_add_variables_independently():
-    """A fork owns its variable layout: a variable added to one store
-    leaves the other's next variable with its own domain."""
+    """An engine owns its copy of the variable layout: a variable added to
+    the engine or to the store it copied leaves the other's next variable
+    with its own domain."""
     store = VariableStore()
     store.new_int_var(0, 1)
-    twin = store.fork()
+    twin = Engine(store, ())
     t = twin.new_int_var(5, 9)
     b = store.new_int_var(0, 3)
     assert b == t

@@ -4,11 +4,13 @@ from the state before propagation, and every propagator with a
 subscription must be asleep exactly when one run of it reports
 ``SUBSUMED`` (the rule of ``Propagator.subscriptions``).
 
-The naive closure shares nothing with ``Engine`` but the propagators: it
-runs them on a fork of the store, reads no wake table, honours no
-subsumption and rebuilds every delta list from scratch, so a subscription
-the store failed to file, a delta it failed to seed or a propagator the
-engine left asleep too long shows up as a difference in the domains.
+The naive closure shares nothing with the solve's ``Engine`` but the
+propagators: it runs them on a copy of the domains, an ``Engine`` with no
+propagators, which files nothing and queues nothing.  It reads no wake
+table, honours no subsumption and rebuilds every delta list from scratch,
+so a subscription the engine failed to file, a delta it failed to seed or
+a propagator it left asleep too long shows up as a difference in the
+domains.
 """
 
 import itertools
@@ -30,46 +32,47 @@ _SKIP = object()
 def naive_closure(store, props, actions):
     """The domains of the naive closure of ``store`` narrowed by a node's
     ``actions``: a snapshot, None when the closure fails, or ``_SKIP`` when
-    an action fails.  The closure runs every propagator on a fork in turn,
+    an action fails.  The closure runs every propagator on a copy in turn,
     over and over, until a whole sweep changes no domain; before each run
     a delta taker's list is set to all of its fixed integer variables."""
-    fork = store.fork()
+    copy = Engine(store, ())
     for op, target, value in actions:
         # A reschedule applies nothing: the closure runs everything.
-        if op is not A_SCHED and fork.narrow(target, op, value) is FAILED:
+        if op is not A_SCHED and copy.narrow(target, op, value) is FAILED:
             return _SKIP
     while True:
-        before = fork.snapshot_blob()
+        before = copy.snapshot_blob()
         for prop in props:
             if getattr(prop, "takes_deltas", False):
-                fork.deltas[prop] = [
-                    v for v, _ in prop.subscriptions() if v >= 0 and fork.size(v) == 1
+                copy.deltas[prop] = [
+                    v for v, _ in prop.subscriptions() if v >= 0 and copy.size(v) == 1
                 ]
-            if prop.propagate(fork) == PROP_FAILED:
+            if prop.propagate(copy) == PROP_FAILED:
                 return None
-        if fork.snapshot_blob()[:4] == before[:4]:
+        if copy.snapshot_blob()[:4] == before[:4]:
             return before
 
 
-def sleep_mismatches(store, eng):
+def sleep_mismatches(eng):
     """The pids that break the sleep rule at the engine's fixpoint: each
-    propagator with a subscription runs once, on a fork of ``store`` with
-    an empty delta list, and must report ``SUBSUMED`` exactly when its pid
-    is asleep.  Returns (pid, class name, asleep, outcome) per mismatch,
-    and one (None, 'store changed', None, None) when a run narrowed the
-    fork, which no run at a fixpoint may do.  A pid with no subscription
-    is exempt: it runs only when pushed (branch and bound's bound)."""
-    fork = store.fork()
+    propagator with a subscription runs once, on a copy of the engine's
+    domains with an empty delta list, and must report ``SUBSUMED`` exactly
+    when its pid is asleep.  Returns (pid, class name, asleep, outcome) per
+    mismatch, and one (None, 'store changed', None, None) when a run
+    narrowed the copy, which no run at a fixpoint may do.  A pid with no
+    subscription is exempt: it runs only when pushed (branch and bound's
+    bound)."""
+    copy = Engine(eng, ())
     asleep = eng.subsumed
     found = []
     for pid, prop in enumerate(eng.props):
         if next(iter(prop.subscriptions()), None) is None:
             continue
-        fork.deltas[prop] = []
-        outcome = prop.propagate(fork)
+        copy.deltas[prop] = []
+        outcome = prop.propagate(copy)
         if outcome == PROP_FAILED or (outcome == SUBSUMED) != (pid in asleep):
             found.append((pid, type(prop).__name__, pid in asleep, outcome))
-    if fork.snapshot_blob()[:4] != store.snapshot_blob()[:4]:
+    if copy.snapshot_blob()[:4] != eng.snapshot_blob()[:4]:
         found.append((None, "store changed", None, None))
     return found
 
@@ -98,7 +101,7 @@ class _Oracle:
         )
 
     def _check(self, search, actions, step, *args):
-        expected = naive_closure(search.store, search.eng.props, actions)
+        expected = naive_closure(search.store, search.store.props, actions)
         ok = step(search, *args)
         if expected is not _SKIP:
             self.checked += 1
@@ -107,7 +110,7 @@ class _Oracle:
             ):
                 self.mismatches.append((search.stats.nodes, actions, ok))
         if ok:
-            found = sleep_mismatches(search.store, search.eng)
+            found = sleep_mismatches(search.store)
             self.sleep_mismatches.extend((search.stats.nodes, actions, m) for m in found)
         return ok
 

@@ -85,10 +85,10 @@ def test_queue_policies_order():
 
 
 def test_engine_files_its_wake_path_on_its_fork_only():
-    """The engine has its fork file the subscriptions: a change made there
-    wakes the engine's subscribers and feeds the fork's delta lists, while
-    the model's own store keeps empty tables, so a change there wakes
-    nothing."""
+    """The engine is a copy of the model's store that files the
+    subscriptions: a change made on the engine wakes its subscribers and
+    feeds its delta lists, while the model's own store keeps empty tables,
+    so a change there wakes nothing."""
     from fdlab.constraints import AllDiffValueProp
     from fdlab.domain import Op
 
@@ -96,19 +96,17 @@ def test_engine_files_its_wake_path_on_its_fork_only():
     x, y, z = (model.new_int_var(0, 5) for _ in range(3))
     post_le(model, x, y)
     alldiff = model.add(AllDiffValueProp([x, y, z]))
-    store = model.store.fork()
-    eng = Engine(store, model.props)
-    assert not any(hasattr(eng, name) for name in ("narrow", "deltas", "_wake"))
+    eng = Engine(model.store, model.props)
     model.store.narrow(y, Op.MAX, 4)
     model.store.narrow(z, Op.ASSIGN, 1)
     assert 0 not in eng and alldiff not in eng
     assert not model.store._state and not model.store._wake_inst
     assert not model.store.deltas
-    store.narrow(z, Op.ASSIGN, 2)
-    assert alldiff in eng and store.deltas[eng.props[alldiff]] == [z]
-    store.narrow(y, Op.MAX, 3)
+    eng.narrow(z, Op.ASSIGN, 2)
+    assert alldiff in eng and eng.deltas[eng.props[alldiff]] == [z]
+    eng.narrow(y, Op.MAX, 3)
     assert 0 in eng
-    assert eng.fixpoint() and store.domain_values(x) == [0, 1, 3]
+    assert eng.fixpoint() and eng.domain_values(x) == [0, 1, 3]
     assert model.store.domain_values(z) == [1]
 
 
@@ -121,23 +119,22 @@ def test_engine_add_files_a_subscribing_propagator():
 
     model = Model()
     x, y, z = (model.new_int_var(0, 5) for _ in range(3))
-    eng = Engine(model.store.fork(), model.props)
-    store = eng.store
+    eng = Engine(model.store, model.props)
     le = eng.add(LeProp(x, y))
     assert le == 0 and le not in eng
-    store.narrow(y, Op.MAX, 3)
+    eng.narrow(y, Op.MAX, 3)
     assert le in eng
-    assert eng.fixpoint() and store.max(x) == 3
-    store.narrow(z, Op.ASSIGN, 2)
+    assert eng.fixpoint() and eng.max(x) == 3
+    eng.narrow(z, Op.ASSIGN, 2)
     alldiff = AllDiffValueProp([x, y, z])
     pid = eng.add(alldiff)
-    assert store.deltas[alldiff] == [z] and pid not in eng
+    assert eng.deltas[alldiff] == [z] and pid not in eng
     eng.push(pid)
-    assert eng.fixpoint() and not store.deltas[alldiff]
-    assert store.domain_values(x) == store.domain_values(y) == [0, 1, 3]
-    store.narrow(x, Op.ASSIGN, 1)
-    assert le in eng and pid in eng and store.deltas[alldiff] == [x]
-    assert eng.fixpoint() and store.domain_values(y) == [3]
+    assert eng.fixpoint() and not eng.deltas[alldiff]
+    assert eng.domain_values(x) == eng.domain_values(y) == [0, 1, 3]
+    eng.narrow(x, Op.ASSIGN, 1)
+    assert le in eng and pid in eng and eng.deltas[alldiff] == [x]
+    assert eng.fixpoint() and eng.domain_values(y) == [3]
     bound = eng.add(UpperBoundProp(z, 1))
     eng.push(bound)
     assert not eng.fixpoint()
@@ -169,7 +166,7 @@ def test_bounds_fixpoint_all_policies(policy, request):
     eng = _engine(model, policy)
     eng.schedule_all()
     assert eng.fixpoint()
-    assert model.store.domain_values(x) == [3, 4, 5]
+    assert eng.domain_values(x) == [3, 4, 5]
 
 
 def test_unsat_strict_cycle():
@@ -207,13 +204,13 @@ def test_wakeup_respects_event_class():
     inst_pid = model.add(Recorder(EventClass.INSTANTIATED))
     eng = _engine(model)
     # interior removal: too weak for either subscription
-    model.store.narrow(x, Op.REMOVE, 5)
+    eng.narrow(x, Op.REMOVE, 5)
     assert bounds_pid not in eng and inst_pid not in eng
     # bound move wakes the bounds subscriber only
-    model.store.narrow(x, Op.MAX, 7)
+    eng.narrow(x, Op.MAX, 7)
     assert bounds_pid in eng and inst_pid not in eng
     # instantiation wakes everyone
-    model.store.narrow(x, Op.ASSIGN, 2)
+    eng.narrow(x, Op.ASSIGN, 2)
     assert inst_pid in eng
 
 
@@ -248,20 +245,20 @@ def test_hole_removal_wakes_only_domain_subscribers(policy):
     x = model.new_int_var(0, 9)
     pids = _wakers(model, x)
     eng = _engine(model, policy)
-    model.store.narrow(x, Op.REMOVE, 5)
+    eng.narrow(x, Op.REMOVE, 5)
     assert [pid in eng for pid in pids] == [True, False, False]
     assert eng.fixpoint()
-    model.store.narrow(x, Op.MIN, 2)
+    eng.narrow(x, Op.MIN, 2)
     assert [pid in eng for pid in pids] == [True, True, False]
 
 
 def _queued_after_fixing(model, pid, var, value, policy="fifo"):
-    """Whether fixing ``var`` to ``value`` on a fork of the model's store
+    """Whether fixing ``var`` to ``value`` on an engine over the model
     queues ``pid``."""
     from fdlab.domain import Op
 
-    eng = Engine(model.store.fork(), model.props, policy)
-    eng.store.narrow(var, Op.ASSIGN, value)
+    eng = Engine(model.store, model.props, policy)
+    eng.narrow(var, Op.ASSIGN, value)
     return pid in eng
 
 
@@ -273,7 +270,7 @@ def test_boolean_fix_wakes_every_subscriber(policy):
     model = Model()
     b = model.new_bool_var()
     pids = _wakers(model, b)
-    store = _engine(model).store
+    store = _engine(model)
     assert store._wake_false[b] == pids
     assert store._wake_true[b] == pids
     assert not any(b in t for t in (store._wake_dom, store._wake_bounds, store._wake_inst))
@@ -308,11 +305,11 @@ def test_bool_lex_wakes_on_both_values():
     model = Model()
     x, y = model.new_bool_var(), model.new_bool_var()
     pid = model.add(LexLeqProp([x], [y]))
-    eng = Engine(model.store.fork(), model.props)
-    eng.store.narrow(y, Op.ASSIGN, 1)
+    eng = Engine(model.store, model.props)
+    eng.narrow(y, Op.ASSIGN, 1)
     eng.schedule_all()
     assert eng.fixpoint() and pid not in eng.subsumed
-    eng.store.narrow(x, Op.ASSIGN, 0)
+    eng.narrow(x, Op.ASSIGN, 0)
     assert pid in eng
     assert eng.fixpoint() and pid in eng.subsumed
 
@@ -347,14 +344,13 @@ def test_running_and_subsumed_propagators_are_not_queued(policy):
     eng.push(narrower)
     assert eng.fixpoint()
     assert woken == [False, False, True]
-    assert model.store.max(x) == 8
+    assert eng.max(x) == 8
 
 
 def test_running_propagator_not_rescheduled_by_own_narrow():
     from fdlab.domain import EventClass, Op
 
     model = Model()
-    store = model.store
     x = model.new_int_var(0, 9)
 
     class SelfNarrower:
@@ -372,7 +368,7 @@ def test_running_propagator_not_rescheduled_by_own_narrow():
     eng.push(pid)
     assert eng.fixpoint()
     # exactly one run: its own removal must not have requeued it
-    assert store.max(x) == 8
+    assert eng.max(x) == 8
 
 
 #: How a test returns to an earlier level: through the trail (the store's
@@ -390,7 +386,7 @@ def _entailable(n, restore):
         for _ in range(n)
     ]
     eng = _engine(model)
-    return eng, pids, make_backend(restore, eng.store, replay=None)
+    return eng, pids, make_backend(restore, eng, replay=None)
 
 
 def _entailed_at(depths, restore):
@@ -508,13 +504,13 @@ def test_narrow_queues_idle_pids_of_its_event_class_in_table_order(policy):
         kind = _Entailed if pid == subsumed else _Recorder
         model.add(kind(log, pid, priority, sub))
     eng = _engine(model, policy)
-    table = model.store._wake_bounds[x]
+    table = eng._wake_bounds[x]
     assert table == [0, 1, subsumed, 4, queued, 6]
     eng.push(subsumed)
     assert eng.fixpoint() and eng.subsumed == {subsumed}
     eng.push(queued)
     log.clear()
-    assert model.store.narrow(x, Op.MAX, 7) is BOUNDS_CHANGED
+    assert eng.narrow(x, Op.MAX, 7) is BOUNDS_CHANGED
     assert [pid in eng for pid in range(len(subs))] == [
         True, True, False, False, True, True, True, False
     ]
@@ -534,8 +530,7 @@ def test_root_fixpoint_confluence_across_policies():
         eng = _engine(model, policy)
         eng.schedule_all()
         assert eng.fixpoint()
-        store = model.store
-        return [store.domain_values(v) for v in model.decision_vars]
+        return [eng.domain_values(v) for v in model.decision_vars]
 
     fifo = root_domains("fifo")
     assert root_domains("priority") == fifo

@@ -8,7 +8,7 @@ from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model
 from fdlab.problems import build, check_solution, parse_instance
 from fdlab.propagate import Engine
 from fdlab.restore import RestoreMode
-from fdlab.domain import Op, VariableStore
+from fdlab.domain import Op
 from fdlab.search import _EnumerateSearch, minimize, solve
 
 # -- independent oracles ------------------------------------------------
@@ -121,16 +121,21 @@ def test_unknown_mode_rejected():
 
 
 def test_minimize_requires_objective(monkeypatch):
-    """The missing objective is refused before the solve forks the store."""
-    forks = []
-    fork = VariableStore.fork
-    monkeypatch.setattr(VariableStore, "fork", lambda store: forks.append(store) or fork(store))
+    """The missing objective is refused before the solve builds its engine."""
+    built = []
+    init = Engine.__init__
+
+    def counting_init(eng, store, *args):
+        built.append(store)
+        init(eng, store, *args)
+
+    monkeypatch.setattr(Engine, "__init__", counting_init)
     model = build(parse_instance("queens:4"))
     with pytest.raises(ValueError, match="objective"):
         minimize(model)
-    assert forks == []
+    assert built == []
     solve(model)
-    assert forks == [model.store]
+    assert built == [model.store]
 
 
 def test_minimize_names_an_objective_a_solution_leaves_unfixed():
@@ -234,7 +239,7 @@ def test_solving_a_model_twice_finds_the_same_solutions():
 
 
 def test_solving_a_boolean_model_twice_finds_the_same_solution():
-    """Every solve must copy the Boolean cells, in its fork and in each
+    """Every solve must copy the Boolean cells, in its engine and in each
     snapshot, rather than share the model's byte array."""
     model = build(parse_instance("golfers:2,3,3+ext"))
     assert len(model.store._bstate) > 0
