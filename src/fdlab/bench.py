@@ -65,7 +65,6 @@ class RunRecord:
     sum_mode: str
     restore: str
     rec_dist: int | None
-    adapt_dist: int | None
     queue: str
     bnb: str
     runs: int
@@ -87,17 +86,14 @@ class RunRecord:
     @classmethod
     def from_config(cls, config):
         inst = config.instance
-        mode = config.restore
-        is_cr = mode.variant == "copy-recompute"
         return cls(
             model=inst.problem,
             instance=",".join(str(p) for p in inst.params),
             extended=inst.extended,
             bool_mode=config.bool_mode,
             sum_mode=config.sum_mode,
-            restore=mode.variant,
-            rec_dist=mode.distance if is_cr else None,
-            adapt_dist=mode.adaptive if is_cr else None,
+            restore=config.restore.variant,
+            rec_dist=config.restore.distance,
             queue=config.queue,
             bnb=config.bnb if inst.is_optimization else "",
             runs=config.runs,

@@ -32,13 +32,14 @@ EXIT_CONFIG = 2
 
 
 def _restore_mode(args):
-    """The ``--restore`` mode with only the distances given on the command
-    line, so that ``RestoreMode`` rejects them for ``trail`` and ``copy``."""
-    given = {"distance": args.rec_dist, "adaptive": args.adapt_dist}
-    if args.restore == "copy-recompute" and args.rec_dist is None:
-        given["distance"] = 8
-    given = {name: value for name, value in given.items() if value is not None}
-    return RestoreMode(args.restore, **given)
+    """The ``--restore`` mode.  ``--rec-dist`` (default 8) sets the
+    distance of ``copy-recompute`` only: given with ``trail`` or ``copy``
+    it is a configuration error, not a flag that is silently dropped."""
+    if args.restore == "copy-recompute":
+        return RestoreMode.copy_recompute(8 if args.rec_dist is None else args.rec_dist)
+    if args.rec_dist is not None:
+        raise ValueError(f"{args.restore} takes no recomputation distance")
+    return RestoreMode.copy() if args.restore == "copy" else RestoreMode.trail()
 
 
 def _add_run_options(parser):
@@ -46,7 +47,6 @@ def _add_run_options(parser):
         "--restore", choices=["trail", "copy", "copy-recompute"], default="trail"
     )
     parser.add_argument("--rec-dist", type=int, metavar="N")
-    parser.add_argument("--adapt-dist", type=int, metavar="N")
     parser.add_argument(
         "--queue", choices=Engine.POLICIES, default="fifo"
     )

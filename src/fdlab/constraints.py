@@ -459,13 +459,13 @@ class BoolAndProp(Propagator):
 
 
 class LexLeqProp(Propagator):
-    """xs <=lex ys (or <lex) over native Booleans, filtered with the
-    two-pointer scheme: advance over the ground-equal prefix to the first
-    open position a, then enforce xs[a] <= ys[a], strictly when the tail
-    after a cannot satisfy the remainder.  The tail's first position j with
-    min(xs[j]) != max(ys[j]) decides that (satisfiable when min(xs[j]) <
-    max(ys[j])); a tail that can only be equal is satisfiable unless the
-    order is strict.  ``IntLexLeqProp`` is the same scheme over integers.
+    """xs <=lex ys over native Booleans, filtered with the two-pointer
+    scheme: advance over the ground-equal prefix to the first open position
+    a, then enforce xs[a] <= ys[a], strictly when the tail after a cannot
+    satisfy the remainder.  The tail's first position j with min(xs[j]) !=
+    max(ys[j]) decides that (satisfiable when min(xs[j]) < max(ys[j])); a
+    tail that can only be equal is satisfiable.  ``IntLexLeqProp`` is the
+    same scheme over integers.
 
     A run reads only cells in ``_bstate``, each position it visits once:
     a cell is 0, 1 or ``UNKNOWN``, and ``_BOOL_BOUNDS`` turns it into the
@@ -480,13 +480,12 @@ class LexLeqProp(Propagator):
     the cells were fixed in.
     """
 
-    __slots__ = ("xs", "ys", "strict", "_cx", "_cy")
+    __slots__ = ("xs", "ys", "_cx", "_cy")
     priority = PRIORITY_GLOBAL
 
-    def __init__(self, xs, ys, strict=False):
+    def __init__(self, xs, ys):
         self.xs = list(xs)
         self.ys = list(ys)
-        self.strict = strict
         self._cx = [~v for v in self.xs]
         self._cy = [~v for v in self.ys]
 
@@ -507,8 +506,8 @@ class LexLeqProp(Propagator):
                     break
                 a += 1
             if a == n:
-                return PROP_FAILED if self.strict else SUBSUMED
-            gap = 1 if self.strict else 0
+                return SUBSUMED
+            gap = 0
             for j in range(a + 1, n):
                 # A cell's min is 1 only when true, its max 0 only when false.
                 xl_j = bstate[cx[j]] == 1
@@ -542,20 +541,19 @@ class LexLeqProp(Propagator):
 
 
 class IntLexLeqProp(Propagator):
-    """xs <=lex ys (or <lex) over integers, ``LexLeqProp``'s two-pointer
+    """xs <=lex ys over integers, ``LexLeqProp``'s two-pointer
     scheme read from ``_lo``/``_hi``.  A narrowing may move a bound past
     the value asked for (the new bound is the next value in the domain), so
     the run re-reads the bound it narrowed.  An integer's events do not
     tell which bound moved, so both vectors subscribe to
     ``BOUNDS_CHANGED``."""
 
-    __slots__ = ("xs", "ys", "strict")
+    __slots__ = ("xs", "ys")
     priority = PRIORITY_GLOBAL
 
-    def __init__(self, xs, ys, strict=False):
+    def __init__(self, xs, ys):
         self.xs = list(xs)
         self.ys = list(ys)
-        self.strict = strict
 
     def subscriptions(self):
         for var in self.xs + self.ys:
@@ -574,8 +572,8 @@ class IntLexLeqProp(Propagator):
                     break
                 a += 1
             if a == n:
-                return PROP_FAILED if self.strict else SUBSUMED
-            gap = 1 if self.strict else 0
+                return SUBSUMED
+            gap = 0
             for j in range(a + 1, n):
                 xl_j = lo[xs[j]]
                 yh_j = hi[ys[j]]
@@ -838,8 +836,8 @@ def post_bool_and(model, z, x, y):
     model.add(BoolAndProp(z, x, y))
 
 
-def post_lex_leq(model, xs, ys, strict=False):
-    """xs <=lex ys (or <lex) over two vectors of one kind of variable, by
+def post_lex_leq(model, xs, ys):
+    """xs <=lex ys over two vectors of one kind of variable, by
     the kernel for that kind: ``IntLexLeqProp`` for integers, ``LexLeqProp``
     for Booleans."""
     xs, ys = list(xs), list(ys)
@@ -849,4 +847,4 @@ def post_lex_leq(model, xs, ys, strict=False):
     if is_int_var(lo) != is_int_var(hi):
         raise PostError("lex mixes Boolean and integer variables")
     kernel = IntLexLeqProp if is_int_var(lo) else LexLeqProp
-    model.add(kernel(xs, ys, strict))
+    model.add(kernel(xs, ys))

@@ -47,6 +47,7 @@ with :func:`is_int_var`.
 from __future__ import annotations
 
 import enum
+from operator import index
 
 
 def is_int_var(var):
@@ -179,7 +180,14 @@ class VariableStore:
         return ~(len(self._bstate) - 1)
 
     def new_bool_vars(self, n):
-        """Add ``n`` unknown Booleans in one extend; returns their ids."""
+        """Add ``n`` unknown Booleans in one extend; returns their ids.  A
+        negative or non-integral count raises ``DomainError``."""
+        try:
+            n = index(n)
+        except TypeError:
+            raise DomainError(f"Boolean count {n!r} must be an integer") from None
+        if n < 0:
+            raise DomainError(f"Boolean count {n} is negative")
         first = len(self._bstate)
         self._bstate += _UNKNOWN_BYTE * n
         self._region_words += n

@@ -10,8 +10,9 @@ nearest snapshot the frames recorded since: a segment's actions are
 applied together and propagated to one fixpoint.  The last segment of a
 backtrack is not replayed: ``backtrack_to`` returns its actions, the
 tail, and the search applies them ahead of the next node's own actions,
-before that node's one fixpoint.  Copying is recomputation at distance
-1: a snapshot at every node and nothing to recompute.
+before that node's one fixpoint.  A ``RestoreMode`` is one distance:
+``None`` trails, and copying is recomputation at distance 1, a snapshot
+at every node and nothing to recompute.
 """
 
 from __future__ import annotations
@@ -49,39 +50,38 @@ class RestoreStats:
 
 @dataclass(frozen=True)
 class RestoreMode:
-    """Backend selector.  ``copy`` is ``copy-recompute`` at distance 1.
+    """Backend selector: ``distance`` is ``None`` for trailing, otherwise
+    the positive number of nodes between snapshots, with recomputation in
+    between.  Copying is distance 1, so ``copy()`` equals
+    ``copy_recompute(1)``."""
 
-    ``distance`` and ``adaptive`` are the recomputation distances, positive
-    integers; only ``copy-recompute`` takes others than the defaults."""
-
-    variant: str = "trail"
-    distance: int = 1
-    adaptive: int = 2
+    distance: int | None = None
 
     def __post_init__(self):
-        if self.variant not in ("trail", "copy", "copy-recompute"):
-            raise ValueError(f"unknown restore mode {self.variant!r}")
         try:
-            distances = [operator.index(d) for d in (self.distance, self.adaptive)]
+            if self.distance is None or operator.index(self.distance) >= 1:
+                return
         except TypeError:
-            raise ValueError("recomputation distances must be integers") from None
-        if min(distances) < 1:
-            raise ValueError("recomputation distances must be positive")
-        recomputes = (self.distance, self.adaptive) != (1, 2)
-        if recomputes and self.variant != "copy-recompute":
-            raise ValueError(f"{self.variant} takes no recomputation distances")
+            pass
+        raise ValueError(f"recomputation distance {self.distance!r} is not a positive integer")
+
+    @property
+    def variant(self):
+        if self.distance is None:
+            return "trail"
+        return "copy" if self.distance == 1 else "copy-recompute"
 
     @staticmethod
     def trail():
-        return RestoreMode("trail")
+        return RestoreMode()
 
     @staticmethod
     def copy():
-        return RestoreMode("copy")
+        return RestoreMode(1)
 
     @staticmethod
-    def copy_recompute(distance, adaptive=2):
-        return RestoreMode("copy-recompute", distance, adaptive)
+    def copy_recompute(distance):
+        return RestoreMode(distance)
 
 
 class _Frame:
@@ -124,15 +124,13 @@ class TrailBackend:
 class RecomputeBackend:
     """Copying every ``distance`` nodes, otherwise recomputation.
 
-    A backtrack loads the nearest snapshot at or above the target frame and
-    recomputes the frames in between, with each segment's frames' actions
-    concatenated oldest first.  The adaptive rule places one extra snapshot
-    at the midpoint of the recomputed path whenever the path length reaches
-    ``adaptive``, and that snapshot is the only place a path splits into two
-    segments.  The segment before the midpoint snapshot is replayed by one
-    ``replay(actions)`` call, since the snapshot must hold its state.  The
-    last segment is not replayed: ``backtrack_to`` returns its actions as
-    the tail, which the search applies ahead of the new node's actions and
+    A backtrack loads the nearest snapshot at or above the target frame, at
+    frame ``k``, and recomputes the frames in between, each segment's
+    actions concatenated oldest first.  A path of two frames or more splits
+    once, at ``mid = k + (target - k) // 2``: one ``replay(actions)`` call
+    takes it there, and ``mid`` takes a snapshot of that state.  The last
+    segment is not replayed: ``backtrack_to`` returns its actions as the
+    tail, which the search applies ahead of the new node's actions and
     propagates with them.  A backtrack that loads the target frame's own
     snapshot returns ``()``.  The node that opens at ``target`` never takes
     a snapshot over a pending tail: it does so only at a depth that is a
@@ -148,12 +146,11 @@ class RecomputeBackend:
     frames, replayed or returned as a tail.
     """
 
-    def __init__(self, store, replay, distance, adaptive=2):
+    def __init__(self, store, replay, distance):
         self.store = store
         self.frames = []
         self._replay = replay
         self.distance = distance
-        self.adaptive = adaptive
         self._snapshots = 0
         self._recomputations = 0
         self._replayed = 0
@@ -190,7 +187,7 @@ class RecomputeBackend:
             self._recomputations += 1
             self._replayed += target - k
             mid = k + (target - k) // 2
-            if target - k >= self.adaptive and frames[mid].snapshot is None:
+            if mid > k:
                 self._replay(_actions(frames[k:mid]))
                 self._snap(frames[mid])
                 k = mid
@@ -205,6 +202,6 @@ def _actions(segment):
 
 
 def make_backend(mode, store, replay):
-    if mode.variant == "trail":
+    if mode.distance is None:
         return TrailBackend(store)
-    return RecomputeBackend(store, replay, mode.distance, mode.adaptive)
+    return RecomputeBackend(store, replay, mode.distance)

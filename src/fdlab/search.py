@@ -87,8 +87,8 @@ class _Search:
         # Replaying a previously consistent path with monotone propagators
         # cannot fail; if it does, a backend restored the wrong state.  The
         # guard covers the one segment a backend replays itself, the one
-        # before an adaptive midpoint snapshot; the last segment comes back
-        # as a tail and is propagated with the next node instead.
+        # before a midpoint snapshot; the last segment comes back as a tail
+        # and is propagated with the next node instead.
         if not self.descend(actions):
             raise RuntimeError("recomputation replay failed")
 

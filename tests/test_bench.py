@@ -192,7 +192,7 @@ def test_emit_csv_columns_exact():
     assert rows[0] == CSV_COLUMNS
     assert CSV_COLUMNS == [
         "model", "instance", "extended", "bool_mode", "sum_mode", "restore",
-        "rec_dist", "adapt_dist", "queue", "bnb", "runs", "nodes", "backtracks",
+        "rec_dist", "queue", "bnb", "runs", "nodes", "backtracks",
         "solutions", "fingerprint", "setup_ms_median", "solve_ms_median", "cov",
         "nps", "bytes_copied", "trail_entries", "snapshots", "recomputations",
         "replayed_decisions",
@@ -244,7 +244,7 @@ def test_cli_run_full_flags(capsys):
     code = main(
         [
             "run", "--model", "golomb:5", "--restore", "copy-recompute",
-            "--rec-dist", "4", "--adapt-dist", "2", "--queue", "priority",
+            "--rec-dist", "4", "--queue", "priority",
             "--sum-eq", "decomposed", "--bnb", "post", "--runs", "1",
             "--format", "json",
         ]
@@ -258,14 +258,22 @@ def test_cli_run_full_flags(capsys):
 
 def test_cli_recomputation_flags_need_copy_recompute(capsys):
     """A recomputation distance on ``trail`` or ``copy`` is a configuration
-    error, not a flag that is silently dropped."""
+    error, not a flag that is silently dropped, and the adaptive distance
+    is no flag at all.  A row carries its mode's distance: none for
+    ``trail``, 1 for ``copy``, 8 by default for ``copy-recompute``."""
     run = ["run", "--model", "queens:6", "--runs", "1"]
     assert main([*run, "--restore", "trail", "--rec-dist", "4"]) == 2
-    assert main([*run, "--restore", "copy", "--adapt-dist", "7"]) == 2
-    assert "takes no recomputation distances" in capsys.readouterr().err
-    assert main([*run, "--restore", "copy-recompute", "--format", "json"]) == 0
-    (row,) = json.loads(capsys.readouterr().out)
-    assert (row["restore"], row["rec_dist"], row["adapt_dist"]) == ("copy-recompute", 8, 2)
+    assert "trail takes no recomputation distance" in capsys.readouterr().err
+    assert main([*run, "--restore", "copy", "--rec-dist", "1"]) == 2
+    assert "copy takes no recomputation distance" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([*run, "--restore", "copy-recompute", "--adapt-dist", "2"])
+    assert exc.value.code == 2
+    for restore, rec_dist in (("trail", None), ("copy", 1), ("copy-recompute", 8)):
+        assert main([*run, "--restore", restore, "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)
+        assert (row["restore"], row["rec_dist"]) == (restore, rec_dist)
+    assert "adapt_dist" not in row
 
 
 def test_cli_infeasible_exit_code(capsys):
@@ -355,26 +363,34 @@ _MANYVARS = ["queens:8", "queens:10", "golfers:2,3,3", "golfers:2,4,4"]
         (
             "boolint",
             [
-                (spec, "trail", 1, mode)
+                (spec, "trail", None, mode)
                 for spec in ["golfers:2,3,3", "golfers:2,4,4", "bibd:7,3,2", "bibd:7,3,10"]
                 for mode in ("native", "int")
             ],
         ),
         (
             "copy",
-            [(spec, "copy-recompute", d, "native") for spec in _SMALL for d in (1, 2, 8, 16, 32)],
+            [
+                (spec, "copy" if d == 1 else "copy-recompute", d, "native")
+                for spec in _SMALL
+                for d in (1, 2, 8, 16, 32)
+            ],
         ),
         (
             "trail",
-            [(spec, variant, 1, "native") for spec in _SMALL for variant in ("trail", "copy")],
+            [
+                (spec, variant, distance, "native")
+                for spec in _SMALL
+                for variant, distance in (("trail", None), ("copy", 1))
+            ],
         ),
         (
             "manyvars",
             [
-                (spec + ext, variant, 1, "native")
+                (spec + ext, variant, distance, "native")
                 for spec in _MANYVARS
                 for ext in ("", "+ext")
-                for variant in ("trail", "copy")
+                for variant, distance in (("trail", None), ("copy", 1))
             ],
         ),
     ],

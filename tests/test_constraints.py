@@ -793,14 +793,6 @@ def test_lex_leq_basic():
     assert eng.value(ys[0]) == 1
 
 
-def test_lex_leq_strict_on_equal_prefix():
-    model = Model()
-    xs = [model.new_int_var(1, 1), model.new_int_var(0, 1)]
-    ys = [model.new_int_var(1, 1), model.new_int_var(0, 0)]
-    post_lex_leq(model, xs, ys, strict=True)
-    assert not _fix(model)
-
-
 def test_lex_leq_tail_decides_strictness():
     model = Model()
     xs = [model.new_int_var(0, 1), model.new_int_var(1, 1)]
@@ -832,7 +824,7 @@ def test_lex_rejects_mixed_kinds():
     with pytest.raises(PostError):
         post_lex_leq(model, [b], [x])
     with pytest.raises(PostError):
-        post_lex_leq(model, [x], [b], strict=True)
+        post_lex_leq(model, [x], [b])
     assert model.unaries == 0 and not model.props
 
 
@@ -1107,16 +1099,15 @@ def test_diff_prop_matches_linear(xd, yd, zd, k):
 
 
 class _LexReference:
-    """xs <=lex ys (or <lex) as LexLeqProp computed it through the store's
+    """xs <=lex ys as LexLeqProp computed it through the store's
     size/min/max queries, narrowing both sides of the first open position
     on every run: the reference for the array kernel."""
 
     priority = PRIORITY_GLOBAL
 
-    def __init__(self, xs, ys, strict):
+    def __init__(self, xs, ys):
         self.xs = xs
         self.ys = ys
-        self.strict = strict
 
     def subscriptions(self):
         for var in self.xs + self.ys:
@@ -1129,7 +1120,7 @@ class _LexReference:
                 return True
             if s.min(xs[j]) > s.max(ys[j]) or s.min(ys[j]) > s.max(xs[j]):
                 return False
-        return not self.strict
+        return True
 
     def propagate(self, s):
         xs, ys = self.xs, self.ys
@@ -1144,7 +1135,7 @@ class _LexReference:
             ):
                 a += 1
             if a == n:
-                return PROP_FAILED if self.strict else SUBSUMED
+                return SUBSUMED
             gap = 0 if self._tail_satisfiable(s, a) else 1
             if s.narrow(xs[a], Op.MAX, s.max(ys[a]) - gap) is FAILED:
                 return PROP_FAILED
@@ -1179,20 +1170,20 @@ def _lex_cases(draw):
         cell = st.sampled_from([0, 1, None])
         doms = draw(st.lists(cell, min_size=size, max_size=size))
     positions = st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
-    return kind, doms, draw(positions), draw(positions), draw(st.booleans())
+    return kind, doms, draw(positions), draw(positions)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_lex_cases())
-@example(("int", [(1, 0, []), (0, 2, [1])], [0], [1], False))
+@example(("int", [(1, 0, []), (0, 2, [1])], [0], [1]))
 def test_lex_leq_matches_reference(case):
     """Each lex kernel reaches the query-based reference's domains, or its
     failure, and is subsumed exactly when the reference is: the cell kernel
     on Boolean vectors, the bounds kernel on {0..1}-integer and holed
-    integer vectors, strict or not, with and without shared variables.  In
+    integer vectors, with and without shared variables.  In
     the example, y = {0, 2} narrowed to min 1 becomes 2, above x = 1, so
     the lex is entailed only by the bound the narrowing really left."""
-    kind, doms, xi, yi, strict = case
+    kind, doms, xi, yi = case
 
     def run(make):
         model = Model()
@@ -1209,7 +1200,7 @@ def test_lex_leq_matches_reference(case):
                 if dom is not None:
                     model.store.narrow(v, Op.ASSIGN, dom)
             pool.append(v)
-        model.add(make([pool[i] for i in xi], [pool[i] for i in yi], strict))
+        model.add(make([pool[i] for i in xi], [pool[i] for i in yi]))
         eng = Engine(model.store, model.props)
         ok, entailed = _fix_one(eng)
         doms_after = [eng.domain_values(v) for v in pool] if ok else None
@@ -1227,7 +1218,7 @@ def _lex_kernel_cases(draw):
     cells = draw(st.lists(st.sampled_from([0, 1, None]), min_size=size, max_size=size))
     n = draw(st.integers(1, 5))
     positions = st.lists(st.integers(0, size - 1), min_size=n, max_size=n)
-    return cells, draw(positions), draw(positions), draw(st.booleans())
+    return cells, draw(positions), draw(positions)
 
 
 @settings(max_examples=300, deadline=None)
@@ -1236,7 +1227,7 @@ def test_bool_and_int_lex_kernels_agree(case):
     """``post_lex_leq`` posts the cell kernel over native Booleans and the
     bounds kernel over {0..1} integers, and the two reach the same outcome,
     the same subsumption and the same domains."""
-    cells, xi, yi, strict = case
+    cells, xi, yi = case
 
     def run(bool_mode):
         model = Model(bool_mode=bool_mode)
@@ -1244,7 +1235,7 @@ def test_bool_and_int_lex_kernels_agree(case):
         for v, cell in zip(pool, cells):
             if cell is not None:
                 model.store.narrow(v, Op.ASSIGN, cell)
-        post_lex_leq(model, [pool[i] for i in xi], [pool[i] for i in yi], strict)
+        post_lex_leq(model, [pool[i] for i in xi], [pool[i] for i in yi])
         (prop,) = model.props
         eng = Engine(model.store, model.props)
         ok, entailed = _fix_one(eng)
@@ -1258,11 +1249,11 @@ def test_bool_and_int_lex_kernels_agree(case):
 
 @st.composite
 def _polarity_cases(draw):
-    """A Boolean sum under <= or >=, or a Boolean lex, strict or not, over
+    """A Boolean sum under <= or >=, or a Boolean lex, over
     a pool of cells with a random partial assignment; lex positions may
     share cells, within a vector and across the two.  ``picks`` chooses the
     cells that get a fixing the propagator does not subscribe to."""
-    kind = draw(st.sampled_from([LEQ, GEQ, "lex", "lex-strict"]))
+    kind = draw(st.sampled_from([LEQ, GEQ, "lex"]))
     size = draw(st.integers(1, 6))
     cells = draw(st.lists(st.sampled_from([0, 1, None]), min_size=size, max_size=size))
     if kind in (LEQ, GEQ):
@@ -1279,7 +1270,7 @@ def _polarity_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(_polarity_cases())
 @example(("lex", [None] * 3, ([0, 1], [1, 2]), [True] * 3))
-@example(("lex-strict", [None, None, 1], ([0, 1], [1, 2]), [True] * 3))
+@example(("lex", [None, None, 1], ([0, 1], [1, 2]), [True] * 3))
 def test_skipped_polarity_fixings_leave_the_fixpoint_alone(case):
     """A <= sum skips cells turning false, a >= sum cells turning true, and
     a Boolean lex x -> 0 and y -> 1 (a cell in both vectors skips
@@ -1296,7 +1287,7 @@ def test_skipped_polarity_fixings_leave_the_fixpoint_alone(case):
         prop = BoolSumProp([pool[i] for i in members], kind, c)
     else:
         xi, yi = spec
-        prop = LexLeqProp([pool[i] for i in xi], [pool[i] for i in yi], kind == "lex-strict")
+        prop = LexLeqProp([pool[i] for i in xi], [pool[i] for i in yi])
     pid = model.add(prop)
     store = Engine(model.store, model.props)
 

@@ -209,6 +209,19 @@ def test_bulk_booleans_match_one_at_a_time():
     assert all(bulk.size(b) == 2 for b in ids)
 
 
+def test_bulk_booleans_refuse_a_bad_count():
+    """A negative count would drive ``region_bytes``, and so
+    ``bytes_copied``, below zero, and a non-integral one is no count: the
+    store refuses both with ``DomainError`` before it grows."""
+    store = VariableStore()
+    store.new_bool_var()
+    before = (bytes(store._bstate), store.region_bytes)
+    for bad in (-5, -1, 1.5, "2", None):
+        with pytest.raises(DomainError):
+            store.new_bool_vars(bad)
+    assert (bytes(store._bstate), store.region_bytes) == before
+
+
 def test_snapshot_blob_round_trip():
     store = VariableStore()
     x = store.new_int_var(0, 9)

@@ -81,9 +81,8 @@ def _holds(con, values):
     if kind == "and":
         z, x, y = args
         return values[z] == (values[x] and values[y])
-    xs, ys, strict = args  # lex
-    xv, yv = [values[i] for i in xs], [values[i] for i in ys]
-    return xv < yv if strict else xv <= yv
+    xs, ys = args  # lex
+    return [values[i] for i in xs] <= [values[i] for i in ys]
 
 
 def _post(model, vars, con):
@@ -106,8 +105,8 @@ def _post(model, vars, con):
     elif kind == "and":
         post_bool_and(model, *(vars[i] for i in args))
     else:
-        xs, ys, strict = args
-        post_lex_leq(model, [vars[i] for i in xs], [vars[i] for i in ys], strict)
+        xs, ys = args
+        post_lex_leq(model, [vars[i] for i in xs], [vars[i] for i in ys])
 
 
 def _subset(draw, n, lo, hi):
@@ -161,7 +160,7 @@ def bool_models(draw):
             k = draw(st.integers(1, n))
             xs = [draw(var) for _ in range(k)]
             ys = [draw(var) for _ in range(k)]
-            cons.append(("lex", xs, ys, draw(st.booleans())))
+            cons.append(("lex", xs, ys))
     return "bool", [(0, 1)] * n, cons
 
 

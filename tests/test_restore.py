@@ -16,31 +16,25 @@ def _store_with_vars():
 
 
 def test_restore_mode_constructors():
-    assert RestoreMode.trail().variant == "trail"
+    """A mode is one distance: none trails, and copying is recomputation at
+    distance 1, so the two constructors build equal modes."""
+    assert RestoreMode() == RestoreMode.trail()
+    assert (RestoreMode().variant, RestoreMode().distance) == ("trail", None)
+    assert RestoreMode.copy() == RestoreMode.copy_recompute(1) == RestoreMode(1)
     assert RestoreMode.copy().variant == "copy"
-    cr = RestoreMode.copy_recompute(8, adaptive=4)
-    assert (cr.variant, cr.distance, cr.adaptive) == ("copy-recompute", 8, 4)
-    with pytest.raises(ValueError):
-        RestoreMode.copy_recompute(0)
-    with pytest.raises(ValueError):
-        make_backend(RestoreMode("nope"), None, None)
+    cr = RestoreMode.copy_recompute(8)
+    assert (cr.variant, cr.distance) == ("copy-recompute", 8)
+    assert isinstance(make_backend(RestoreMode(), VariableStore(), None), TrailBackend)
+    backend = make_backend(RestoreMode.copy(), VariableStore(), None)
+    assert isinstance(backend, RecomputeBackend) and backend.distance == 1
 
 
 @pytest.mark.parametrize(
     "args",
-    [
-        ("copy-recompute", 0),
-        ("copy", 5),
-        ("trail", -3),
-        ("copy-recompute", 4, 0),
-        ("bogus",),
-        ("trail", 1, 9),
-        ("copy", 1, 7),
-        ("copy-recompute", 2.5),
-        ("copy-recompute", "8"),
-    ],
+    [(0,), (-1,), (-3,), (2.5,), (1.0,), ("8",), ("copy",), ("trail",), ([8],)],
 )
 def test_restore_mode_rejects_bad_values_when_built(args):
+    """A distance that is not an integer, or is below 1, is refused."""
     with pytest.raises(ValueError):
         RestoreMode(*args)
 
@@ -230,17 +224,28 @@ def test_recompute_replays_decisions():
 
 
 def test_adaptive_midpoint_snapshot():
-    """With a huge distance, every long retreat plants a midpoint snapshot."""
+    """With a huge distance, every retreat over two frames or more plants a
+    midpoint snapshot."""
     model = build(parse_instance("queens:8"))
-    _, stats = solve(
-        model, mode="first", restore=RestoreMode.copy_recompute(1000, adaptive=2)
-    )
+    _, stats = solve(model, mode="first", restore=RestoreMode.copy_recompute(1000))
     assert stats.restore.recomputations > 0
     # more snapshots than the root-only cadence would take
     assert stats.restore.snapshots_taken > 1
 
 
-def _recorded_replays(path, target, adaptive, distance=1000):
+def _replayer(store, calls):
+    """A ``replay`` that applies its actions to ``store`` and records them
+    in ``calls``."""
+
+    def replay(actions):
+        calls.append(actions)
+        for op, var, value in actions:
+            store.narrow(var, op, value)
+
+    return replay
+
+
+def _recorded_replays(path, target, distance=1000):
     """Open ``path`` nodes under recomputation, with no snapshot past the
     root at the default ``distance``, where the node at depth ``i`` removes
     ``i`` from one variable, and backtrack to ``target`` with a ``replay``
@@ -248,13 +253,8 @@ def _recorded_replays(path, target, adaptive, distance=1000):
     backend and the store before each node."""
     store, xs, _ = _store_with_vars()
     calls = []
-
-    def replay(actions):
-        calls.append(actions)
-        for op, var, value in actions:
-            store.narrow(var, op, value)
-
-    backend = RecomputeBackend(store, replay, distance=distance, adaptive=adaptive)
+    replay = _replayer(store, calls)
+    backend = RecomputeBackend(store, replay, distance=distance)
     blobs = []
     for i in range(path):
         blobs.append(store.snapshot_blob())
@@ -271,24 +271,26 @@ def _values(actions):
 
 
 def test_replay_below_adaptive_is_one_segment():
-    """A path shorter than ``adaptive`` is one segment, and the last
-    segment is not replayed: it comes back as the tail, with its frames'
-    actions in order, over the root's state.  The counters count its
-    frames."""
-    calls, tail, backend, blobs = _recorded_replays(6, 3, adaptive=4)
+    """A path of one frame has no midpoint past its snapshot, so it is one
+    segment, and the last segment is not replayed: it comes back as the
+    tail, that frame's actions, over the root's state.  The counters count
+    its frame."""
+    calls, tail, backend, blobs = _recorded_replays(6, 1)
     assert calls == []
-    assert _values(tail) == [0, 1, 2]
+    assert _values(tail) == [0]
     assert backend.store.snapshot_blob() == blobs[0]
+    assert [i for i, f in enumerate(backend.frames) if f.snapshot is not None] == [0]
     stats = backend.stats
-    assert (stats.snapshots_taken, stats.recomputations, stats.replayed_decisions) == (1, 1, 3)
+    assert (stats.snapshots_taken, stats.recomputations, stats.replayed_decisions) == (1, 1, 1)
 
 
 def test_replay_splits_only_at_the_midpoint_snapshot():
-    """A path of at least ``adaptive`` frames splits where the midpoint
-    snapshot is taken: one replay call up to it, so that the snapshot holds
-    the state that call reached, and the rest as the tail; the counters
-    count frames as before."""
-    calls, tail, backend, blobs = _recorded_replays(9, 7, adaptive=4)
+    """A path of two frames or more from the snapshot at ``k`` splits at
+    ``mid = k + (target - k) // 2``, where the midpoint snapshot is taken:
+    one replay call over ``[k:mid]``, so that the snapshot holds the state
+    that call reached, and ``[mid:target]`` as the tail; the counters count
+    frames as before."""
+    calls, tail, backend, blobs = _recorded_replays(9, 7)
     assert [_values(actions) for actions in calls] == [[0, 1, 2]]
     assert _values(tail) == [3, 4, 5, 6]
     assert [i for i, f in enumerate(backend.frames) if f.snapshot is not None] == [0, 3]
@@ -299,7 +301,7 @@ def test_replay_splits_only_at_the_midpoint_snapshot():
     # The same retreat again starts at the midpoint snapshot: a tail alone.
     calls.clear()
     backend.open_node([])
-    assert _values(backend.backtrack_to(5)) == [3, 4]
+    assert _values(backend.backtrack_to(4)) == [3]
     assert calls == []
     assert backend.store.snapshot_blob() == blobs[3]
 
@@ -308,19 +310,21 @@ def test_backtrack_to_a_snapshot_due_depth_returns_no_tail():
     """The frame at a depth that is a multiple of ``distance`` took a
     snapshot when it opened, so a backtrack there loads it, replays
     nothing and leaves no tail: the node that opens there and snapshots
-    the store never does so over a pending tail.  One frame deeper, the
-    same path comes back as a tail over that snapshot."""
-    calls, tail, backend, blobs = _recorded_replays(9, 8, adaptive=1000, distance=4)
+    the store never does so over a pending tail.  A target between
+    snapshots, 7, recomputes from the one at 4 and splits at its midpoint,
+    5, as a path from the root does."""
+    calls, tail, backend, blobs = _recorded_replays(9, 8, distance=4)
     assert (calls, tail) == ([], ())
     assert backend.store.snapshot_blob() == blobs[8]
     backend.open_node([])  # depth 8 snapshots again
     assert backend.frames[8].snapshot == blobs[8]
     stats = backend.stats
     assert (stats.snapshots_taken, stats.recomputations, stats.replayed_decisions) == (4, 0, 0)
-    calls, tail, backend, blobs = _recorded_replays(9, 7, adaptive=1000, distance=4)
-    assert calls == []
-    assert _values(tail) == [4, 5, 6]
-    assert backend.store.snapshot_blob() == blobs[4]
+    calls, tail, backend, blobs = _recorded_replays(9, 7, distance=4)
+    assert [_values(actions) for actions in calls] == [[4]]
+    assert _values(tail) == [5, 6]
+    assert [i for i, f in enumerate(backend.frames) if f.snapshot is not None] == [0, 4, 5]
+    assert backend.store.snapshot_blob() == blobs[5]
 
 
 @pytest.mark.parametrize("name", ["bibd:6,3,2", "bibd:7,3,2"])
@@ -374,9 +378,11 @@ def test_shadow_backend_detects_mismatch():
 
     for backend in (RecomputeBackend, DropsAFrame):
         store, xs, _ = _store_with_vars()
-        shadow = ShadowBackend(backend(store, replay=None, distance=1000, adaptive=1000))
+        shadow = ShadowBackend(backend(store, _replayer(store, []), distance=1000))
         for i in range(3):
             shadow.open_node([(Op.REMOVE, xs[0], i)])
             store.narrow(xs[0], Op.REMOVE, i)
-        assert len(shadow.backtrack_to(2)) == (2 if backend is RecomputeBackend else 1)
+        # Frame 0 is replayed before the midpoint snapshot at frame 1;
+        # frame 1 is the tail.
+        assert len(shadow.backtrack_to(2)) == (1 if backend is RecomputeBackend else 0)
         assert shadow.mismatches == (backend is DropsAFrame), backend.__name__

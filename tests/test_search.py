@@ -312,8 +312,8 @@ def test_checker_catches_perturbed_golfers():
 @st.composite
 def _bool_models(draw):
     """3-6 cells and 1-4 constraints among Boolean sums of each relation
-    (over distinct cells, maybe pair-counted), ``and`` and lex, strict or
-    not; ``and`` and lex may repeat cells."""
+    (over distinct cells, maybe pair-counted), ``and`` and lex; ``and``
+    and lex may repeat cells."""
     n = draw(st.integers(3, 6))
     cell = st.integers(0, n - 1)
     cons = []
@@ -327,7 +327,7 @@ def _bool_models(draw):
         else:
             xs = draw(st.lists(cell, min_size=1, max_size=3))
             ys = draw(st.lists(cell, min_size=len(xs), max_size=len(xs)))
-            cons.append((kind, xs, ys, draw(st.booleans())))
+            cons.append((kind, xs, ys))
     return n, cons
 
 
@@ -341,8 +341,8 @@ def _post_bool_model(n, cons, bool_mode, sum_mode):
         elif kind == "and":
             post_bool_and(model, *(cells[i] for i in args))
         else:
-            xs, ys, strict = args
-            post_lex_leq(model, [cells[i] for i in xs], [cells[i] for i in ys], strict)
+            xs, ys = args
+            post_lex_leq(model, [cells[i] for i in xs], [cells[i] for i in ys])
     return model
 
 
@@ -358,9 +358,8 @@ def _holds(values, cons):
             if values[z] != (values[x] & values[y]):
                 return False
         else:
-            xs, ys, strict = args
-            left, right = [values[i] for i in xs], [values[i] for i in ys]
-            if left > right or strict and left == right:
+            xs, ys = args
+            if [values[i] for i in xs] > [values[i] for i in ys]:
                 return False
     return True
 
