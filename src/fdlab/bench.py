@@ -52,6 +52,8 @@ class RunConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be at least 1")
+        if not isinstance(self.restore, RestoreMode):
+            raise ValueError(f"restore {self.restore!r} is not a RestoreMode")
 
 
 @dataclass

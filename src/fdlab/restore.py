@@ -58,12 +58,16 @@ class RestoreMode:
     distance: int | None = None
 
     def __post_init__(self):
+        if self.distance is None:
+            return
         try:
-            if self.distance is None or operator.index(self.distance) >= 1:
-                return
+            distance = operator.index(self.distance)
         except TypeError:
-            pass
-        raise ValueError(f"recomputation distance {self.distance!r} is not a positive integer")
+            distance = 0
+        if distance < 1:
+            raise ValueError(f"recomputation distance {self.distance!r} is not a positive integer")
+        # Keep the plain int, so RestoreMode(True) holds 1; the class is frozen.
+        object.__setattr__(self, "distance", distance)
 
     @property
     def variant(self):

@@ -1,11 +1,12 @@
 """Depth-first search with binary branching, pluggable backtrack memory,
 and two branch-and-bound modes.
 
-Branching picks the first unassigned variable in the static order and
-tries x = v (smallest value) then x != v.  Every action applied at a node
-is recorded in that node's frame, so recomputation backends can replay the
-exact path, including any objective-bound actions taken during
-branch-and-bound.
+One search class serves enumeration and minimisation: they walk the same
+tree and differ only in what a solution does.  Branching picks the first
+unassigned variable in the static order and tries x = v (smallest value)
+then x != v.  Every action applied at a node is recorded in that node's
+frame, so recomputation backends can replay the exact path, including the
+objective-bound action that branch and bound prepends to each node.
 """
 
 from __future__ import annotations
@@ -71,14 +72,32 @@ class Solution:
 class _Search:
     """One solve.  Its ``store`` is an ``Engine``, a copy of the model's
     domains that the search narrows, the backend restores and the model's
-    propagators run on, so the model itself is never changed."""
+    propagators run on, so the model itself is never changed.
 
-    def __init__(self, model, restore, queue):
+    With ``bnb`` None the search enumerates: it stops at the first solution
+    or, under ``mode='all'``, collects every one.  With ``bnb`` set it is
+    restart-free branch and bound: each solution is a new incumbent, and
+    ``prefix``, the action every later node applies first, bounds the
+    objective below it."""
+
+    def __init__(self, model, restore, queue, mode, bnb=None):
+        if mode not in ("first", "all"):
+            raise ValueError(f"unknown search mode {mode!r}")
+        if bnb not in (None, "tighten", "post"):
+            raise ValueError(f"unknown branch-and-bound mode {bnb!r}")
+        if bnb is not None and model.objective is None:
+            raise ValueError("model has no objective variable")
+        if not isinstance(restore, RestoreMode):
+            raise ValueError(f"restore {restore!r} is not a RestoreMode")
         self.started = time.perf_counter()
         self.model = model
+        self.mode = mode
+        self.bnb = bnb
         self.store = Engine(model.store, model.props, queue)
         self.backend = make_backend(restore, self.store, self._replay)
         self.stats = SearchStats()
+        self.solutions = []  # every solution, or every incumbent, in order
+        self.prefix = []  # actions prepended to every node's own
         self.alts = []  # (depth, cursor, actions) of each open alternative
         self.depth = 0  # open nodes: the frames the backend holds
         self.cursor = 0  # index in decision_vars of the last branching variable
@@ -144,14 +163,10 @@ class _Search:
         while self.alts:
             self.depth, self.cursor, actions = self.alts.pop()
             tail = self.backend.backtrack_to(self.depth)
-            if self.try_node(self.prefix_actions() + actions, tail):
+            if self.try_node(self.prefix + actions, tail):
                 return True
             self.stats.backtracks += 1
         return False
-
-    def prefix_actions(self):
-        """Actions to prepend at every node; branch-and-bound overrides."""
-        return []
 
     def branch(self):
         """Expand one node.  Returns False when the subtree under the
@@ -161,17 +176,34 @@ class _Search:
             return self.on_solution()
         v = self.store.min(var)
         self.alts.append((self.depth, self.cursor, [(REMOVE, var, v)]))
-        if self.try_node(self.prefix_actions() + [(ASSIGN, var, v)]):
+        if self.try_node(self.prefix + [(ASSIGN, var, v)]):
             return True
         self.stats.backtracks += 1
         return self.unwind()
 
     def on_solution(self):
-        raise NotImplementedError
-
-    def snapshot_solution(self):
-        value = self.store.value
-        return tuple(value(v) for v in self.model.decision_vars)
+        """Record the solution at the current node; returns whether the
+        search goes on.  An incumbent sets ``prefix`` to bound the objective
+        below its value: ``tighten`` narrows the bound at every later node,
+        ``post`` adds an ``UpperBoundProp`` once and reschedules it there."""
+        store, stats = self.store, self.stats
+        values = tuple(map(store.value, self.model.decision_vars))
+        stats.solutions += 1
+        if self.bnb is None:
+            self.solutions.append(Solution(values))
+            stats.fingerprint = _fold(stats.fingerprint, values)
+            return self.mode == "all" and self.unwind()
+        objective = self.model.objective
+        if store.size(objective) > 1:
+            raise ModelError(f"objective {objective} is not fixed when every decision variable is")
+        value = store.min(objective)
+        self.solutions.append(Solution(values, value))
+        stats.fingerprint = _fold(stats.fingerprint, values + (value,))
+        if self.bnb == "tighten":
+            self.prefix = [(MAX, objective, value - 1)]
+        else:
+            self.prefix = [(A_SCHED, store.add(UpperBoundProp(objective, value - 1)), None)]
+        return self.unwind()
 
     def run(self, build_ms=0.0):
         ok = self.root()
@@ -182,63 +214,13 @@ class _Search:
                 pass
         self.stats.solve_ms = (time.perf_counter() - t1) * 1e3
         self.stats.restore = self.backend.stats
-        return self.stats
-
-
-class _EnumerateSearch(_Search):
-    def __init__(self, model, restore, queue, mode):
-        super().__init__(model, restore, queue)
-        self.mode = mode
-        self.solutions = []
-
-    def on_solution(self):
-        values = self.snapshot_solution()
-        self.solutions.append(Solution(values))
-        self.stats.solutions += 1
-        self.stats.fingerprint = _fold(self.stats.fingerprint, values)
-        if self.mode == "first":
-            return False
-        return self.unwind()
-
-
-class _MinimizeSearch(_Search):
-    def __init__(self, model, restore, queue, bnb):
-        super().__init__(model, restore, queue)
-        self.bnb = bnb
-        self.best = None
-        self.best_value = None
-        self.bound_pid = None
-
-    def prefix_actions(self):
-        if self.best_value is None:
-            return []
-        if self.bnb == "tighten":
-            return [(MAX, self.model.objective, self.best_value - 1)]
-        return [(A_SCHED, self.bound_pid, None)]
-
-    def on_solution(self):
-        objective = self.model.objective
-        if self.store.size(objective) > 1:
-            raise ModelError(f"objective {objective} is not fixed when every decision variable is")
-        value = self.store.min(objective)
-        values = self.snapshot_solution()
-        self.best = Solution(values, value)
-        self.best_value = value
-        self.stats.solutions += 1
-        self.stats.fingerprint = _fold(self.stats.fingerprint, values + (value,))
-        if self.bnb == "post":
-            self.bound_pid = self.store.add(UpperBoundProp(objective, value - 1))
-        return self.unwind()
+        return self.solutions, self.stats
 
 
 def solve(model, *, mode="first", restore=RestoreMode.trail(), queue="fifo", build_ms=0.0):
     """Run DFS; returns (solutions, stats).  ``mode`` is 'first' or 'all'.
     The model is left as it was."""
-    if mode not in ("first", "all"):
-        raise ValueError(f"unknown search mode {mode!r}")
-    search = _EnumerateSearch(model, restore, queue, mode)
-    stats = search.run(build_ms)
-    return search.solutions, stats
+    return _Search(model, restore, queue, mode).run(build_ms)
 
 
 def minimize(model, *, bnb="tighten", restore=RestoreMode.trail(), queue="fifo", build_ms=0.0):
@@ -248,10 +230,5 @@ def minimize(model, *, bnb="tighten", restore=RestoreMode.trail(), queue="fifo",
     incumbent; ``bnb='post'`` posts a new bounding constraint instead.
     Both prove the same optimum.  The model is left as it was.
     """
-    if bnb not in ("tighten", "post"):
-        raise ValueError(f"unknown branch-and-bound mode {bnb!r}")
-    if model.objective is None:
-        raise ValueError("model has no objective variable")
-    search = _MinimizeSearch(model, restore, queue, bnb)
-    stats = search.run(build_ms)
-    return search.best, stats
+    incumbents, stats = _Search(model, restore, queue, "all", bnb).run(build_ms)
+    return (incumbents[-1] if incumbents else None), stats

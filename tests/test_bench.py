@@ -49,6 +49,14 @@ def test_run_config_validates_runs():
         RunConfig(parse_instance("queens:4"), runs=0)
 
 
+def test_run_config_refuses_a_restore_that_is_not_a_mode():
+    """Refused when the config is built: a sweep's record reads the mode's
+    variant before the run, so it cannot get as far as the search."""
+    for restore in ("copy", None, 8):
+        with pytest.raises(ValueError, match="RestoreMode"):
+            RunConfig(parse_instance("queens:4"), restore=restore)
+
+
 def test_matrix_restore_trajectory_invariance():
     inst = parse_instance("queens:8")
     records = run_matrix(

@@ -39,6 +39,13 @@ def test_restore_mode_rejects_bad_values_when_built(args):
         RestoreMode(*args)
 
 
+def test_restore_mode_keeps_a_plain_int_distance():
+    """An integer-like distance is stored as an int: True reads as 1."""
+    mode = RestoreMode(True)
+    assert type(mode.distance) is int and mode.distance == 1
+    assert mode == RestoreMode.copy() and mode.variant == "copy"
+
+
 def test_trail_restores_exact_state():
     """A node trails each variable it changes once: xs[1], narrowed twice,
     takes one entry."""

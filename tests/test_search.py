@@ -9,7 +9,7 @@ from fdlab.problems import build, check_solution, parse_instance
 from fdlab.propagate import Engine
 from fdlab.restore import RestoreMode
 from fdlab.domain import Op
-from fdlab.search import _EnumerateSearch, minimize, solve
+from fdlab.search import _Search, minimize, solve
 
 # -- independent oracles ------------------------------------------------
 
@@ -111,6 +111,33 @@ def test_infeasible_returns_empty():
     assert sols == []
     assert stats.solutions == 0
     assert stats.nodes > 0
+
+
+def test_infeasible_minimize_returns_none():
+    """x, y, z in 0..1 cannot all differ, but the root propagates, so both
+    branch-and-bound modes search the same tree and find no incumbent."""
+    from fdlab.constraints import post_alldifferent
+
+    results = []
+    for bnb in ("tighten", "post"):
+        model = Model()
+        xs = [model.new_int_var(0, 1, decision=True) for _ in range(3)]
+        post_alldifferent(model, xs)
+        model.objective = xs[0]
+        best, stats = minimize(model, bnb=bnb)
+        assert best is None and stats.solutions == 0 and stats.nodes > 0
+        results.append((stats.nodes, stats.fingerprint))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("restore", ["copy", None, 8, "trail"])
+def test_restore_that_is_not_a_mode_rejected(restore):
+    """A bad ``restore`` is refused with ValueError before the solve starts,
+    not met as an AttributeError inside the backend."""
+    with pytest.raises(ValueError, match="RestoreMode"):
+        solve(build(parse_instance("queens:4")), restore=restore)
+    with pytest.raises(ValueError, match="RestoreMode"):
+        minimize(build(parse_instance("golomb:4")), restore=restore)
 
 
 def test_unknown_mode_rejected():
@@ -273,7 +300,7 @@ def replay_error():
     replay fails only when a backend restored the wrong state; that must
     stop the search, also under ``python -O``."""
     model = build(parse_instance("queens:4"))
-    search = _EnumerateSearch(model, RestoreMode.copy_recompute(2), "fifo", "first")
+    search = _Search(model, RestoreMode.copy_recompute(2), "fifo", "first")
     try:
         search._replay([(Op.ASSIGN, model.decision_vars[0], 99)])
     except Exception as exc:

@@ -18,16 +18,21 @@ from fdlab.propagate import Engine, Propagator
 from fdlab.restore import RestoreMode
 from fdlab.search import minimize, solve
 
-#: (instance, restore, queue) -> counts.  golomb:7 is minimised with
-#: ``bnb='tighten'``; the others stop at their first solution.
+#: (instance, restore, queue, bnb) -> counts.  golomb:7 is minimised under
+#: both branch-and-bound modes; the others stop at their first solution and
+#: have no ``bnb``.
 WORK = {
-    ("golomb:7", RestoreMode.copy_recompute(8), "priority"): {
+    ("golomb:7", RestoreMode.copy_recompute(8), "priority", "tighten"): {
         "fixpoint": 3_740, "DiffProp": 82_277, "LeProp": 19_634, "AllDiffValueProp": 1_592,
     },
-    ("queens:14", RestoreMode.trail(), "fifo"): {
+    ("golomb:7", RestoreMode.copy_recompute(8), "priority", "post"): {
+        "fixpoint": 3_740, "DiffProp": 82_207, "LeProp": 19_630, "AllDiffValueProp": 1_592,
+        "UpperBoundProp": 45,
+    },
+    ("queens:14", RestoreMode.trail(), "fifo", None): {
         "fixpoint": 706, "DiffProp": 40_275, "AllDiffValueProp": 806,
     },
-    ("golfers:2,5,4", RestoreMode.copy(), "fifo"): {
+    ("golfers:2,5,4", RestoreMode.copy(), "fifo", None): {
         "fixpoint": 26_643, "BoolAndProp": 492_237, "BoolSumProp": 141_079,
         "LexLeqProp": 155_160,
     },
@@ -42,9 +47,15 @@ def _counting(counts, key, fn):
     return counted
 
 
-@pytest.mark.parametrize("config", list(WORK), ids=lambda c: f"{c[0]}-{c[1].variant}")
+def _config_id(config):
+    """``instance-variant``, with ``-post`` for the one ``bnb='post'`` row."""
+    name, restore, _, bnb = config
+    return f"{name}-{restore.variant}" + ("-post" if bnb == "post" else "")
+
+
+@pytest.mark.parametrize("config", list(WORK), ids=_config_id)
 def test_fixpoints_and_runs_per_class(config, monkeypatch):
-    name, restore, queue = config
+    name, restore, queue, bnb = config
     counts = Counter()
     monkeypatch.setattr(Engine, "fixpoint", _counting(counts, "fixpoint", Engine.fixpoint))
     for cls in vars(fdlab.constraints).values():
@@ -53,7 +64,7 @@ def test_fixpoints_and_runs_per_class(config, monkeypatch):
     instance = parse_instance(name)
     model = build(instance)
     if instance.is_optimization:
-        minimize(model, bnb="tighten", restore=restore, queue=queue)
+        minimize(model, bnb=bnb, restore=restore, queue=queue)
     else:
         solve(model, mode="first", restore=restore, queue=queue)
     assert dict(counts) == WORK[config]
