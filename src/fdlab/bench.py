@@ -14,7 +14,7 @@ import json
 import statistics
 import time
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .model import BOOL_NATIVE, SUM_NATIVE, ModelError
 from .problems import Instance, build, check_solution
@@ -50,8 +50,14 @@ class RunConfig:
     runs: int = 5
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
+        try:
+            runs = index(self.runs)
+        except TypeError:
+            runs = 0
+        if runs < 1:
+            raise ValueError(f"runs {self.runs!r} is not a positive integer")
+        # Keep the plain int, so runs=True is 1 in the CSV; the class is frozen.
+        object.__setattr__(self, "runs", runs)
         if not isinstance(self.restore, RestoreMode):
             raise ValueError(f"restore {self.restore!r} is not a RestoreMode")
 

@@ -112,8 +112,21 @@ UNKNOWN = 2
 _UNKNOWN_BYTE = bytes([UNKNOWN])
 
 
-class DomainError(ValueError):
-    """Invalid domain construction (e.g. lo > hi)."""
+#: Largest number of values an integer domain may span.  A domain is a
+#: bitset over its span, so a wide span is a large allocation; the catalogued
+#: models stay below 200 values.
+MAX_DOMAIN_SPAN = 1 << 16
+
+#: Largest modelled region a store may hold, in the 64-bit words behind
+#: ``VariableStore.region_bytes``: what one copy snapshot holds.  A store
+#: that would pass it is refused as it grows, before the variable that
+#: would pass it is made, instead of exhausting memory.  The largest
+#: catalogued instance, golfers:2,10,4+ext, models 156,800 words.
+MAX_REGION_WORDS = 1 << 20
+
+
+class ModelError(ValueError):
+    """Invalid model construction or posting."""
 
 
 class VariableStore:
@@ -163,35 +176,50 @@ class VariableStore:
     # -- construction -------------------------------------------------
 
     def new_int_var(self, lo, hi):
+        try:
+            lo, hi = index(lo), index(hi)
+        except TypeError:
+            raise ModelError(f"domain bounds [{lo!r}..{hi!r}] must be integers") from None
         if lo > hi:
-            raise DomainError(f"empty initial domain [{lo}..{hi}]")
+            raise ModelError(f"empty initial domain [{lo}..{hi}]")
         span = hi - lo + 1
+        if span > MAX_DOMAIN_SPAN:
+            raise ModelError(f"domain [{lo}..{hi}] spans more than {MAX_DOMAIN_SPAN} values")
+        self._grow(-(-span // 64))
         self._base.append(lo)
         self._mask.append((1 << span) - 1)
         self._lo.append(lo)
         self._hi.append(hi)
         self._stamp.append(0)
-        self._region_words += -(-span // 64)
         return len(self._mask) - 1
 
     def new_bool_var(self):
+        self._grow(1)
         self._bstate.append(UNKNOWN)
-        self._region_words += 1
         return ~(len(self._bstate) - 1)
 
     def new_bool_vars(self, n):
-        """Add ``n`` unknown Booleans in one extend; returns their ids.  A
-        negative or non-integral count raises ``DomainError``."""
+        """Add ``n`` unknown Booleans in one extend (the padding of an
+        extended model); returns their ids.  A negative or non-integral
+        count, or one past the region cap, raises ``ModelError``."""
         try:
             n = index(n)
         except TypeError:
-            raise DomainError(f"Boolean count {n!r} must be an integer") from None
+            raise ModelError(f"Boolean count {n!r} must be an integer") from None
         if n < 0:
-            raise DomainError(f"Boolean count {n} is negative")
+            raise ModelError(f"Boolean count {n} is negative")
+        self._grow(n)
         first = len(self._bstate)
         self._bstate += _UNKNOWN_BYTE * n
-        self._region_words += n
         return range(~first, ~(first + n), -1)
+
+    def _grow(self, words):
+        """Add ``words`` to the modelled region (``region_bytes`` in words);
+        a region past ``MAX_REGION_WORDS`` raises ``ModelError`` before the
+        store grows."""
+        if self._region_words + words > MAX_REGION_WORDS:
+            raise ModelError(f"model exceeds {MAX_REGION_WORDS} words of modelled domains")
+        self._region_words += words
 
     @property
     def num_vars(self):

@@ -229,7 +229,7 @@ def build(instance, *, bool_mode="native", sum_mode="native"):
     _BUILDERS[instance.problem](model, *instance.params)
     if instance.extended:
         aux = model.store.num_vars - len(model.decision_vars)
-        model.new_bool_vars(PADDING_PER_AUX * aux)
+        model.store.new_bool_vars(PADDING_PER_AUX * aux)
     return model
 
 

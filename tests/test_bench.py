@@ -47,6 +47,13 @@ def test_nps_definitional():
 def test_run_config_validates_runs():
     with pytest.raises(ValueError):
         RunConfig(parse_instance("queens:4"), runs=0)
+    # A count that is no integer is refused when the config is built, not
+    # by ``range`` inside the sweep; True is kept as the plain int 1.
+    for runs in (1.5, "3"):
+        with pytest.raises(ValueError, match="runs"):
+            RunConfig(parse_instance("queens:4"), runs=runs)
+    config = RunConfig(parse_instance("queens:4"), runs=True)
+    assert type(config.runs) is int and config.runs == 1
 
 
 def test_run_config_refuses_a_restore_that_is_not_a_mode():

@@ -573,6 +573,8 @@ def test_bool_sum_rejects_mixed_kinds():
         post_bool_sum(model, [x, y], EQ, 1)
     with pytest.raises(PostError):
         post_bool_sum(model, [y, x], LEQ, 1)
+    with pytest.raises(PostError, match="at least one variable"):
+        post_bool_sum(model, [], EQ, 0)
     assert model.unaries == 0 and not model.props
 
 
@@ -889,6 +891,7 @@ def test_constraint_counting_conventions():
 @example([(1, 0, 5, None), (1, 0, 0, 0)], LEQ, 3)  # x + x <= 3
 @example([(1, 0, 5, None), (-1, 0, 0, 0), (1, 0, 5, None)], EQ, 2)  # x - x + y = 2
 @example([(2, 0, 5, None), (-2, 0, 0, 0)], GEQ, 1)  # cancels to 0 >= 1
+@example([(1, 0, 5, None), (-1, 0, 0, 0)], EQ, 0)  # x - x = 0 holds
 def test_linear_fixpoint_is_sound_and_contracting(terms_spec, rel, c):
     """Values surviving propagation can still participate in a support, and
     the fixpoint never contains values outside the original domains.  It is

@@ -3,15 +3,17 @@ from hypothesis import example, given, strategies as st
 
 from fdlab.domain import (
     FAILED,
+    MAX_DOMAIN_SPAN,
+    MAX_REGION_WORDS,
     UNKNOWN,
     BoolEvent,
-    DomainError,
     EventClass,
+    ModelError,
     Op,
     VariableStore,
     is_int_var,
 )
-from fdlab.model import MAX_DOMAIN_SPAN, MAX_REGION_WORDS, Model, ModelError
+from fdlab.model import Model
 from fdlab.propagate import Engine
 
 
@@ -35,7 +37,7 @@ def test_int_var_negative_bounds():
 
 def test_empty_initial_domain_rejected():
     store = VariableStore()
-    with pytest.raises(DomainError):
+    with pytest.raises(ModelError):
         store.new_int_var(5, 4)
 
 
@@ -66,8 +68,8 @@ def test_model_caps_the_modelled_region():
     for _ in range(full):
         model.new_int_var(1, MAX_DOMAIN_SPAN)
     with pytest.raises(ModelError):
-        model.new_bool_vars(span_words + 1)
-    model.new_bool_vars(span_words - 1)
+        model.store.new_bool_vars(span_words + 1)
+    model.store.new_bool_vars(span_words - 1)
     with pytest.raises(ModelError):
         model.new_int_var(0, 64, decision=True)
     model.new_bool_var(decision=True)
@@ -77,13 +79,13 @@ def test_model_caps_the_modelled_region():
     with pytest.raises(ModelError):
         model.new_int_var(0, 0)
     with pytest.raises(ModelError):
-        model.new_bool_vars(1)
+        model.store.new_bool_vars(1)
     # A negative count would shrink the modelled region below what the
     # store holds, and a non-integral one is no count: both are refused.
     for bad in (-span_words, -MAX_REGION_WORDS, 1.5, "2", None):
         with pytest.raises(ModelError):
-            model.new_bool_vars(bad)
-    assert not model.new_bool_vars(0)
+            model.store.new_bool_vars(bad)
+    assert not model.store.new_bool_vars(0)
     assert model.store.region_bytes == 8 * MAX_REGION_WORDS
     assert model.store.num_vars == full + span_words
     assert len(model.decision_vars) == 1
@@ -92,12 +94,37 @@ def test_model_caps_the_modelled_region():
     # then past it.
     model = Model()
     with pytest.raises(ModelError):
-        model.new_bool_vars(-MAX_REGION_WORDS)
-    model.new_bool_vars(MAX_REGION_WORDS)
+        model.store.new_bool_vars(-MAX_REGION_WORDS)
+    model.store.new_bool_vars(MAX_REGION_WORDS)
     with pytest.raises(ModelError):
-        model.new_bool_vars(100)
+        model.store.new_bool_vars(100)
     assert model.store.num_vars == MAX_REGION_WORDS
     assert model.store.region_bytes == 8 * MAX_REGION_WORDS
+
+
+def test_bare_store_checks_each_new_variable():
+    """A store built without a model makes the same checks: a bound that is
+    no integer, a span past the cap and each way past the region cap raise
+    ``ModelError`` before the store grows."""
+    store = VariableStore()
+    store.new_int_var(0, 9)
+    store.new_bool_var()
+    before = (store.num_vars, store.region_bytes)
+    for lo, hi in ((0.5, 3), ("0", 3), (0, MAX_DOMAIN_SPAN)):
+        with pytest.raises(ModelError):
+            store.new_int_var(lo, hi)
+    assert (store.num_vars, store.region_bytes) == before
+
+    store.new_bool_vars(MAX_REGION_WORDS - 2)
+    full = (store.num_vars, store.region_bytes)
+    assert store.region_bytes == 8 * MAX_REGION_WORDS
+    with pytest.raises(ModelError, match="words of modelled domains"):
+        store.new_int_var(0, 0)
+    with pytest.raises(ModelError, match="words of modelled domains"):
+        store.new_bool_var()
+    with pytest.raises(ModelError, match="words of modelled domains"):
+        store.new_bool_vars(1)
+    assert (store.num_vars, store.region_bytes) == full
 
 
 def test_bool_var_creation():
@@ -212,12 +239,12 @@ def test_bulk_booleans_match_one_at_a_time():
 def test_bulk_booleans_refuse_a_bad_count():
     """A negative count would drive ``region_bytes``, and so
     ``bytes_copied``, below zero, and a non-integral one is no count: the
-    store refuses both with ``DomainError`` before it grows."""
+    store refuses both with ``ModelError`` before it grows."""
     store = VariableStore()
     store.new_bool_var()
     before = (bytes(store._bstate), store.region_bytes)
     for bad in (-5, -1, 1.5, "2", None):
-        with pytest.raises(DomainError):
+        with pytest.raises(ModelError):
             store.new_bool_vars(bad)
     assert (bytes(store._bstate), store.region_bytes) == before
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import fdlab
 
-SOURCES = sorted(Path(fdlab.__file__).parent.glob("*.py"))
+PACKAGE = Path(fdlab.__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 WAKE_PATH = {
     "_wake_dom", "_wake_bounds", "_wake_inst", "_wake_false", "_wake_true", "_delta_lists",
 }
@@ -39,9 +40,12 @@ def _foreign_private_writes(tree):
 
 
 def _scan(finder):
-    """{module file name: sorted hits of ``finder``} over fdlab's sources."""
+    """{module path within the package: sorted hits of ``finder``} over
+    fdlab's sources, subpackages included."""
     return {
-        path.name: sorted(finder(ast.parse(path.read_text(), filename=str(path))))
+        path.relative_to(PACKAGE).as_posix(): sorted(
+            finder(ast.parse(path.read_text(), filename=str(path)))
+        )
         for path in SOURCES
     }
 

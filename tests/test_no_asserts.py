@@ -6,7 +6,7 @@ from pathlib import Path
 
 import fdlab
 
-SOURCES = sorted(Path(fdlab.__file__).parent.glob("*.py"))
+SOURCES = sorted(Path(fdlab.__file__).parent.rglob("*.py"))
 
 
 def test_package_has_no_assert_statements():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import fdlab
 
-SOURCES = sorted(Path(fdlab.__file__).parent.glob("*.py")) + sorted(
+SOURCES = sorted(Path(fdlab.__file__).parent.rglob("*.py")) + sorted(
     Path(__file__).parent.glob("*.py")
 )
 
