@@ -22,7 +22,7 @@ from functools import partial
 from operator import index, itemgetter
 
 from .domain import ASSIGN, BOUNDS_CHANGED, FAILED, INSTANTIATED, MAX, MIN, REMOVE
-from .domain import FIXED_FALSE, FIXED_TRUE, UNKNOWN, is_int_var
+from .domain import FIXED_FALSE, FIXED_TRUE, MAX_DOMAIN_SPAN, UNKNOWN, is_int_var
 from .model import SUM_DECOMPOSED, ModelError
 from .propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Propagator
 from .propagate import PRIORITY_CHEAP, PRIORITY_GLOBAL, PRIORITY_LINEAR
@@ -299,23 +299,23 @@ class AllDiffValueProp(Propagator):
     """Value-consistent alldifferent: an instantiated value is removed
     from every other domain.
 
-    It takes deltas.  A run works its list in the store's ``deltas`` as a
-    worklist: it pops an instantiated variable and removes that one value
-    from every other variable, and a removal that instantiates another
-    variable appends it to the same list through the store's ``narrow``.
-    The store seeds the list with the variables fixed when it joins the
-    engine, and the engine empties it in ``clear``, so the list always
-    holds every instantiated variable whose value is not yet removed, and
-    an empty list means there is nothing to do.  Two variables fixed to
-    one value fail at the removal.
+    A run reads everything from the domains.  One pass collects the fixed
+    values into an int bitset, value ``v`` at bit ``v - low``, fails on a
+    value fixed twice and subsumes once every variable is fixed; a second
+    removes those values from each open variable, one ``REMOVE`` narrowing
+    per value.  A removal that instantiates a variable fixes one more
+    value, so the run repeats both passes until none does.  ``low`` is the
+    least original lower bound of the variables, so that every value they
+    can hold has a bit, and ``post_alldifferent`` caps the bitset's span
+    at ``MAX_DOMAIN_SPAN``.
     """
 
-    __slots__ = ("vars",)
+    __slots__ = ("vars", "low")
     priority = PRIORITY_GLOBAL
-    takes_deltas = True
 
-    def __init__(self, vars):
+    def __init__(self, vars, low):
         self.vars = list(vars)
+        self.low = low
 
     def subscriptions(self):
         for var in self.vars:
@@ -323,23 +323,37 @@ class AllDiffValueProp(Propagator):
 
     def propagate(self, s):
         vars = self.vars
+        low = self.low
         lo = s._lo
         hi = s._hi
         base = s._base
         mask = s._mask
-        todo = s.deltas[self]
-        while todo:
-            x = todo.pop()
-            val = lo[x]
+        while True:
+            fixed = 0
             for v in vars:
-                off = val - base[v]
-                if off >= 0 and (mask[v] >> off) & 1 and v != x:
-                    if s.narrow(v, REMOVE, val) is FAILED:
+                val = lo[v]
+                if val == hi[v]:
+                    bit = 1 << (val - low)
+                    if fixed & bit:
                         return PROP_FAILED
-        for v in vars:
-            if lo[v] != hi[v]:
+                    fixed |= bit
+            if fixed.bit_count() == len(vars):
+                return SUBSUMED
+            again = False
+            for v in vars:
+                if lo[v] == hi[v]:
+                    continue
+                b = base[v]
+                hit = mask[v] & (fixed >> (b - low))
+                while hit:
+                    lsb = hit & -hit
+                    if s.narrow(v, REMOVE, b + lsb.bit_length() - 1) is FAILED:
+                        return PROP_FAILED
+                    hit ^= lsb
+                if lo[v] == hi[v]:
+                    again = True
+            if not again:
                 return AT_FIXPOINT
-        return SUBSUMED
 
 
 class LeProp(Propagator):
@@ -781,7 +795,11 @@ def post_alldifferent(model, vars):
         raise PostError("alldifferent takes integer variables only")
     if len(set(vars)) < len(vars):
         raise PostError("alldifferent over a repeated variable cannot hold")
-    model.add(AllDiffValueProp(vars))
+    s = model.store
+    low = min(s._base[v] for v in vars)
+    if max(s.max(v) for v in vars) - low >= MAX_DOMAIN_SPAN:
+        raise PostError(f"alldifferent's values span more than {MAX_DOMAIN_SPAN} values")
+    model.add(AllDiffValueProp(vars, low))
 
 
 def _post_unary(model, var, op, c):

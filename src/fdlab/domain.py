@@ -2,14 +2,13 @@
 
 Every domain change is one :meth:`VariableStore.narrow` call, the whole
 path of the change: it trails the old state (when a trailing backend gave
-the store a trail) before the change becomes visible, queues the
-propagators that the change's event wakes and, when an integer is
-instantiated, appends it to the delta lists of its delta takers.  A
-solve's store is its :class:`fdlab.propagate.Engine`, which adds the
-queue: it files each propagator in the five wake tables, one per event,
-as it joins, keeps the delta lists and owns the pid states and queue
-buckets that ``narrow`` fills.  A model's own store files nothing, so a
-narrowing made while posting wakes nothing.
+the store a trail) before the change becomes visible and queues the
+propagators that the change's event wakes.  A solve's store is its
+:class:`fdlab.propagate.Engine`, which adds the queue: as each propagator
+joins it, the store files the propagator in the five wake tables, one per
+event, and the engine owns the pid states and queue buckets that
+``narrow`` fills.  A model's own store files nothing, so a narrowing made
+while posting wakes nothing.
 
 The trail holds an integer variable's whole state, ``(var, mask, lo,
 hi)``, at most once per frame: each integer variable carries the stamp
@@ -161,16 +160,13 @@ class VariableStore:
         self._bstate = bytearray()
         self._region_words = 0
         # The wake path, filed by ``_file``: one wake table per event
-        # (variable -> pids), delta taker -> its delta list, and integer
-        # variable -> the delta lists of its takers.  The pid states stay
-        # empty here; an Engine owns them and the pid -> queue bucket.
+        # (variable -> pids).  The pid states stay empty here; an Engine
+        # owns them and the pid -> queue bucket.
         self._wake_dom = {}
         self._wake_bounds = {}
         self._wake_inst = {}
         self._wake_false = {}
         self._wake_true = {}
-        self.deltas = {}
-        self._delta_lists = {}
         self._state = bytearray()
 
     # -- construction -------------------------------------------------
@@ -275,20 +271,11 @@ class VariableStore:
         under its event class and every stronger one; a Boolean's to
         ``FIXED_FALSE`` or ``FIXED_TRUE`` under that value alone, and any
         other under both values.  So ``narrow`` need walk only the table of
-        a change's own event.  A propagator that takes deltas gets its list
-        in ``deltas``, filed under each of its integer variables in
-        ``_delta_lists`` and seeded with those already fixed, which no
-        narrowing will report."""
+        a change's own event."""
         wake_dom, wake_bounds, wake_inst = self._wake_dom, self._wake_bounds, self._wake_inst
         wake_false, wake_true = self._wake_false, self._wake_true
-        delta_lists = self._delta_lists
         for pid in range(first, len(props)):
-            prop = props[pid]
-            # Read with a default: a duck-typed propagator need not declare it.
-            takes_deltas = getattr(prop, "takes_deltas", False)
-            if takes_deltas:
-                deltas = self.deltas.setdefault(prop, [])
-            for var, klass in prop.subscriptions():
+            for var, klass in props[pid].subscriptions():
                 if var < 0:
                     if klass != FIXED_TRUE:
                         wake_false.setdefault(var, []).append(pid)
@@ -300,10 +287,6 @@ class VariableStore:
                     wake_bounds.setdefault(var, []).append(pid)
                     if klass == DOMAIN_CHANGED:
                         wake_dom.setdefault(var, []).append(pid)
-                if takes_deltas:
-                    delta_lists.setdefault(var, []).append(deltas)
-                    if self.size(var) == 1:
-                        deltas.append(var)
 
     def narrow(self, var, op, value):
         """Intersect the domain with the action's allowed set.
@@ -320,10 +303,9 @@ class VariableStore:
         variable: it trails, writes, and queues the idle pids of the
         event's wake table in table order, so the running propagator never
         requeues itself and a subsumed one sleeps until a backtrack
-        re-enables it.  Both arms end in one wake loop; only the integer
-        arms feed the delta lists, on an ``INSTANTIATED`` change.  An
-        integer arm trails the whole state only when the variable's stamp
-        is not the current frame.
+        re-enables it.  Both arms end in one wake loop.  An integer arm
+        trails the whole state only when the variable's stamp is not the
+        current frame.
 
         The Boolean arm first works out the one value the action keeps:
         ``ASSIGN v`` keeps v, ``REMOVE`` of 0 or 1 keeps the other, ``MIN 1``
@@ -438,10 +420,6 @@ class VariableStore:
                     r = DOMAIN_CHANGED
             if r is INSTANTIATED:
                 pids = self._wake_inst.get(var)
-                lists = self._delta_lists.get(var)
-                if lists:
-                    for deltas in lists:
-                        deltas.append(var)
             elif r is BOUNDS_CHANGED:
                 pids = self._wake_bounds.get(var)
             else:

@@ -36,18 +36,6 @@ class Propagator:
     """Monotone, contracting filtering function for one constraint."""
 
     priority = PRIORITY_LINEAR
-    #: A propagator that takes deltas is told which of its subscribed
-    #: integer variables were instantiated since its last run, or, before
-    #: its first run, were already fixed when it joined the engine: the
-    #: engine's ``deltas[self]`` lists them.  The store half seeds the list
-    #: when the propagator joins and ``narrow`` appends to it; ``clear``
-    #: empties it, so a failed fixpoint leaves no stale entry
-    #: behind a backtrack.  At a fixpoint every list is empty, because its
-    #: propagator has run, and a backtrack returns to a store at such a
-    #: fixpoint, so an empty list means there is nothing new.  It may
-    #: subsume only once all of those are fixed, so that no entry reaches
-    #: its list while it sleeps.
-    takes_deltas = False
 
     def subscriptions(self):
         """Yield (variable, event) wake-up conditions: an ``EventClass``,
@@ -148,14 +136,12 @@ class Engine(VariableStore):
         return {pid for pid, s in enumerate(self._state) if s == ASLEEP}
 
     def clear(self):
-        """Empty the queue and the delta lists."""
+        """Empty the queue."""
         state = self._state
         for bucket in self._buckets:
             for pid in bucket:
                 state[pid] = IDLE
             bucket.clear()
-        for d in self.deltas.values():
-            d.clear()
 
     def schedule_all(self):
         for pid in range(len(self.props)):

@@ -21,7 +21,7 @@ from fdlab.constraints import (
     post_linear,
     post_ne_const,
 )
-from fdlab.domain import BOUNDS_CHANGED, FAILED, Op
+from fdlab.domain import BOUNDS_CHANGED, FAILED, MAX_DOMAIN_SPAN, Op
 from fdlab.model import BOOL_INT, BOOL_NATIVE, SUM_DECOMPOSED, SUM_NATIVE, Model, ModelError
 from fdlab.propagate import AT_FIXPOINT, PROP_FAILED, SUBSUMED, Engine
 from fdlab.propagate import PRIORITY_GLOBAL
@@ -225,6 +225,24 @@ def test_alldifferent_rejects_bools_and_singletons():
     assert model.props == [] and model.unaries == 0
 
 
+def test_alldifferent_caps_the_span_of_its_values():
+    """The values of an alldifferent's variables are one bitset per run, so
+    their union may span ``MAX_DOMAIN_SPAN`` values, as one domain may, and
+    no more: one value past it is refused before anything is posted."""
+    model = Model()
+    x = model.new_int_var(-1, 2)
+    post_ne_const(model, x, -1)  # the span runs from x's original bound
+    at_cap = model.new_int_var(MAX_DOMAIN_SPAN - 2, MAX_DOMAIN_SPAN - 2)
+    past_cap = model.new_int_var(MAX_DOMAIN_SPAN - 1, MAX_DOMAIN_SPAN - 1)
+    with pytest.raises(PostError):
+        post_alldifferent(model, [x, past_cap])
+    assert model.props == []
+    post_alldifferent(model, [x, at_cap])
+    assert len(model.props) == 1
+    eng = _fix(model)
+    assert eng and eng.domain_values(x) == [0, 1, 2]
+
+
 def _allowed(op, value, values):
     """The values of ``values`` that an ``ASSIGN`` or ``REMOVE`` keeps."""
     return values - {value} if op is Op.REMOVE else values & {value}
@@ -260,25 +278,31 @@ _ACTION = st.tuples(
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.tuples(st.integers(-1, 1), st.integers(0, 4)), min_size=3, max_size=6),
+    st.one_of(st.none(), st.integers(0, 5)),
     st.one_of(st.none(), st.tuples(st.integers(0, 5), st.integers(-1, 4))),
     st.sampled_from(Engine.POLICIES),
     st.lists(st.lists(_ACTION, min_size=1, max_size=3), max_size=6),
     st.data(),
 )
-def test_alldifferent_deltas_reach_value_closure(spans, cap, policy, steps, data):
+def test_alldifferent_reaches_value_closure(spans, cut, cap, policy, steps, data):
     """Random narrowings through one engine, node by node as the search
     applies them: after each fixpoint the domains are the brute-force
     closure, and a failed node is undone on the trail.
     One forced clash (two variables fixed to one value) fails a fixpoint
-    halfway through, so a delta list that outlived ``Engine.clear`` would
-    leave stale variables to the nodes after it.  A variable drawn with
-    one value is fixed before the solve, and ``cap`` posts ``x <= c``
-    ahead of the alldifferent, which may fix ``x`` at the root before the
-    alldifferent first runs."""
+    halfway through, and the nodes after it must start from the domains
+    the undo restored.  A variable drawn with one value is fixed before
+    the solve.  ``cut`` posts ``x != min(x)`` ahead of the alldifferent,
+    so that x's lower bound sits above its original one, the offset of its
+    domain's bits.  ``cap`` posts ``x <= c`` ahead of the alldifferent,
+    which may fix ``x`` at the root before the alldifferent first runs."""
     model = Model()
     xs = [model.new_int_var(lo, lo + w) for lo, w in spans]
     n = len(xs)
     root = [set(range(lo, lo + w + 1)) for lo, w in spans]
+    if cut is not None and len(root[cut % n]) > 1:
+        k = cut % n
+        post_ne_const(model, xs[k], min(root[k]))
+        root[k].remove(min(root[k]))
     if cap is not None:
         k, c = cap[0] % n, cap[1]
         post_le(model, xs[k], model.new_int_var(c, c))

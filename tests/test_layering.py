@@ -1,8 +1,9 @@
 """Who may touch what.  The store owns the wake path: only ``domain.py``
-names the wake tables and the delta lists, so how a subscription is filed
-and how a change walks the tables stay the decision of one module.  And
-each object writes only its own private state: no module assigns to a
-``_``-prefixed attribute of anything but ``self``."""
+names the wake tables, so how a subscription is filed and how a change
+walks the tables stay the decision of one module.  Each object writes only
+its own private state: no module assigns to a ``_``-prefixed attribute of
+anything but ``self``.  And the store holds all of a solve's state: no
+propagator's ``propagate`` writes to the propagator itself."""
 
 import ast
 from pathlib import Path
@@ -12,7 +13,7 @@ import fdlab
 PACKAGE = Path(fdlab.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 WAKE_PATH = {
-    "_wake_dom", "_wake_bounds", "_wake_inst", "_wake_false", "_wake_true", "_delta_lists",
+    "_wake_dom", "_wake_bounds", "_wake_inst", "_wake_false", "_wake_true",
 }
 
 
@@ -39,6 +40,26 @@ def _foreign_private_writes(tree):
             yield node.lineno, ast.unparse(node)
 
 
+def _kernel_self_writes(tree):
+    """(line, target) of each assignment or deletion, inside a method named
+    ``propagate``, to an attribute of the method's own object or to an item
+    of one: state that a run keeps in the propagator, out of the store's
+    reach, where no backend restores it."""
+    for fn in ast.walk(tree):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name == "propagate"):
+            continue
+        me = fn.args.args[0].arg
+        for node in ast.walk(fn):
+            if isinstance(node, (ast.Attribute, ast.Subscript)) and not isinstance(
+                node.ctx, ast.Load
+            ):
+                root = node.value
+                while isinstance(root, (ast.Attribute, ast.Subscript)):
+                    root = root.value
+                if isinstance(root, ast.Name) and root.id == me:
+                    yield node.lineno, ast.unparse(node)
+
+
 def _scan(finder):
     """{module path within the package: sorted hits of ``finder``} over
     fdlab's sources, subpackages included."""
@@ -57,8 +78,8 @@ def test_only_the_store_names_its_wake_path():
 
 
 def test_the_guard_sees_a_wake_table():
-    tree = ast.parse("store._wake_inst = {}\n_delta_lists = store.deltas\n_wake = 1\n")
-    assert sorted(_wake_path_names(tree)) == [(1, "_wake_inst"), (2, "_delta_lists")]
+    tree = ast.parse("store._wake_inst = {}\n_wake_true = store.tables\n_wake = 1\n")
+    assert sorted(_wake_path_names(tree)) == [(1, "_wake_inst"), (2, "_wake_true")]
 
 
 def test_each_object_writes_only_its_own_private_state():
@@ -80,4 +101,28 @@ def test_the_guard_sees_a_foreign_private_write():
     assert sorted(_foreign_private_writes(tree)) == [
         (1, "store._state"), (3, "twin._stamp"), (5, "eng.queue._bucket"),
         (6, "store._hi"), (8, "store._frame"),
+    ]
+
+
+def test_kernels_hold_no_solve_state():
+    found = _scan(_kernel_self_writes)
+    assert found["constraints.py"] == []
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_guard_sees_a_kernel_writing_to_itself():
+    tree = ast.parse(
+        "class P:\n"
+        "    def __init__(self, n):\n"
+        "        self.n = n\n"
+        "    def propagate(self, s):\n"
+        "        self.seen = s.size(0)\n"
+        "        self.n += 1\n"
+        "        self.buf[0].last = s\n"
+        "        del self.seen\n"
+        "        s._lo[0] = self.n\n"
+        "        seen = self.buf\n"
+    )
+    assert sorted(_kernel_self_writes(tree)) == [
+        (5, "self.seen"), (6, "self.n"), (7, "self.buf[0].last"), (8, "self.seen"),
     ]

@@ -7,10 +7,9 @@ subscription must be asleep exactly when one run of it reports
 The naive closure shares nothing with the solve's ``Engine`` but the
 propagators: it runs them on a copy of the domains, an ``Engine`` with no
 propagators, which files nothing and queues nothing.  It reads no wake
-table, honours no subsumption and rebuilds every delta list from scratch,
-so a subscription the engine failed to file, a delta it failed to seed or
-a propagator it left asleep too long shows up as a difference in the
-domains.
+table and honours no subsumption, so a subscription the engine failed to
+file or a propagator it left asleep too long shows up as a difference in
+the domains.
 """
 
 import itertools
@@ -33,8 +32,7 @@ def naive_closure(store, props, actions):
     """The domains of the naive closure of ``store`` narrowed by a node's
     ``actions``: a snapshot, None when the closure fails, or ``_SKIP`` when
     an action fails.  The closure runs every propagator on a copy in turn,
-    over and over, until a whole sweep changes no domain; before each run
-    a delta taker's list is set to all of its fixed integer variables."""
+    over and over, until a whole sweep changes no domain."""
     copy = Engine(store, ())
     for op, target, value in actions:
         # A reschedule applies nothing: the closure runs everything.
@@ -43,10 +41,6 @@ def naive_closure(store, props, actions):
     while True:
         before = copy.snapshot_blob()
         for prop in props:
-            if getattr(prop, "takes_deltas", False):
-                copy.deltas[prop] = [
-                    v for v, _ in prop.subscriptions() if v >= 0 and copy.size(v) == 1
-                ]
             if prop.propagate(copy) == PROP_FAILED:
                 return None
         if copy.snapshot_blob()[:4] == before[:4]:
@@ -56,19 +50,17 @@ def naive_closure(store, props, actions):
 def sleep_mismatches(eng):
     """The pids that break the sleep rule at the engine's fixpoint: each
     propagator with a subscription runs once, on a copy of the engine's
-    domains with an empty delta list, and must report ``SUBSUMED`` exactly
-    when its pid is asleep.  Returns (pid, class name, asleep, outcome) per
-    mismatch, and one (None, 'store changed', None, None) when a run
-    narrowed the copy, which no run at a fixpoint may do.  A pid with no
-    subscription is exempt: it runs only when pushed (branch and bound's
-    bound)."""
+    domains, and must report ``SUBSUMED`` exactly when its pid is asleep.
+    Returns (pid, class name, asleep, outcome) per mismatch, and one (None,
+    'store changed', None, None) when a run narrowed the copy, which no run
+    at a fixpoint may do.  A pid with no subscription is exempt: it runs
+    only when pushed (branch and bound's bound)."""
     copy = Engine(eng, ())
     asleep = eng.subsumed
     found = []
     for pid, prop in enumerate(eng.props):
         if next(iter(prop.subscriptions()), None) is None:
             continue
-        copy.deltas[prop] = []
         outcome = prop.propagate(copy)
         if outcome == PROP_FAILED or (outcome == SUBSUMED) != (pid in asleep):
             found.append((pid, type(prop).__name__, pid in asleep, outcome))
@@ -148,8 +140,8 @@ def test_fixpoint_equals_the_naive_closure_at_every_node(name, monkeypatch):
 
 def test_oracle_sees_an_alldifferent_variable_fixed_before_the_solve(monkeypatch):
     """x = y = 1 is posted by narrowing the domains, so no narrowing during
-    the solve reports it: only the seeded delta lists make alldifferent
-    fail at the root."""
+    the solve reports it: alldifferent fails at the root only because it
+    reads the fixed values from the domains."""
     oracle = _Oracle(monkeypatch)
     model = Model()
     x, y, z, w = (model.new_int_var(0, 2, decision=True) for _ in range(4))

@@ -86,24 +86,23 @@ def test_queue_policies_order():
 
 def test_engine_files_its_wake_path_on_its_fork_only():
     """The engine is a copy of the model's store that files the
-    subscriptions: a change made on the engine wakes its subscribers and
-    feeds its delta lists, while the model's own store keeps empty tables,
-    so a change there wakes nothing."""
+    subscriptions: a change made on the engine wakes its subscribers, while
+    the model's own store keeps empty tables, so a change there wakes
+    nothing."""
     from fdlab.constraints import AllDiffValueProp
     from fdlab.domain import Op
 
     model = Model()
     x, y, z = (model.new_int_var(0, 5) for _ in range(3))
     post_le(model, x, y)
-    alldiff = model.add(AllDiffValueProp([x, y, z]))
+    alldiff = model.add(AllDiffValueProp([x, y, z], 0))
     eng = Engine(model.store, model.props)
     model.store.narrow(y, Op.MAX, 4)
     model.store.narrow(z, Op.ASSIGN, 1)
     assert 0 not in eng and alldiff not in eng
     assert not model.store._state and not model.store._wake_inst
-    assert not model.store.deltas
     eng.narrow(z, Op.ASSIGN, 2)
-    assert alldiff in eng and eng.deltas[eng.props[alldiff]] == [z]
+    assert alldiff in eng
     eng.narrow(y, Op.MAX, 3)
     assert 0 in eng
     assert eng.fixpoint() and eng.domain_values(x) == [0, 1, 3]
@@ -112,8 +111,9 @@ def test_engine_files_its_wake_path_on_its_fork_only():
 
 def test_engine_add_files_a_subscribing_propagator():
     """A propagator added to a live engine is filed like the model's: a
-    narrowing of its variable wakes it, and a delta taker's list is seeded
-    with its variables already fixed.  The model is left unchanged."""
+    narrowing of its variable wakes it.  An alldifferent added after one of
+    its variables was fixed removes that value at its first run, though no
+    narrowing reported the fixing to it.  The model is left unchanged."""
     from fdlab.constraints import AllDiffValueProp
     from fdlab.domain import Op
 
@@ -126,14 +126,13 @@ def test_engine_add_files_a_subscribing_propagator():
     assert le in eng
     assert eng.fixpoint() and eng.max(x) == 3
     eng.narrow(z, Op.ASSIGN, 2)
-    alldiff = AllDiffValueProp([x, y, z])
+    alldiff = AllDiffValueProp([x, y, z], 0)
     pid = eng.add(alldiff)
-    assert eng.deltas[alldiff] == [z] and pid not in eng
-    eng.push(pid)
-    assert eng.fixpoint() and not eng.deltas[alldiff]
+    assert pid not in eng
+    assert alldiff.propagate(eng) == AT_FIXPOINT and pid not in eng
     assert eng.domain_values(x) == eng.domain_values(y) == [0, 1, 3]
     eng.narrow(x, Op.ASSIGN, 1)
-    assert le in eng and pid in eng and eng.deltas[alldiff] == [x]
+    assert le in eng and pid in eng
     assert eng.fixpoint() and eng.domain_values(y) == [3]
     bound = eng.add(UpperBoundProp(z, 1))
     eng.push(bound)

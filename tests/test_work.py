@@ -23,14 +23,14 @@ from fdlab.search import minimize, solve
 #: have no ``bnb``.
 WORK = {
     ("golomb:7", RestoreMode.copy_recompute(8), "priority", "tighten"): {
-        "fixpoint": 3_740, "DiffProp": 82_277, "LeProp": 19_634, "AllDiffValueProp": 1_592,
+        "fixpoint": 3_740, "DiffProp": 82_199, "LeProp": 19_616, "AllDiffValueProp": 1_592,
     },
     ("golomb:7", RestoreMode.copy_recompute(8), "priority", "post"): {
-        "fixpoint": 3_740, "DiffProp": 82_207, "LeProp": 19_630, "AllDiffValueProp": 1_592,
+        "fixpoint": 3_740, "DiffProp": 82_129, "LeProp": 19_612, "AllDiffValueProp": 1_592,
         "UpperBoundProp": 45,
     },
     ("queens:14", RestoreMode.trail(), "fifo", None): {
-        "fixpoint": 706, "DiffProp": 40_275, "AllDiffValueProp": 806,
+        "fixpoint": 706, "DiffProp": 40_242, "AllDiffValueProp": 806,
     },
     ("golfers:2,5,4", RestoreMode.copy(), "fifo", None): {
         "fixpoint": 26_643, "BoolAndProp": 492_237, "BoolSumProp": 141_079,
